@@ -100,5 +100,28 @@ TEST(GoldenTrace, TestbedStaticFlareRelaxed) {
   CheckAgainstGolden("fig8_testbed_flare_relaxed.csv", TraceCsv(config));
 }
 
+// Figure 7 shape: the ns-3-style mobile cell — 8 vehicular UEs on
+// FadedMobilityChannel under the Priority Set Scheduler. The testbed
+// goldens above run static channels only; this one pins the mobility
+// channel, PSS and the cell's per-UE iTbs handling.
+TEST(GoldenTrace, SimMobileFlare) {
+  ScenarioConfig config = SimMobilePreset(Scheme::kFlare);
+  config.duration_s = 60.0;
+  config.seed = 1;
+  CheckAgainstGolden("fig7_mobile_flare.csv", TraceCsv(config));
+}
+
+// The mobile cell with two greedy data flows and a 10% transport-block
+// error rate: data flows keep PSS's proportional-fair pass busy and the
+// BLER draws consume the cell's RNG between grants.
+TEST(GoldenTrace, SimMobileFlareDataBler) {
+  ScenarioConfig config = SimMobilePreset(Scheme::kFlare);
+  config.duration_s = 60.0;
+  config.seed = 1;
+  config.n_data = 2;
+  config.target_bler = 0.1;
+  CheckAgainstGolden("fig7_mobile_flare_data_bler.csv", TraceCsv(config));
+}
+
 }  // namespace
 }  // namespace flare

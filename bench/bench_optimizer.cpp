@@ -534,12 +534,36 @@ int ExportBatchLadder() {
 }  // namespace
 }  // namespace flare
 
+namespace {
+
+/// True if the command line asks google-benchmark only to list the
+/// registered benchmarks (`--benchmark_list_tests[=true|1]`).
+bool ListTestsOnly(int argc, char** argv) {
+  const std::string flag = "--benchmark_list_tests";
+  bool list = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == flag) {
+      list = true;
+    } else if (arg.rfind(flag + "=", 0) == 0) {
+      const std::string value = arg.substr(flag.size() + 1);
+      list = value != "false" && value != "0";
+    }
+  }
+  return list;
+}
+
+}  // namespace
+
 // Custom main (instead of BENCHMARK_MAIN): run the registered
-// microbenchmarks, then the structured optimizer.batch.* ladder export.
+// microbenchmarks, then the structured optimizer.batch.* ladder export,
+// which a listing-only invocation skips (it would otherwise run the whole
+// ladder and overwrite BENCH_optimizer.json).
 int main(int argc, char** argv) {
+  const bool list_only = ListTestsOnly(argc, argv);
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
-  return flare::ExportBatchLadder();
+  return list_only ? 0 : flare::ExportBatchLadder();
 }

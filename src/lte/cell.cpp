@@ -25,7 +25,8 @@ UeId Cell::AddUe(std::unique_ptr<ChannelModel> channel) {
   if (!channel) throw std::invalid_argument("Cell::AddUe: channel is null");
   UeEntry entry;
   entry.channel = std::move(channel);
-  entry.itbs = entry.channel->ItbsAt(sim_.Now());
+  entry.itbs_at = sim_.Now();
+  entry.itbs = entry.channel->ItbsAt(entry.itbs_at);
   if (!free_ues_.empty()) {
     const UeId id = free_ues_.back();  // lowest released id
     free_ues_.pop_back();
@@ -137,7 +138,15 @@ int Cell::UeItbs(UeId ue) const {
   if (ue >= ues_.size() || ues_[ue].channel == nullptr) {
     throw std::out_of_range("Cell::UeItbs: bad or released UE");
   }
-  return ues_[ue].itbs;
+  return ItbsAt(ues_[ue], last_tti_at_);
+}
+
+int Cell::ItbsAt(const UeEntry& ue, SimTime at) const {
+  if (ue.itbs_at < at) {
+    ue.itbs = ue.channel->ItbsAt(at);
+    ue.itbs_at = at;
+  }
+  return ue.itbs;
 }
 
 double Cell::UeFullCellRateBps(UeId ue) const {
@@ -210,21 +219,16 @@ void Cell::Start() {
 void Cell::RunTti() {
   const SimTime now = sim_.Now();
   const double tti_s = ToSeconds(kTti);
+  last_tti_at_ = now;
   ++ttis_elapsed_;
   const bool span_timing =
       span_trace_ != nullptr && !span_trace_->deterministic();
   const auto span_start = span_timing ? std::chrono::steady_clock::now()
                                       : std::chrono::steady_clock::time_point{};
 
-  // 1. Refresh channels (released slots have no channel to sample — and
-  // under churn they must cost nothing, not accumulate forever).
-  for (UeEntry& ue : ues_) {
-    if (ue.channel) ue.itbs = ue.channel->ItbsAt(now);
-  }
-
-  // 2. Refill token buckets and build candidates.
-  std::vector<SchedCandidate> candidates;
-  candidates.reserve(flows_.size());
+  // 1. Refill token buckets and build candidates. Only a candidate's UE
+  // has its channel read, so idle and released UEs cost nothing.
+  candidates_.clear();
   for (auto& [id, entry] : flows_) {
     FlowState& f = entry.state;
     if (f.has_gbr()) {
@@ -243,26 +247,24 @@ void Cell::RunTti() {
     if (f.queued_bytes == 0) continue;
     SchedCandidate c;
     c.flow = &f;
-    const int bits = TbsBitsPerPrb(ues_[f.ue].itbs);
-    c.bytes_per_rb = static_cast<std::uint32_t>(bits / 8);
     c.max_bytes = f.queued_bytes;
     if (f.mbr_bps != kNoRateLimit) {
       c.max_bytes = std::min<std::uint64_t>(
           c.max_bytes,
           static_cast<std::uint64_t>(std::max(f.mbr_credit_bytes, 0.0)));
     }
-    if (c.max_bytes == 0 || c.bytes_per_rb == 0) continue;
-    candidates.push_back(c);
+    if (c.max_bytes == 0) continue;
+    const int bits = TbsBitsPerPrb(ItbsAt(ues_[f.ue], now));
+    c.bytes_per_rb = static_cast<std::uint32_t>(bits / 8);
+    if (c.bytes_per_rb == 0) continue;
+    candidates_.push_back(c);
   }
 
-  // 3. Schedule.
-  std::vector<SchedGrant> grants;
-  if (!candidates.empty()) {
-    grants = scheduler_->Allocate(candidates, config_.num_rbs, rng_);
-  }
+  // 2. Schedule (an idle TTI yields no grants and zero phase stats).
+  const std::vector<SchedGrant>& grants =
+      scheduler_->Allocate(candidates_, config_.num_rbs, rng_);
 
-  // 4. Apply grants: drain queues, charge buckets, update trace counters.
-  std::map<FlowId, std::uint64_t> served;
+  // 3. Apply grants: drain queues, charge buckets, update trace counters.
   int rbs_used = 0;
   for (const SchedGrant& g : grants) {
     if (g.flow == nullptr || g.bytes == 0) continue;
@@ -292,7 +294,7 @@ void Cell::RunTti() {
     f.window_rbs += static_cast<std::uint64_t>(g.rbs);
     f.total_tx_bytes += bytes;
     f.total_rbs += static_cast<std::uint64_t>(g.rbs);
-    served[f.id] += bytes;
+    f.tti_tx_bytes += bytes;
     rbs_used += g.rbs;
   }
   assert(rbs_used <= config_.num_rbs);
@@ -303,9 +305,7 @@ void Cell::RunTti() {
   // the GBRs the control plane installed).
   ttis_metric_.Add();
   rbs_used_metric_.Add(static_cast<std::uint64_t>(rbs_used));
-  // (Allocate is skipped on idle TTIs, so its stats would be stale then.)
-  const SchedTtiStats phase =
-      candidates.empty() ? SchedTtiStats{} : scheduler_->tti_stats();
+  const SchedTtiStats& phase = scheduler_->tti_stats();
   rbs_priority_metric_.Add(static_cast<std::uint64_t>(phase.rbs_priority));
   rbs_shared_metric_.Add(static_cast<std::uint64_t>(phase.rbs_shared));
   if (trace_sink_ != nullptr || gbr_shortfall_metric_.enabled()) {
@@ -322,21 +322,25 @@ void Cell::RunTti() {
     }
   }
 
-  // 5. PF averages: every flow decays; served flows add their TTI rate.
+  // 4. PF averages: every flow decays; served flows add their TTI rate.
+  // Served flows are listed in FlowId order for delivery; the list is a
+  // copy because delivery callbacks may add or remove flows.
   const double tc = std::max(config_.pf_time_constant, 1.0);
+  served_.clear();
   for (auto& [id, entry] : flows_) {
     FlowState& f = entry.state;
-    const auto it = served.find(id);
-    const double rate_bps =
-        it == served.end() ? 0.0
-                           : static_cast<double>(it->second) * 8.0 / tti_s;
+    const double rate_bps = static_cast<double>(f.tti_tx_bytes) * 8.0 / tti_s;
     f.pf_avg_bps = (1.0 - 1.0 / tc) * f.pf_avg_bps + rate_bps / tc;
     if (f.pf_avg_bps < 1.0) f.pf_avg_bps = 1.0;
+    if (f.tti_tx_bytes > 0) {
+      served_.emplace_back(id, f.tti_tx_bytes);
+      f.tti_tx_bytes = 0;
+    }
   }
 
-  // 6. Deliver.
+  // 5. Deliver.
   if (deliver_) {
-    for (const auto& [id, bytes] : served) deliver_(id, bytes, now);
+    for (const auto& [id, bytes] : served_) deliver_(id, bytes, now);
   }
 
   // Span sampling: accumulate this TTI's wall-clock cost (including the

@@ -3,20 +3,26 @@
 // Owns UEs (each with a channel model), per-flow MAC state (RLC queue, QoS
 // token buckets, PF averages, RB & Rate Trace counters) and a pluggable
 // scheduler. Each 1 ms TTI it:
-//   1. refreshes each UE's I_TBS from its channel model,
-//   2. refills GBR/MBR token buckets,
-//   3. builds scheduling candidates from flows with queued data,
-//   4. asks the scheduler to distribute the cell's RBs,
-//   5. dequeues the granted bytes and hands them to the delivery callback
+//   1. refills GBR/MBR token buckets,
+//   2. builds scheduling candidates from flows with queued data, reading
+//      each candidate UE's I_TBS from its channel model,
+//   3. asks the scheduler to distribute the cell's RBs,
+//   4. dequeues the granted bytes and hands them to the delivery callback
 //      (the transport layer), updating trace counters and PF averages.
+// A UE's I_TBS is read only when one of its flows is a candidate or
+// UeItbs() asks, and is cached per UE with the time it was read. That
+// equals reading every UE every TTI because channels are pure functions
+// of time (see ChannelModel::ItbsAt).
 //
 // The Continuous GBR Updater of the femtocell prototype corresponds to
 // SetGbr()/SetMbr(), callable at any time, not just at bearer setup.
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "lte/channel.h"
@@ -102,7 +108,8 @@ class Cell {
   int num_rbs() const { return config_.num_rbs; }
   Simulator& sim() { return sim_; }
 
-  /// Current I_TBS of a UE (refreshes from the channel model).
+  /// I_TBS of a UE as of the latest TTI, or as of AddUe if no TTI has run
+  /// since the UE was attached.
   int UeItbs(UeId ue) const;
   /// Rate (bits/s) the UE would get with the whole cell to itself.
   double UeFullCellRateBps(UeId ue) const;
@@ -141,7 +148,9 @@ class Cell {
  private:
   struct UeEntry {
     std::unique_ptr<ChannelModel> channel;  // null = released slot
-    int itbs = 0;  // refreshed each TTI
+    // Cached channel->ItbsAt(itbs_at); filled in on demand.
+    mutable int itbs = 0;
+    mutable SimTime itbs_at = 0;
   };
   struct FlowEntry {
     FlowState state;
@@ -149,6 +158,8 @@ class Cell {
   };
 
   void RunTti();
+  /// I_TBS of `ue` at time `at` (not earlier than its cached time).
+  int ItbsAt(const UeEntry& ue, SimTime at) const;
   FlowEntry& Entry(FlowId id);
   const FlowEntry& Entry(FlowId id) const;
 
@@ -171,6 +182,12 @@ class Cell {
   std::uint64_t ttis_elapsed_ = 0;
   std::uint64_t harq_retx_ = 0;
   bool started_ = false;
+  /// Time of the latest TTI (none yet: the lowest SimTime).
+  SimTime last_tti_at_ = std::numeric_limits<SimTime>::min();
+
+  // Per-TTI scratch, reused so steady-state TTIs allocate nothing.
+  std::vector<SchedCandidate> candidates_;
+  std::vector<std::pair<FlowId, std::uint64_t>> served_;
 
   BaiTraceSink* trace_sink_ = nullptr;
   SpanTracer* span_trace_ = nullptr;

@@ -26,7 +26,12 @@ namespace flare {
 class ChannelModel {
  public:
   virtual ~ChannelModel() = default;
-  /// I_TBS this UE can sustain at time `now`.
+  /// I_TBS this UE can sustain at time `now`. Must be a pure function of
+  /// `now` as long as successive queries are non-decreasing in `now`:
+  /// internal state (a mobility leg, say) may advance, but skipping or
+  /// repeating a query never changes a later answer. The cell relies on
+  /// this to read a UE's channel only in TTIs where the UE has data to
+  /// send.
   virtual int ItbsAt(SimTime now) = 0;
 };
 

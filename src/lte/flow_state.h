@@ -42,6 +42,11 @@ struct FlowState {
   std::uint64_t total_tx_bytes = 0;
   std::uint64_t total_rbs = 0;
 
+  // --- Bytes delivered in the TTI the cell is applying grants for; the
+  // cell hands them to its delivery callback and resets them to 0 before
+  // the TTI ends.
+  std::uint64_t tti_tx_bytes = 0;
+
   bool has_gbr() const { return gbr_bps > 0.0; }
 };
 

@@ -1,67 +1,24 @@
 #include "lte/gbr_scheduler.h"
 
-#include <algorithm>
-
 namespace flare {
 
-std::vector<SchedGrant> TwoPhaseGbrScheduler::Allocate(
+const std::vector<SchedGrant>& TwoPhaseGbrScheduler::Allocate(
     std::vector<SchedCandidate>& candidates, int n_rbs, Rng& /*rng*/) {
-  std::vector<SchedGrant> grants;
-  tti_stats_ = SchedTtiStats{};
-  if (n_rbs <= 0) return grants;
+  BeginTti(candidates.size());
+  if (n_rbs <= 0) return grants_;
 
   // --- Phase 1: GBR-based scheduling of video flows, most starved first.
-  std::vector<std::size_t> phase1;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const FlowState& f = *candidates[i].flow;
-    if (f.type == FlowType::kVideo && f.has_gbr() &&
-        f.gbr_credit_bytes > 0.0) {
-      phase1.push_back(i);
-    }
-  }
-  std::sort(phase1.begin(), phase1.end(), [&](std::size_t a, std::size_t b) {
-    const double ca = candidates[a].flow->gbr_credit_bytes;
-    const double cb = candidates[b].flow->gbr_credit_bytes;
-    if (ca != cb) return ca > cb;
-    return candidates[a].flow->id < candidates[b].flow->id;
-  });
-
-  int used = 0;
-  for (std::size_t idx : phase1) {
-    if (used >= n_rbs) break;
-    SchedCandidate& c = candidates[idx];
-    if (c.bytes_per_rb == 0) continue;
-    const auto owed = static_cast<std::uint64_t>(
-        std::max(c.flow->gbr_credit_bytes, 0.0));
-    const std::uint64_t want = std::min<std::uint64_t>(owed, c.max_bytes);
-    if (want == 0) continue;
-    const int rbs = std::min(RbsForBytes(want, c.bytes_per_rb), n_rbs - used);
-    if (rbs <= 0) continue;
-    const std::uint64_t bytes = std::min<std::uint64_t>(
-        want, static_cast<std::uint64_t>(rbs) * c.bytes_per_rb);
-    grants.push_back(SchedGrant{c.flow, rbs, bytes});
-    used += rbs;
-  }
-
+  const int used = GbrDebtPass(candidates, n_rbs, &Scheduler::VideoFlow);
   tti_stats_.rbs_priority = used;
 
   // --- Phase 2: legacy proportional fair over the remaining RBs. A video
   // flow already served in phase 1 may win further RBs here (that is the
-  // opportunistic borrowing §IV-A credits for zero underflow); its two
-  // partial grants are then coalesced so callers see one grant per flow.
-  if (video_only_phase2_) {
-    std::vector<SchedCandidate> video;
-    for (const SchedCandidate& c : candidates) {
-      if (c.flow->type == FlowType::kVideo) video.push_back(c);
-    }
-    tti_stats_.rbs_shared =
-        ProportionalFairPass(video, n_rbs - used, grants);
-  } else {
-    tti_stats_.rbs_shared =
-        ProportionalFairPass(candidates, n_rbs - used, grants);
-  }
-  CoalesceGrants(grants);
-  return grants;
+  // opportunistic borrowing §IV-A credits for zero underflow); its grant
+  // then grows, so callers still see one grant per flow.
+  tti_stats_.rbs_shared = ProportionalFairPass(
+      candidates, n_rbs - used,
+      video_only_phase2_ ? &Scheduler::VideoFlow : &Scheduler::AnyFlow);
+  return grants_;
 }
 
 }  // namespace flare

@@ -19,8 +19,9 @@ class TwoPhaseGbrScheduler final : public Scheduler {
   explicit TwoPhaseGbrScheduler(bool video_only_phase2 = false)
       : video_only_phase2_(video_only_phase2) {}
 
-  std::vector<SchedGrant> Allocate(std::vector<SchedCandidate>& candidates,
-                                   int n_rbs, Rng& rng) override;
+  const std::vector<SchedGrant>& Allocate(
+      std::vector<SchedCandidate>& candidates, int n_rbs,
+      Rng& rng) override;
   std::string Name() const override { return "two-phase-gbr"; }
 
  private:

@@ -1,112 +1,46 @@
 #include "lte/pf_scheduler.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace flare {
 
-int RbsForBytes(std::uint64_t bytes, std::uint32_t bytes_per_rb) {
-  if (bytes == 0 || bytes_per_rb == 0) return 0;
-  return static_cast<int>((bytes + bytes_per_rb - 1) / bytes_per_rb);
-}
-
-int ProportionalFairPass(std::vector<SchedCandidate>& candidates, int n_rbs,
-                         std::vector<SchedGrant>& grants) {
-  if (n_rbs <= 0) return 0;
-
-  std::unordered_map<const FlowState*, std::uint64_t> already;
-  for (const SchedGrant& g : grants) already[g.flow] += g.bytes;
-
-  // Wideband CQI: the PF metric of a flow is constant within the TTI, so a
-  // single descending sort followed by greedy filling is exact.
-  std::vector<std::size_t> order(candidates.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const auto& ca = candidates[a];
-    const auto& cb = candidates[b];
-    const double ma = static_cast<double>(ca.bytes_per_rb) /
-                      std::max(ca.flow->pf_avg_bps, 1e-9);
-    const double mb = static_cast<double>(cb.bytes_per_rb) /
-                      std::max(cb.flow->pf_avg_bps, 1e-9);
-    if (ma != mb) return ma > mb;
-    return ca.flow->id < cb.flow->id;  // deterministic tie-break
-  });
-
-  int used = 0;
-  for (std::size_t idx : order) {
-    if (used >= n_rbs) break;
-    SchedCandidate& c = candidates[idx];
-    if (c.bytes_per_rb == 0) continue;
-    const std::uint64_t got = already[c.flow];
-    if (got >= c.max_bytes) continue;
-    const std::uint64_t want = c.max_bytes - got;
-    const int rbs = std::min(RbsForBytes(want, c.bytes_per_rb), n_rbs - used);
-    if (rbs <= 0) continue;
-    const std::uint64_t bytes = std::min<std::uint64_t>(
-        want, static_cast<std::uint64_t>(rbs) * c.bytes_per_rb);
-    grants.push_back(SchedGrant{c.flow, rbs, bytes});
-    already[c.flow] += bytes;
-    used += rbs;
-  }
-  return used;
-}
-
-void CoalesceGrants(std::vector<SchedGrant>& grants) {
-  std::vector<SchedGrant> merged;
-  merged.reserve(grants.size());
-  std::unordered_map<const FlowState*, std::size_t> index;
-  for (const SchedGrant& g : grants) {
-    const auto [it, inserted] = index.emplace(g.flow, merged.size());
-    if (inserted) {
-      merged.push_back(g);
-    } else {
-      merged[it->second].rbs += g.rbs;
-      merged[it->second].bytes += g.bytes;
-    }
-  }
-  grants = std::move(merged);
-}
-
-std::vector<SchedGrant> PfScheduler::Allocate(
+const std::vector<SchedGrant>& PfScheduler::Allocate(
     std::vector<SchedCandidate>& candidates, int n_rbs, Rng& /*rng*/) {
-  std::vector<SchedGrant> grants;
-  tti_stats_ = SchedTtiStats{};
-  tti_stats_.rbs_shared = ProportionalFairPass(candidates, n_rbs, grants);
-  return grants;
+  BeginTti(candidates.size());
+  tti_stats_.rbs_shared =
+      ProportionalFairPass(candidates, n_rbs, &Scheduler::AnyFlow);
+  return grants_;
 }
 
-std::vector<SchedGrant> RoundRobinScheduler::Allocate(
+const std::vector<SchedGrant>& RoundRobinScheduler::Allocate(
     std::vector<SchedCandidate>& candidates, int n_rbs, Rng& /*rng*/) {
-  std::vector<SchedGrant> grants;
-  tti_stats_ = SchedTtiStats{};
-  if (candidates.empty() || n_rbs <= 0) return grants;
+  BeginTti(candidates.size());
+  if (candidates.empty() || n_rbs <= 0) return grants_;
 
   // Rotate the starting flow each TTI, then hand out RBs one flow at a
-  // time in equal chunks until RBs or demand run out.
+  // time in equal chunks until RBs or demand run out. Grant() folds each
+  // flow's RBs into one grant, in first-service order.
   const std::size_t n = candidates.size();
   next_ %= n;
   int used = 0;
-  std::vector<std::uint64_t> granted(n, 0);
   bool progress = true;
   while (used < n_rbs && progress) {
     progress = false;
     for (std::size_t k = 0; k < n && used < n_rbs; ++k) {
-      SchedCandidate& c = candidates[(next_ + k) % n];
-      auto& got = granted[(next_ + k) % n];
+      const std::size_t i = (next_ + k) % n;
+      const SchedCandidate& c = candidates[i];
+      const std::uint64_t got = granted_bytes(i);
       if (c.bytes_per_rb == 0 || got >= c.max_bytes) continue;
       const std::uint64_t bytes = std::min<std::uint64_t>(
           c.max_bytes - got, c.bytes_per_rb);
-      grants.push_back(SchedGrant{c.flow, 1, bytes});
-      got += bytes;
+      Grant(candidates, i, 1, bytes);
       ++used;
       progress = true;
     }
   }
   ++next_;
-  // One grant was pushed per RB; collapse to one grant per flow.
-  CoalesceGrants(grants);
   tti_stats_.rbs_shared = used;
-  return grants;
+  return grants_;
 }
 
 }  // namespace flare

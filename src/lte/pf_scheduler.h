@@ -12,15 +12,17 @@ namespace flare {
 
 class PfScheduler final : public Scheduler {
  public:
-  std::vector<SchedGrant> Allocate(std::vector<SchedCandidate>& candidates,
-                                   int n_rbs, Rng& rng) override;
+  const std::vector<SchedGrant>& Allocate(
+      std::vector<SchedCandidate>& candidates, int n_rbs,
+      Rng& rng) override;
   std::string Name() const override { return "pf"; }
 };
 
 class RoundRobinScheduler final : public Scheduler {
  public:
-  std::vector<SchedGrant> Allocate(std::vector<SchedCandidate>& candidates,
-                                   int n_rbs, Rng& rng) override;
+  const std::vector<SchedGrant>& Allocate(
+      std::vector<SchedCandidate>& candidates, int n_rbs,
+      Rng& rng) override;
   std::string Name() const override { return "rr"; }
 
  private:

@@ -1,56 +1,22 @@
 #include "lte/pss_scheduler.h"
 
-#include <algorithm>
-
 namespace flare {
 
-std::vector<SchedGrant> PssScheduler::Allocate(
+const std::vector<SchedGrant>& PssScheduler::Allocate(
     std::vector<SchedCandidate>& candidates, int n_rbs, Rng& /*rng*/) {
-  std::vector<SchedGrant> grants;
-  tti_stats_ = SchedTtiStats{};
-  if (n_rbs <= 0) return grants;
+  BeginTti(candidates.size());
+  if (n_rbs <= 0) return grants_;
 
   // --- Priority set: GBR flows still owed bytes this scheduling window.
-  std::vector<std::size_t> priority;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const FlowState& f = *candidates[i].flow;
-    if (f.has_gbr() && f.gbr_credit_bytes > 0.0) priority.push_back(i);
-  }
-  std::sort(priority.begin(), priority.end(),
-            [&](std::size_t a, std::size_t b) {
-              const double ca = candidates[a].flow->gbr_credit_bytes;
-              const double cb = candidates[b].flow->gbr_credit_bytes;
-              if (ca != cb) return ca > cb;  // most starved first
-              return candidates[a].flow->id < candidates[b].flow->id;
-            });
-
-  int used = 0;
-  for (std::size_t idx : priority) {
-    if (used >= n_rbs) break;
-    SchedCandidate& c = candidates[idx];
-    if (c.bytes_per_rb == 0) continue;
-    // Serve up to the GBR debt (token credit), bounded by queue/MBR.
-    const auto owed = static_cast<std::uint64_t>(
-        std::max(c.flow->gbr_credit_bytes, 0.0));
-    const std::uint64_t want = std::min<std::uint64_t>(owed, c.max_bytes);
-    if (want == 0) continue;
-    const int rbs = std::min(RbsForBytes(want, c.bytes_per_rb), n_rbs - used);
-    if (rbs <= 0) continue;
-    const std::uint64_t bytes = std::min<std::uint64_t>(
-        want, static_cast<std::uint64_t>(rbs) * c.bytes_per_rb);
-    grants.push_back(SchedGrant{c.flow, rbs, bytes});
-    used += rbs;
-  }
-
+  const int used = GbrDebtPass(candidates, n_rbs, &Scheduler::AnyFlow);
   tti_stats_.rbs_priority = used;
 
   // --- Frequency domain: leftover RBs under proportional fair, all flows.
   // As in the two-phase scheduler, a priority-set flow may be served again
-  // here; coalescing keeps the one-grant-per-flow contract.
-  tti_stats_.rbs_shared =
-      ProportionalFairPass(candidates, n_rbs - used, grants);
-  CoalesceGrants(grants);
-  return grants;
+  // here; its grant then grows, keeping the one-grant-per-flow contract.
+  tti_stats_.rbs_shared = ProportionalFairPass(candidates, n_rbs - used,
+                                               &Scheduler::AnyFlow);
+  return grants_;
 }
 
 }  // namespace flare

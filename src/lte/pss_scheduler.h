@@ -14,8 +14,9 @@ namespace flare {
 
 class PssScheduler final : public Scheduler {
  public:
-  std::vector<SchedGrant> Allocate(std::vector<SchedCandidate>& candidates,
-                                   int n_rbs, Rng& rng) override;
+  const std::vector<SchedGrant>& Allocate(
+      std::vector<SchedCandidate>& candidates, int n_rbs,
+      Rng& rng) override;
   std::string Name() const override { return "pss"; }
 };
 

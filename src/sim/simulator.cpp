@@ -6,14 +6,6 @@
 
 namespace flare {
 
-void Simulator::At(SimTime at, EventFn fn) {
-  queue_.Push(std::max(at, now_), std::move(fn));
-}
-
-void Simulator::After(SimTime delay, EventFn fn) {
-  At(now_ + std::max<SimTime>(delay, 0), std::move(fn));
-}
-
 void Simulator::Every(SimTime start, SimTime period, EventFn fn) {
   ScheduleTick(start, period, std::make_shared<EventFn>(std::move(fn)));
 }

@@ -6,8 +6,10 @@
 // corrupting the clock.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
@@ -24,10 +26,17 @@ class Simulator {
   SimTime Now() const { return now_; }
 
   /// Schedule `fn` at absolute simulated time `at` (clamped to >= Now()).
-  void At(SimTime at, EventFn fn);
+  /// Any void() callable; small lambdas are stored without allocating.
+  template <typename F>
+  void At(SimTime at, F&& fn) {
+    queue_.Push(std::max(at, now_), std::forward<F>(fn));
+  }
 
   /// Schedule `fn` after a relative delay (clamped to >= 0).
-  void After(SimTime delay, EventFn fn);
+  template <typename F>
+  void After(SimTime delay, F&& fn) {
+    At(now_ + std::max<SimTime>(delay, 0), std::forward<F>(fn));
+  }
 
   /// Schedule `fn` every `period` starting at `start`, until the run ends.
   /// The callback receives no arguments; use a lambda capture for state.

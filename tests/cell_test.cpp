@@ -1,15 +1,63 @@
 // Tests for the eNodeB cell: queueing, token buckets, delivery accounting,
-// the RB & Rate Trace windows, and QoS updates at runtime.
+// the RB & Rate Trace windows, QoS updates at runtime, on-demand channel
+// reads and allocation-free steady-state TTIs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <map>
+#include <memory>
+#include <new>
+#include <vector>
 
 #include "lte/cell.h"
+#include "lte/mobility.h"
 #include "lte/pf_scheduler.h"
 #include "lte/gbr_scheduler.h"
+#include "lte/pss_scheduler.h"
 #include "lte/stats_reporter.h"
 #include "lte/tbs_table.h"
 #include "sim/simulator.h"
+
+// Every allocation through the global operator new in this binary is
+// counted, so a test can assert that a stretch of simulation allocates
+// nothing. All replaceable non-aligned forms go through malloc/free, which
+// keeps allocation and deallocation consistent under ASan.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* CountedAlloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+// Out of line, so the compiler does not pair an inlined free() with the
+// new-expression at the call site and warn about a mismatch.
+[[gnu::noinline]] void Release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = CountedAlloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (void* p = CountedAlloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void operator delete(void* p) noexcept { Release(p); }
+void operator delete[](void* p) noexcept { Release(p); }
+void operator delete(void* p, std::size_t) noexcept { Release(p); }
+void operator delete[](void* p, std::size_t) noexcept { Release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { Release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  Release(p);
+}
 
 namespace flare {
 namespace {
@@ -286,6 +334,116 @@ TEST(Cell, RbConservationAcrossBusyRun) {
   f.sim.RunUntil(FromSeconds(1.0));
   EXPECT_LE(f.cell.total_rbs_used(), f.cell.ttis_elapsed() * 50u);
   EXPECT_GT(f.cell.total_rbs_used(), f.cell.ttis_elapsed() * 45u);
+}
+
+/// A channel whose I_TBS changes every 100 us and which logs the time of
+/// every query.
+class RecordingChannel final : public ChannelModel {
+ public:
+  RecordingChannel(int salt, std::shared_ptr<std::vector<SimTime>> log)
+      : salt_(salt), log_(std::move(log)) {}
+  static int Value(SimTime now, int salt) {
+    return 1 + static_cast<int>((now / 100 + salt) % 25);
+  }
+  int ItbsAt(SimTime now) override {
+    log_->push_back(now);
+    return Value(now, salt_);
+  }
+
+ private:
+  int salt_;
+  std::shared_ptr<std::vector<SimTime>> log_;
+};
+
+// The cell reads a UE's channel only for TTIs where the UE has a candidate
+// flow, or when UeItbs asks; reads never go back in time, and UeItbs
+// reports the value as of the latest TTI (or as of AddUe if none has run
+// since), exactly as if every UE were read every TTI.
+TEST(Cell, ChannelsAreReadOnDemandInTimeOrder) {
+  CellFixture f(std::make_unique<PssScheduler>());
+  std::vector<std::shared_ptr<std::vector<SimTime>>> logs;
+  std::map<UeId, int> salt;
+  auto add_ue = [&](int ue_salt) {
+    logs.push_back(std::make_shared<std::vector<SimTime>>());
+    const UeId ue = f.cell.AddUe(
+        std::make_unique<RecordingChannel>(ue_salt, logs.back()));
+    salt[ue] = ue_salt;
+    return ue;
+  };
+  const UeId busy = add_ue(0);
+  const UeId idle = add_ue(1);  // a flow, but nothing queued
+  const UeId bare = add_ue(2);  // no flow at all
+  f.cell.Enqueue(f.cell.AddFlow(busy, FlowType::kData), 700'000);
+  f.cell.AddFlow(idle, FlowType::kData);
+  f.cell.Start();
+
+  f.sim.RunUntil(50 * kTti + 500);  // between two TTIs
+  // AddUe's read at 0 serves the first TTI too; then one read per TTI.
+  std::vector<SimTime> every_tti;
+  for (int t = 0; t <= 50; ++t) every_tti.push_back(t * kTti);
+  EXPECT_EQ(*logs[busy], every_tti);
+  EXPECT_EQ(*logs[idle], (std::vector<SimTime>{0}));
+  EXPECT_EQ(*logs[bare], (std::vector<SimTime>{0}));
+  for (const UeId ue : {busy, idle, bare}) {
+    EXPECT_EQ(f.cell.UeItbs(ue), RecordingChannel::Value(50 * kTti, salt[ue]));
+  }
+
+  // Attached between TTIs: the value as of AddUe until the next TTI.
+  const UeId late = add_ue(3);
+  EXPECT_EQ(f.cell.UeItbs(late), RecordingChannel::Value(50 * kTti + 500, 3));
+  f.sim.RunUntil(60 * kTti);
+  EXPECT_EQ(f.cell.UeItbs(late), RecordingChannel::Value(60 * kTti, 3));
+  EXPECT_EQ(f.cell.UeItbs(idle), RecordingChannel::Value(60 * kTti, 1));
+
+  // A released slot is reused by the next AddUe with a fresh channel.
+  f.cell.ReleaseUe(bare);
+  const UeId reused = add_ue(4);
+  ASSERT_EQ(reused, bare);
+  EXPECT_EQ(f.cell.UeItbs(reused), RecordingChannel::Value(60 * kTti, 4));
+  f.cell.Enqueue(f.cell.AddFlow(reused, FlowType::kData), 700'000);
+  f.sim.RunUntil(80 * kTti + 200);
+  EXPECT_EQ(logs.back()->back(), 80 * kTti);  // busy again: read each TTI
+  EXPECT_EQ(logs.back()->size(), 1u + 20u);
+  for (const UeId ue : {busy, idle, reused, late}) {
+    EXPECT_EQ(f.cell.UeItbs(ue), RecordingChannel::Value(80 * kTti, salt[ue]));
+  }
+  for (const auto& log : logs) {
+    EXPECT_TRUE(std::is_sorted(log->begin(), log->end()));
+  }
+}
+
+// Once warmed up, a busy PSS cell of 8 vehicular UEs (GBR video and
+// data), with a small-lambda push/run loop beside it, allocates nothing.
+TEST(Cell, SteadyStateTtisAllocateNothing) {
+  Simulator sim;
+  Cell cell(sim, std::make_unique<PssScheduler>(), CellConfig{}, Rng(3));
+  Rng rng(5);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    auto mobility = std::make_shared<RandomWaypointMobility>(
+        RandomWaypointConfig{}, rng.Fork(2 * i + 1));
+    const UeId ue = cell.AddUe(std::make_unique<FadedMobilityChannel>(
+        std::move(mobility), RadioConfig{}, rng.Fork(2 * i + 2)));
+    const FlowId flow =
+        cell.AddFlow(ue, i < 6 ? FlowType::kVideo : FlowType::kData);
+    if (i < 6) cell.SetGbr(flow, 0.5e6 + 0.1e6 * static_cast<double>(i));
+    cell.Enqueue(flow, 700'000);
+  }
+  cell.SetDeliveryCallback([](FlowId, std::uint64_t, SimTime) {});
+  std::uint64_t ticks = 0;
+  sim.Every(0, 250, [&sim, &ticks] {
+    sim.After(100, [&ticks] { ++ticks; });
+  });
+  cell.Start();
+  sim.RunUntil(100 * kTti);  // scratch buffers, slab and heap settle
+
+  const std::uint64_t tx_before = cell.total_rbs_used();
+  const std::uint64_t before = g_allocations.load();
+  sim.RunUntil(1100 * kTti);
+  const std::uint64_t allocations = g_allocations.load() - before;
+
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GT(cell.total_rbs_used() - tx_before, 1000u * 45u);  // stayed busy
+  EXPECT_GT(ticks, 4000u);
 }
 
 }  // namespace

@@ -86,11 +86,8 @@ void BM_DecideBai(benchmark::State& state) {
 }
 BENCHMARK(BM_DecideBai)->Arg(8)->Arg(32)->Arg(64)->Arg(128);
 
-// --- Warm-started incremental sweep: the session-churn / admission path.
-// Cold re-solves the whole problem from scratch; warm keeps one resident
-// IncrementalSolver and re-solves after a one-flow delta (one departure +
-// one arrival), re-using every untouched flow's cached envelope. The
-// acceptance bar is >= 3x cold/warm at 500 flows.
+// --- Cold reference sweep (SolveSweep): per-flow hulls, one std::sort,
+// then the sweep — the implementation BatchSolver is tested against.
 void BM_SweepCold(benchmark::State& state) {
   const OptProblem problem =
       MakeProblem(static_cast<int>(state.range(0)), 6);
@@ -100,38 +97,9 @@ void BM_SweepCold(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepCold)->Arg(100)->Arg(500)->Arg(1000);
 
-void BM_SweepWarmDelta(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const OptProblem problem = MakeProblem(n, 6);
-  IncrementalSolver solver;
-  std::vector<FlowId> order;
-  for (int i = 0; i < n; ++i) {
-    const FlowId id = static_cast<FlowId>(i + 1);
-    solver.Upsert(id, problem.flows[static_cast<std::size_t>(i)]);
-    order.push_back(id);
-  }
-  solver.Solve(order, problem.n_data_flows, problem.rb_rate);  // prime
-  Rng rng(7);
-  FlowId next_id = static_cast<FlowId>(n + 1);
-  std::size_t victim = 0;
-  for (auto _ : state) {
-    // One departure + one fresh arrival per BAI, rotating the victim so
-    // the delta always hits a genuinely new id.
-    solver.Remove(order[victim]);
-    OptFlow arrival = problem.flows[victim];
-    arrival.bits_per_rb = rng.Uniform(100.0, 600.0);
-    solver.Upsert(next_id, arrival);
-    order[victim] = next_id++;
-    victim = (victim + 1) % order.size();
-    benchmark::DoNotOptimize(
-        solver.Solve(order, problem.n_data_flows, problem.rb_rate));
-  }
-}
-BENCHMARK(BM_SweepWarmDelta)->Arg(100)->Arg(500)->Arg(1000);
-
 // --- Batched SoA sweep: the metro-scale path. Same bit-exact results as
 // BM_SweepCold's SolveSweep (tests/solver_differential_test.cpp), but flat
-// arrays instead of a per-flow std::map — the 1k/10k/100k ladder is the
+// reused arrays and a radix sort — the 1k/10k/100k ladder is the
 // Figure-9-style scaling story for item 3 of the roadmap.
 void BM_BatchSolve(benchmark::State& state) {
   const OptProblem problem =
@@ -399,9 +367,8 @@ int ExportBatchLadder() {
   BatchSolver solver;
   for (const Rung& rung : kLadder) {
     const OptProblem problem = MakeProblem(rung.flows, 6);
-    // Cold baseline: SolveSweep builds a fresh IncrementalSolver (a map
-    // of per-flow envelope nodes) every call — the reference the >= 2x
-    // batched-solver acceptance bar is measured against.
+    // Cold baseline: the reference SolveSweep (fresh step vector and a
+    // comparator sort every call).
     Cdf cold_us;
     OptResult cold_result;
     const int cold_reps = rung.reps / 4 > 3 ? rung.reps / 4 : 3;

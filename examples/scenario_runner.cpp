@@ -57,8 +57,7 @@ const char* const kKnownKeys[] = {
     "series_csv",    "solver",
     "static_itbs",   "telemetry_interval_ms",
     "telemetry_port", "testbed",
-    "trace_json",
-    "vbr_sigma",     "warm_solver",
+    "trace_json",    "vbr_sigma",
 };
 
 // Knobs that only make sense when churn=1; passing any of them with churn
@@ -67,7 +66,7 @@ const char* const kChurnOnlyKeys[] = {
     "admission",       "arrival_process", "arrival_rate",
     "capacity_threshold", "data_fraction", "hold_process",
     "lognormal_sigma", "max_arrivals",    "mean_hold_s",
-    "objective_floor", "warm_solver",
+    "objective_floor",
 };
 
 void PrintUsage(std::FILE* out) {
@@ -98,9 +97,10 @@ Video keys:
   client_caps=N,N,...         per-client rung caps, -1 = none
 Control-loop keys:
   alpha=F delta=N bai_s=F     FLARE optimizer / BAI knobs
-  solver=NAME        auto | greedy | continuous | incremental | batched;
-                     auto follows the scheme/churn wiring, batched is the
-                     SoA sweep for very large cells (auto)
+  solver=NAME        auto | greedy | continuous | batched; auto follows
+                     the scheme/churn wiring: greedy for flare, continuous
+                     for flare-relaxed, batched (the exact sweep) for
+                     flare under churn (auto)
 Churn keys (all except churn= require churn=1):
   churn=0|1          session arrivals/departures on top of the static
                      population (0)
@@ -111,7 +111,6 @@ Churn keys (all except churn= require churn=1):
   lognormal_sigma=F  shape of the lognormal draws (1)
   data_fraction=F    fraction of arrivals that are data sessions (0)
   max_arrivals=N     hard cap on arrivals per cell; 0 = unbounded (0)
-  warm_solver=0|1    warm-started incremental sweep for FLARE cells (1)
   admission=NAME     admit-all | capacity-threshold | utility-drop
                      (admit-all; FLARE schemes only)
   capacity_threshold=F highest admitted floor-rung RB fraction for
@@ -294,14 +293,12 @@ int main(int argc, char** argv) {
       config.solver_override = SolverMode::kGreedyDiscrete;
     } else if (*solver == "continuous") {
       config.solver_override = SolverMode::kContinuousRelaxation;
-    } else if (*solver == "incremental") {
-      config.solver_override = SolverMode::kIncrementalSweep;
     } else if (*solver == "batched") {
       config.solver_override = SolverMode::kBatchedSweep;
     } else if (*solver != "auto") {
       std::fprintf(stderr,
                    "scenario_runner: unknown solver '%s' (expected auto | "
-                   "greedy | continuous | incremental | batched)\n",
+                   "greedy | continuous | batched)\n",
                    solver->c_str());
       return 1;
     }
@@ -361,8 +358,6 @@ int main(int argc, char** argv) {
   config.churn.max_arrivals = static_cast<std::uint64_t>(
       args.GetInt("max_arrivals",
                   static_cast<int>(config.churn.max_arrivals)));
-  config.churn.warm_solver =
-      args.GetBool("warm_solver", config.churn.warm_solver);
   if (const auto admission_name = args.GetString("admission")) {
     const auto policy = ParseAdmissionPolicy(*admission_name);
     if (!policy) {

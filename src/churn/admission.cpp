@@ -1,7 +1,7 @@
 #include "churn/admission.h"
 
 #include <stdexcept>
-#include <vector>
+#include <utility>
 
 namespace flare {
 
@@ -48,20 +48,18 @@ AdmissionDecision AdmissionController::DecideUtilityDrop(
     const AdmissionRequest& request) {
   // Solve with the candidate pinned at its floor rung: the question is
   // "what does the cell look like the moment this flow joins", before any
-  // stability-rule ramp-up.
-  OptFlow pinned = request.candidate;
+  // stability-rule ramp-up. Admitted flows go in ascending id order, then
+  // the candidate.
+  OptProblem problem;
+  problem.n_data_flows = request.n_data_flows;
+  problem.alpha = config_.alpha;
+  problem.rb_rate = request.rb_rate;
+  problem.max_video_fraction = config_.max_video_fraction;
+  problem.flows.reserve(flows_.size() + 1);
+  for (const auto& [id, flow] : flows_) problem.flows.push_back(flow);
+  OptFlow& pinned = problem.flows.emplace_back(request.candidate);
   pinned.max_level = pinned.min_level;
-  solver_.Upsert(request.flow, pinned);
-
-  std::vector<FlowId> order;
-  order.reserve(flows_.size() + 1);
-  for (const auto& [id, flow] : flows_) order.push_back(id);
-  order.push_back(request.flow);
-
-  const OptResult solved =
-      solver_.Solve(order, request.n_data_flows, request.rb_rate,
-                    config_.alpha, config_.max_video_fraction);
-  solver_.Remove(request.flow);
+  const OptResult solved = solver_.Solve(problem);
 
   AdmissionDecision decision;
   decision.value = solved.objective;
@@ -107,19 +105,19 @@ AdmissionDecision AdmissionController::Decide(const AdmissionRequest& request) {
 void AdmissionController::OnAdmitted(FlowId id, const OptFlow& flow) {
   ValidateFlow(flow);
   flows_[id] = flow;
-  solver_.Upsert(id, flow);
 }
 
 void AdmissionController::OnDeparted(FlowId id) {
   flows_.erase(id);
-  solver_.Remove(id);
 }
 
 void AdmissionController::OnEstimate(FlowId id, double bits_per_rb) {
   const auto it = flows_.find(id);
   if (it == flows_.end() || bits_per_rb <= 0.0) return;
-  it->second.bits_per_rb = bits_per_rb;
-  solver_.Upsert(id, it->second);
+  OptFlow updated = it->second;
+  updated.bits_per_rb = bits_per_rb;
+  ValidateFlow(updated);
+  it->second = std::move(updated);
 }
 
 void AdmissionController::SetObservers(MetricsRegistry* registry) {

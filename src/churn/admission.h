@@ -12,12 +12,10 @@
 //                        (at previous-BAI bits-per-RB estimates, refreshed
 //                        by the server each BAI) plus the candidate's
 //                        would exceed `capacity_threshold`.
-//  * kUtilityDrop      — solve (3)-(4) with the candidate pinned at its
-//                        lowest rung; reject when the solved objective
-//                        falls below `objective_floor`. The embedded
-//                        IncrementalSolver keeps the admitted set's
-//                        envelope state warm, so consecutive arrivals are
-//                        one-flow deltas, not cold solves.
+//  * kUtilityDrop      — solve (3)-(4) over the admitted set plus the
+//                        candidate pinned at its lowest rung; reject when
+//                        the solved objective falls below
+//                        `objective_floor`.
 //
 // Counters (admission.considered/admitted/rejected) and the derived
 // blocking probability feed the churn experiment's primary metric.
@@ -29,6 +27,7 @@
 #include <optional>
 #include <string>
 
+#include "core/batch_solver.h"
 #include "core/optimizer.h"
 #include "lte/types.h"
 #include "obs/metrics.h"
@@ -113,9 +112,8 @@ class AdmissionController {
 
   AdmissionConfig config_;
   std::map<FlowId, OptFlow> flows_;  // admitted set, current estimates
-  /// Warm solver for kUtilityDrop: holds the admitted set's envelopes so
-  /// each arrival between BAIs is a one-flow delta.
-  IncrementalSolver solver_;
+  /// Scratch-reusing solver for kUtilityDrop.
+  BatchSolver solver_;
   std::uint64_t considered_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t rejected_ = 0;

@@ -2,12 +2,12 @@
 //
 // The paper's experiments hold the session population fixed for each run;
 // real cells see users arrive and leave continuously, which is exactly the
-// workload the warm-started optimizer path and the admission controller
-// exist for. This engine drives that workload deterministically: arrivals
-// from a renewal process (Poisson, or heavy-tailed lognormal
-// inter-arrivals) and holding times drawn per session (exponential or
-// lognormal), all from one explicit Rng so a seed fully determines the
-// arrival/departure schedule regardless of what the spawned sessions do.
+// workload the admission controller exists for. This engine drives that
+// workload deterministically: arrivals from a renewal process (Poisson,
+// or heavy-tailed lognormal inter-arrivals) and holding times drawn per
+// session (exponential or lognormal), all from one explicit Rng so a seed
+// fully determines the arrival/departure schedule regardless of what the
+// spawned sessions do.
 //
 // The engine owns no model objects. A Host supplies two callbacks —
 // spawn(kind) -> session id and destroy(id) — that the scenario layer
@@ -69,8 +69,6 @@ struct ChurnConfig {
   /// Connect-time admission policy (consumed by the scenario/server
   /// wiring, not by the engine itself).
   AdmissionConfig admission;
-  /// Use the warm-started IncrementalSolver for FLARE cells under churn.
-  bool warm_solver = true;
 };
 
 class SessionChurnEngine {

@@ -28,9 +28,9 @@ void BatchSolver::BuildSteps(const OptProblem& problem) {
   rung_util_.resize(total_rungs);
   for (std::size_t u = 0; u < n_flows; ++u) {
     const OptFlow& f = problem.flows[u];
-    // Same expressions as IncrementalSolver::AppendSteps: cost multiplies
-    // by the reciprocal (not a division) and utility is
-    // beta * (1 - theta / rate) — identical rounding, identical bits.
+    // Same expressions as SolveSweep's envelope: cost multiplies by the
+    // reciprocal (not a division) and utility is beta * (1 - theta /
+    // rate) — identical rounding, identical bits.
     const double inv_e = 1.0 / f.bits_per_rb;
     const double beta = f.utility.beta;
     const double theta = f.utility.theta_bps;
@@ -58,7 +58,7 @@ void BatchSolver::BuildSteps(const OptProblem& problem) {
     for (std::size_t k = 0; k < count; ++k) {
       const double cost = rung_cost_[begin + k];
       const double util = rung_util_[begin + k];
-      // Identical pop test to the incremental path: a rung under the hull
+      // Identical pop test to SolveSweep's: a rung under the hull
       // buys less utility per RB than the edge skipping it.
       while (hull_cost_.size() >= 2) {
         const std::size_t b = hull_cost_.size() - 1;
@@ -87,11 +87,11 @@ void BatchSolver::BuildSteps(const OptProblem& problem) {
     }
   }
 
-  // The strict total order IncrementalSolver::StepBefore defines is (rho
-  // desc, flow asc, to_level asc). ValidateProblem makes every hull edge's
-  // rho positive and finite-or-inf (never NaN, never -0): the ladder
-  // ascends strictly so dcost >= 0, beta/theta > 0 so dutil > 0. For such
-  // doubles the IEEE-754 bit pattern orders exactly like the value, so
+  // The strict total order SolveSweep sorts by is (rho desc, flow asc,
+  // to_level asc). ValidateProblem makes every hull edge's rho positive
+  // and finite-or-inf (never NaN, never -0): the ladder ascends strictly
+  // so dcost >= 0, beta/theta > 0 so dutil > 0. For such doubles the
+  // IEEE-754 bit pattern orders exactly like the value, so
   // sorting ~bit_cast<uint64>(rho) ascending is rho descending — and since
   // the steps above were emitted in (flow asc, to_level asc) order, a
   // STABLE sort on that single key reproduces the comparator's tie-break
@@ -166,7 +166,7 @@ OptResult BatchSolver::Solve(const OptProblem& problem) {
 
   // Floor every flow in problem order; the floor-cost accumulation divides
   // by bits_per_rb (not the reciprocal multiply the envelope uses), because
-  // that is the exact FP sequence the incremental path runs.
+  // that is the exact FP sequence SolveSweep runs.
   level_.resize(n_flows);
   blocked_.assign(n_flows, 0);
   double s = 0.0;
@@ -177,7 +177,6 @@ OptResult BatchSolver::Solve(const OptProblem& problem) {
   }
 
   const bool feasible = s <= budget;
-  double last_rho = 0.0;
   if (feasible) {
     for (const SortKey& kv : sort_keys_) {
       const Step& st = steps_[kv.idx];
@@ -194,7 +193,6 @@ OptResult BatchSolver::Solve(const OptProblem& problem) {
       if (gain > 0.0) {
         level_[st.flow] = st.to_level;
         s += st.dcost;
-        last_rho = st.rho;
       } else {
         // The flow's remaining steps have strictly lower rho against an
         // only-growing marginal data penalty: the whole chain is done.
@@ -222,9 +220,6 @@ OptResult BatchSolver::Solve(const OptProblem& problem) {
       result.rates_bps, params, std::max(problem.n_data_flows, 0),
       problem.alpha,
       std::min(result.video_fraction, problem.max_video_fraction));
-  last_lambda_ = n_alpha > 0.0
-                     ? n_alpha / std::max(problem.rb_rate - cost, 1e-300)
-                     : last_rho;
   return result;
 }
 

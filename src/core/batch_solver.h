@@ -1,42 +1,38 @@
 // Batched structure-of-arrays solver for FLARE's per-BAI problem (3)-(4),
 // built for 10k+ flows per solve and many-cells-per-thread control planes.
 //
-// BatchSolver computes exactly what SolveSweep / IncrementalSolver compute
-// — the rho-sorted concave-envelope sweep of optimizer.h — but with a data
-// layout rewrite instead of an algorithm change:
+// BatchSolver computes exactly what SolveSweep computes — the rho-sorted
+// concave-envelope sweep of optimizer.h — but with a data layout rewrite
+// instead of an algorithm change:
 //
-//  * No per-flow heap objects. SolveSweep routes every solve through an
-//    IncrementalSolver, which allocates one std::map node plus an OptFlow
-//    copy (a ladder vector allocation) per flow and chases Rec* pointers
-//    during the sweep. BatchSolver keeps everything in flat arrays that
-//    are reused across solves: after warm-up a solve allocates only its
-//    OptResult.
+//  * No per-solve heap objects beyond the OptResult. Everything lives in
+//    flat arrays that are reused across solves.
 //  * A vectorizable envelope-evaluation kernel: rung RB-costs and
 //    utilities for all flows are computed into flat per-rung arrays in one
 //    tight pass (contiguous loads, no branches beyond the loop), then the
 //    per-flow upper concave hulls are taken over those arrays.
 //  * Flat per-step records (rho / flow index / target rung / cost & util
 //    deltas) in one contiguous vector, ordered by the same strict total
-//    order (rho desc, flow asc, to_level asc) the incremental solver
-//    uses — but via a stable LSD radix sort over packed 64-bit keys
-//    instead of a comparator sort. Validation guarantees rho > 0 (strict
-//    ladder ascent and positive beta/theta make every hull edge gain
-//    utility), so the IEEE-754 bit pattern of rho orders exactly like its
-//    value and ~bit_cast<uint64>(rho) ascending is rho descending; steps
-//    are emitted in (flow asc, to_level asc) order, so a *stable* sort on
-//    the rho key alone reproduces the full tie-break. The sequence is
-//    therefore identical to what std::sort with the three-way comparator
-//    would produce, at roughly a third of the cost at 10k flows.
+//    order (rho desc, flow asc, to_level asc) SolveSweep sorts by — but
+//    via a stable LSD radix sort over packed 64-bit keys instead of a
+//    comparator sort. Validation guarantees rho > 0 (strict ladder ascent
+//    and positive beta/theta make every hull edge gain utility), so the
+//    IEEE-754 bit pattern of rho orders exactly like its value and
+//    ~bit_cast<uint64>(rho) ascending is rho descending; steps are emitted
+//    in (flow asc, to_level asc) order, so a *stable* sort on the rho key
+//    alone reproduces the full tie-break. The sequence is therefore
+//    identical to what std::sort with the three-way comparator produces,
+//    at roughly a third of the cost at 10k flows.
 //
 // Equivalence contract (enforced by tests/solver_differential_test.cpp):
 // for any valid OptProblem,
 //
-//     BatchSolver().Solve(p) == SolveSweep(p) == IncrementalSolver replay
+//     BatchSolver().Solve(p) == SolveSweep(p)
 //
 // bit for bit — levels, rates, video_fraction, objective and the feasible
 // flag — because every floating-point expression here evaluates in the
-// same order with the same operations as the incremental path (including
-// its quirks: floor costs divide by bits_per_rb while envelope costs
+// same order with the same operations as SolveSweep (including its
+// quirks: floor costs divide by bits_per_rb while envelope costs
 // multiply by the precomputed reciprocal).
 //
 // SolveMany() solves a batch of independent cell problems back to back on
@@ -68,11 +64,6 @@ class BatchSolver {
   /// order, cache-hot, reusing this solver's scratch. Element i of the
   /// result is bit-identical to an independent Solve(problems[i]).
   std::vector<OptResult> SolveMany(std::span<const OptProblem> problems);
-
-  /// Dual capacity price at the last solve (same definition as
-  /// IncrementalSolver::last_lambda(): n*alpha / (N - S) with data flows,
-  /// else the rho of the last accepted step; 0 before the first solve).
-  double last_lambda() const { return last_lambda_; }
 
  private:
   // One envelope edge: upgrade some flow to `to_level` at RB-rate cost
@@ -113,8 +104,6 @@ class BatchSolver {
   // Per-flow sweep state.
   std::vector<std::int32_t> level_;
   std::vector<std::uint8_t> blocked_;
-
-  double last_lambda_ = 0.0;
 };
 
 }  // namespace flare

@@ -47,27 +47,34 @@ OptResult MakeResult(const OptProblem& problem, std::vector<int> levels,
 
 }  // namespace
 
-void ValidateFlow(const OptFlow& f) {
-  if (f.ladder_bps.empty()) {
-    throw std::invalid_argument("OptFlow: empty ladder");
-  }
+const char* FlowDefect(const OptFlow& f) {
+  if (f.ladder_bps.empty()) return "OptFlow: empty ladder";
+  // Negated comparisons throughout, so NaN fails them too.
   double prev = 0.0;
   for (double rate : f.ladder_bps) {
-    if (rate <= prev) {
-      throw std::invalid_argument("OptFlow: ladder not ascending/positive");
+    if (!(rate > prev) || !std::isfinite(rate)) {
+      return "OptFlow: ladder not ascending/positive/finite";
     }
     prev = rate;
   }
   const int max_index = static_cast<int>(f.ladder_bps.size()) - 1;
   if (f.min_level < 0 || f.min_level > max_index || f.max_level < 0 ||
       f.max_level > max_index || f.min_level > f.max_level) {
-    throw std::invalid_argument("OptFlow: bad level bounds");
+    return "OptFlow: bad level bounds";
   }
-  if (f.bits_per_rb <= 0.0) {
-    throw std::invalid_argument("OptFlow: bits_per_rb <= 0");
+  if (!(f.bits_per_rb > 0.0) || !std::isfinite(f.bits_per_rb)) {
+    return "OptFlow: bits_per_rb not finite positive";
   }
-  if (f.utility.theta_bps <= 0.0 || f.utility.beta <= 0.0) {
-    throw std::invalid_argument("OptFlow: bad utility params");
+  if (!(f.utility.theta_bps > 0.0) || !std::isfinite(f.utility.theta_bps) ||
+      !(f.utility.beta > 0.0) || !std::isfinite(f.utility.beta)) {
+    return "OptFlow: bad utility params";
+  }
+  return nullptr;
+}
+
+void ValidateFlow(const OptFlow& f) {
+  if (const char* defect = FlowDefect(f)) {
+    throw std::invalid_argument(defect);
   }
 }
 
@@ -289,226 +296,108 @@ OptResult SolveExhaustive(const OptProblem& problem) {
   return MakeResult(problem, std::move(best), best_obj > -kInf);
 }
 
-namespace {
+OptResult SolveSweep(const OptProblem& problem) {
+  SpanScope phase(problem.span_trace, kLaneControl, "solver", "solve.sweep");
+  ValidateProblem(problem);
+  const std::size_t n_flows = problem.flows.size();
 
-bool SameFlowParams(const OptFlow& a, const OptFlow& b) {
-  return a.bits_per_rb == b.bits_per_rb && a.min_level == b.min_level &&
-         a.max_level == b.max_level && a.utility.beta == b.utility.beta &&
-         a.utility.theta_bps == b.utility.theta_bps &&
-         a.ladder_bps == b.ladder_bps;
-}
-
-}  // namespace
-
-bool IncrementalSolver::StepBefore(const Step& a, const Step& b) {
-  // Strict total order — every step key is unique, so any sorted-insertion
-  // history converges on the same sequence (the warm == cold invariant).
-  if (a.rho != b.rho) return a.rho > b.rho;
-  if (a.id != b.id) return a.id < b.id;
-  return a.to_level < b.to_level;
-}
-
-void IncrementalSolver::AppendSteps(FlowId id, Rec& rec,
-                                    std::vector<Step>& out) {
-  const OptFlow& f = rec.flow;
-  const double inv_e = 1.0 / f.bits_per_rb;
+  // Envelope edges of every flow. The FP expressions match BatchSolver's:
+  // rung costs multiply by the reciprocal of bits_per_rb, while the floor
+  // and result costs below divide by it.
+  struct Step {
+    double rho;
+    std::size_t flow;
+    int to_level;
+    double dcost;
+    double dutil;
+  };
   struct Pt {
     int level;
     double cost;
     double util;
   };
-  // Upper concave envelope of the rung points via a monotone chain: a rung
-  // under the hull buys less utility per RB than the edge skipping it, so
-  // the sweep's decreasing-rho order can never want it.
+  std::vector<Step> steps;
   std::vector<Pt> hull;
-  hull.reserve(static_cast<std::size_t>(f.max_level - f.min_level) + 1);
-  for (int l = f.min_level; l <= f.max_level; ++l) {
-    const double rate = f.ladder_bps[static_cast<std::size_t>(l)];
-    const Pt p{l, rate * inv_e,
-               f.utility.beta * (1.0 - f.utility.theta_bps / rate)};
-    while (hull.size() >= 2) {
-      const Pt& a = hull[hull.size() - 2];
-      const Pt& b = hull.back();
-      if ((b.util - a.util) * (p.cost - b.cost) <=
-          (p.util - b.util) * (b.cost - a.cost)) {
-        hull.pop_back();
-      } else {
-        break;
+  for (std::size_t u = 0; u < n_flows; ++u) {
+    const OptFlow& f = problem.flows[u];
+    const double inv_e = 1.0 / f.bits_per_rb;
+    // Monotone chain: a rung under the hull buys less utility per RB than
+    // the edge skipping it, so the decreasing-rho sweep never wants it.
+    hull.clear();
+    for (int l = f.min_level; l <= f.max_level; ++l) {
+      const double rate = f.ladder_bps[static_cast<std::size_t>(l)];
+      const Pt p{l, rate * inv_e,
+                 f.utility.beta * (1.0 - f.utility.theta_bps / rate)};
+      while (hull.size() >= 2) {
+        const Pt& a = hull[hull.size() - 2];
+        const Pt& b = hull.back();
+        if ((b.util - a.util) * (p.cost - b.cost) <=
+            (p.util - b.util) * (b.cost - a.cost)) {
+          hull.pop_back();
+        } else {
+          break;
+        }
       }
+      hull.push_back(p);
     }
-    hull.push_back(p);
-  }
-  for (std::size_t j = 1; j < hull.size(); ++j) {
-    Step s;
-    s.id = id;
-    s.rec = &rec;
-    s.to_level = hull[j].level;
-    s.dcost = hull[j].cost - hull[j - 1].cost;
-    s.dutil = hull[j].util - hull[j - 1].util;
-    s.rho = s.dutil / s.dcost;
-    out.push_back(s);
-  }
-}
-
-void IncrementalSolver::Upsert(FlowId id, const OptFlow& flow) {
-  ValidateFlow(flow);
-  const auto [it, inserted] = recs_.try_emplace(id);
-  Rec& rec = it->second;
-  if (!inserted && !rec.dirty && SameFlowParams(rec.flow, flow)) return;
-  if (!inserted && !rec.dirty) ++dirty_count_;
-  if (inserted) ++dirty_count_;
-  rec.flow = flow;
-  rec.dirty = true;
-}
-
-void IncrementalSolver::Remove(FlowId id) {
-  const auto it = recs_.find(id);
-  if (it == recs_.end()) return;
-  Rec* rec = &it->second;
-  // Any steps referencing the record (stale or not) must go before the
-  // map node does — they hold its address.
-  steps_.erase(std::remove_if(steps_.begin(), steps_.end(),
-                              [rec](const Step& s) { return s.rec == rec; }),
-               steps_.end());
-  if (rec->dirty) --dirty_count_;
-  recs_.erase(it);
-  last_levels_.erase(id);
-}
-
-void IncrementalSolver::ApplyPending() {
-  if (dirty_count_ == 0) return;
-  // Both branches land on the identical unique sequence (StepBefore is a
-  // strict total order over unique keys); the split is purely a cost
-  // trade-off between one big sort and an erase + merge.
-  if (dirty_count_ * 4 >= recs_.size()) {
-    steps_.clear();
-    for (auto& [id, rec] : recs_) {
-      AppendSteps(id, rec, steps_);
-      rec.dirty = false;
+    for (std::size_t j = 1; j < hull.size(); ++j) {
+      const double dcost = hull[j].cost - hull[j - 1].cost;
+      const double dutil = hull[j].util - hull[j - 1].util;
+      steps.push_back({dutil / dcost, u, hull[j].level, dcost, dutil});
     }
-    std::sort(steps_.begin(), steps_.end(), StepBefore);
-  } else {
-    steps_.erase(std::remove_if(steps_.begin(), steps_.end(),
-                                [](const Step& s) { return s.rec->dirty; }),
-                 steps_.end());
-    const auto mid = static_cast<std::ptrdiff_t>(steps_.size());
-    for (auto& [id, rec] : recs_) {
-      if (!rec.dirty) continue;
-      AppendSteps(id, rec, steps_);
-      rec.dirty = false;
-    }
-    std::sort(steps_.begin() + mid, steps_.end(), StepBefore);
-    std::inplace_merge(steps_.begin(), steps_.begin() + mid, steps_.end(),
-                       StepBefore);
   }
-  dirty_count_ = 0;
-}
+  std::sort(steps.begin(), steps.end(), [](const Step& a, const Step& b) {
+    if (a.rho != b.rho) return a.rho > b.rho;
+    if (a.flow != b.flow) return a.flow < b.flow;
+    return a.to_level < b.to_level;
+  });
 
-OptResult IncrementalSolver::Solve(const std::vector<FlowId>& order,
-                                   int n_data_flows, double rb_rate,
-                                   double alpha, double max_video_fraction,
-                                   SpanTracer* span_trace) {
-  if (rb_rate <= 0.0) {
-    throw std::invalid_argument("IncrementalSolver: rb_rate <= 0");
-  }
-  if (max_video_fraction <= 0.0 || max_video_fraction > 1.0) {
-    throw std::invalid_argument("IncrementalSolver: bad max_video_fraction");
-  }
-  SpanScope phase(span_trace, kLaneControl, "solver", "solve.sweep");
-  ApplyPending();
-  ++solve_epoch_;
-
-  const double budget = rb_rate * max_video_fraction;
-  const double n_alpha =
-      static_cast<double>(std::max(n_data_flows, 0)) * alpha;
-
-  // Floor every ordered flow and accumulate the floor cost in `order`
-  // order (SolveSweep feeds the cold problem's flow order, so the FP sums
-  // agree bitwise).
+  const double budget = problem.rb_rate * problem.max_video_fraction;
+  const int n_data = std::max(problem.n_data_flows, 0);
+  const double n_alpha = static_cast<double>(n_data) * problem.alpha;
+  std::vector<int> levels(n_flows);
+  std::vector<bool> blocked(n_flows, false);
   double s = 0.0;
-  for (const FlowId id : order) {
-    const auto it = recs_.find(id);
-    if (it == recs_.end()) {
-      throw std::invalid_argument("IncrementalSolver: unknown flow in order");
-    }
-    Rec& rec = it->second;
-    if (rec.active_epoch == solve_epoch_) {
-      throw std::invalid_argument(
-          "IncrementalSolver: duplicate flow in order");
-    }
-    rec.active_epoch = solve_epoch_;
-    rec.blocked = false;
-    rec.level = rec.flow.min_level;
-    s += rec.flow.ladder_bps[static_cast<std::size_t>(rec.flow.min_level)] /
-         rec.flow.bits_per_rb;
+  for (std::size_t u = 0; u < n_flows; ++u) {
+    const OptFlow& f = problem.flows[u];
+    levels[u] = f.min_level;
+    s += f.ladder_bps[static_cast<std::size_t>(f.min_level)] / f.bits_per_rb;
   }
 
   const bool feasible = s <= budget;
-  double last_rho = 0.0;
   if (feasible) {
-    for (const Step& st : steps_) {
-      Rec& rec = *st.rec;
-      if (rec.active_epoch != solve_epoch_ || rec.blocked) continue;
+    for (const Step& st : steps) {
+      if (blocked[st.flow]) continue;
       if (s + st.dcost > budget) {
-        rec.blocked = true;  // a cheaper later flow may still fit
+        blocked[st.flow] = true;  // a cheaper later flow may still fit
         continue;
       }
       double gain = st.dutil;
       if (n_alpha > 0.0) {
-        gain += n_alpha * (std::log(rb_rate - s - st.dcost) -
-                           std::log(rb_rate - s));
+        gain += n_alpha * (std::log(problem.rb_rate - s - st.dcost) -
+                           std::log(problem.rb_rate - s));
       }
       if (gain > 0.0) {
-        rec.level = st.to_level;
+        levels[st.flow] = st.to_level;
         s += st.dcost;
-        last_rho = st.rho;
       } else {
         // This flow's remaining steps have strictly lower rho against an
         // only-growing marginal data penalty: the whole chain is done.
-        rec.blocked = true;
+        blocked[st.flow] = true;
       }
     }
   }
 
   OptResult result;
   result.feasible = feasible;
-  result.levels.resize(order.size());
-  result.rates_bps.resize(order.size());
-  std::vector<VideoUtilityParams> params(order.size());
-  last_levels_.clear();
-  double cost = 0.0;
-  for (std::size_t u = 0; u < order.size(); ++u) {
-    const Rec& rec = recs_.find(order[u])->second;
-    result.levels[u] = rec.level;
-    result.rates_bps[u] =
-        rec.flow.ladder_bps[static_cast<std::size_t>(rec.level)];
-    params[u] = rec.flow.utility;
-    cost += result.rates_bps[u] / rec.flow.bits_per_rb;
-    last_levels_.emplace(order[u], rec.level);
-  }
-  result.video_fraction = cost / rb_rate;
+  result.rates_bps = RatesAtLevels(problem, levels);
+  result.levels = std::move(levels);
+  result.video_fraction =
+      RbRateCost(problem, result.rates_bps) / problem.rb_rate;
   result.objective = TotalUtility(
-      result.rates_bps, params, std::max(n_data_flows, 0), alpha,
-      std::min(result.video_fraction, max_video_fraction));
-  last_lambda_ = n_alpha > 0.0
-                     ? n_alpha / std::max(rb_rate - cost, 1e-300)
-                     : last_rho;
+      result.rates_bps, UtilityParams(problem), n_data, problem.alpha,
+      std::min(result.video_fraction, problem.max_video_fraction));
   return result;
-}
-
-OptResult SolveSweep(const OptProblem& problem) {
-  ValidateProblem(problem);
-  IncrementalSolver solver;
-  std::vector<FlowId> order;
-  order.reserve(problem.flows.size());
-  for (std::size_t u = 0; u < problem.flows.size(); ++u) {
-    const FlowId id = static_cast<FlowId>(u + 1);
-    solver.Upsert(id, problem.flows[u]);
-    order.push_back(id);
-  }
-  return solver.Solve(order, problem.n_data_flows, problem.rb_rate,
-                      problem.alpha, problem.max_video_fraction,
-                      problem.span_trace);
 }
 
 std::vector<int> DiscretizeDown(const OptProblem& problem,

@@ -8,7 +8,7 @@
 // with the BAI length cancelled) and N_rate is the cell's RB budget per
 // second (num_rbs * 1000 TTIs).
 //
-// Three solvers:
+// Four solvers:
 //  * SolveContinuous — the convex relaxation of Proposition 1. At the
 //    optimum R_u(lambda) = clamp(sqrt(beta_u theta_u e_u / lambda), lo, hi)
 //    with lambda = n alpha / (N - S); S(lambda) is monotone, so a scalar
@@ -16,16 +16,18 @@
 //    dependency with a closed-form KKT solver for the same program.)
 //  * SolveGreedy — discrete solver: start every flow at its lowest rung
 //    and repeatedly apply the single-level upgrade with the best objective
-//    gain while positive and feasible. Near-optimal in practice
-//    (cross-validated against SolveExhaustive in the test suite).
+//    gain while positive and feasible. Not exact: on 2000 seeded Fig
+//    6/7-shaped problems (8 flows, simulation ladder, 25 RBs, n = 0,
+//    stability caps) it fell below SolveExhaustive on 290 (14.5%), by up
+//    to 2.1% of the objective, because with n = 0 its gain ignores RB
+//    cost. The sweep matched the optimum on all 2000.
+//  * SolveSweep — the concave-envelope sweep (see below); the reference
+//    implementation of the production discrete solver, BatchSolver
+//    (core/batch_solver.h), which must match it bit for bit.
 //  * SolveExhaustive — brute force over all rung combinations; exponential,
 //    for tests and small instances only.
-//  * SolveSweep / IncrementalSolver — canonical concave-envelope sweep with
-//    a warm-start path for churn workloads (see below).
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <vector>
 
 #include "core/utility.h"
@@ -75,7 +77,12 @@ struct OptResult {
 
 /// Validate bounds/ladders; throws std::invalid_argument on bad input.
 void ValidateProblem(const OptProblem& problem);
-/// Per-flow half of ValidateProblem (also used by IncrementalSolver).
+/// Per-flow half of ValidateProblem: why the solvers would reject `flow`,
+/// or nullptr when they accept it. A valid flow has an ascending,
+/// positive, finite ladder, level bounds inside it, and finite positive
+/// bits_per_rb, beta and theta.
+const char* FlowDefect(const OptFlow& flow);
+/// Throws std::invalid_argument with FlowDefect's reason.
 void ValidateFlow(const OptFlow& flow);
 
 /// RB-rate cost of an assignment: sum R_u / e_u.
@@ -95,94 +102,17 @@ OptResult SolveExhaustive(const OptProblem& problem);
 std::vector<int> DiscretizeDown(const OptProblem& problem,
                                 const std::vector<double>& rates_bps);
 
-/// Cold entry point of the sweep solver: equivalent to feeding `problem`
-/// into a fresh IncrementalSolver (flows keyed by index order). Returns
-/// bit-identical levels/rates/objective to a warm solver holding the same
-/// flows solved in the same order — the churn-path exactness contract.
+/// Concave-envelope sweep. Per flow, take the upper concave envelope of
+/// the (RB-rate cost, utility) rung points within its level bounds; each
+/// envelope edge is an upgrade step with marginal utility-per-RB ratio
+/// rho. Sort all steps by (rho desc, flow index asc, to_level asc), start
+/// every flow at its floor rung and sweep the steps in that order,
+/// accepting a step while it fits the budget and its utility gain beats
+/// the data term's marginal log-penalty; a rejected step blocks the rest
+/// of that flow's chain (its later steps have strictly lower rho).
+///
+/// A plain cold implementation kept as the reference BatchSolver is
+/// differentially tested against (tests/solver_differential_test.cpp).
 OptResult SolveSweep(const OptProblem& problem);
-
-/// Warm-startable solver for (3)-(4) built for session churn, where the
-/// flow *set* changes between BAIs far more than the per-flow parameters.
-///
-/// Per flow it keeps the upper concave envelope of the (RB-rate cost,
-/// utility) rung points; each envelope edge is an upgrade "step" with
-/// marginal utility-per-RB ratio rho. All steps live in one vector sorted
-/// by the strict total order (rho desc, flow id asc, to_level asc). A
-/// solve starts every flow at its floor rung and sweeps the steps in that
-/// order, accepting a step while it fits the budget and its utility gain
-/// beats the data term's marginal log-penalty; a rejected step blocks the
-/// rest of that flow's chain (its later steps have strictly lower rho).
-///
-/// Because the accepted set is a deterministic function of the *sorted*
-/// step sequence — never of the order in which flows were inserted or
-/// updated — a warm re-solve after any Upsert/Remove delta returns exactly
-/// what a cold SolveSweep over the same flows returns. The warm win is
-/// skipping the per-flow envelope rebuilds, map construction and the
-/// global sort for the (typically large) unchanged majority.
-///
-/// The previous solve's dual price and rung choices are persisted keyed by
-/// flow id (last_lambda()/last_levels()) for admission control and
-/// diagnostics.
-class IncrementalSolver {
- public:
-  IncrementalSolver() = default;
-  // Steps hold pointers into the flow map's nodes.
-  IncrementalSolver(const IncrementalSolver&) = delete;
-  IncrementalSolver& operator=(const IncrementalSolver&) = delete;
-
-  /// Insert or refresh a flow (validated; throws std::invalid_argument).
-  /// A no-op when the flow's parameters are unchanged, which is what lets
-  /// an untouched majority keep its envelope steps across solves.
-  void Upsert(FlowId id, const OptFlow& flow);
-  void Remove(FlowId id);
-  bool Has(FlowId id) const { return recs_.count(id) > 0; }
-  std::size_t NumFlows() const { return recs_.size(); }
-
-  /// Solve (3)-(4) over the flows listed in `order` (each previously
-  /// Upserted; duplicates/unknown ids throw). Result vectors align with
-  /// `order`. Flows held by the solver but absent from `order` are ignored
-  /// (they keep their cached envelopes). For bit-exact agreement with a
-  /// cold SolveSweep, pass the same flow order the cold problem used.
-  OptResult Solve(const std::vector<FlowId>& order, int n_data_flows,
-                  double rb_rate, double alpha = 1.0,
-                  double max_video_fraction = 0.999,
-                  SpanTracer* span_trace = nullptr);
-
-  /// Dual capacity price at the last solve: n*alpha / (N - S) with data
-  /// flows present, else the ratio of the last accepted step (0 before the
-  /// first solve / when nothing was accepted).
-  double last_lambda() const { return last_lambda_; }
-  /// Rung chosen per flow at the last solve, keyed by flow id.
-  const std::map<FlowId, int>& last_levels() const { return last_levels_; }
-
- private:
-  struct Rec {
-    OptFlow flow;
-    bool dirty = true;  // steps in steps_ are stale / not yet built
-    // Per-solve scratch, validated against solve_epoch_.
-    std::uint64_t active_epoch = 0;
-    bool blocked = false;
-    int level = 0;
-  };
-  struct Step {
-    double rho = 0.0;  // dutil / dcost along the envelope edge
-    FlowId id = kInvalidFlow;
-    int to_level = 0;
-    double dcost = 0.0;
-    double dutil = 0.0;
-    Rec* rec = nullptr;
-  };
-
-  static bool StepBefore(const Step& a, const Step& b);
-  static void AppendSteps(FlowId id, Rec& rec, std::vector<Step>& out);
-  void ApplyPending();
-
-  std::map<FlowId, Rec> recs_;  // node-stable: steps point into it
-  std::vector<Step> steps_;     // sorted by StepBefore
-  std::size_t dirty_count_ = 0;
-  std::uint64_t solve_epoch_ = 0;
-  double last_lambda_ = 0.0;
-  std::map<FlowId, int> last_levels_;
-};
 
 }  // namespace flare

@@ -60,7 +60,6 @@ void FlareRateController::AddFlow(FlowId id, std::vector<double> ladder_bps) {
 
 void FlareRateController::RemoveFlow(FlowId id) {
   flows_.erase(id);
-  sweep_.Remove(id);
 }
 
 int FlareRateController::CurrentLevel(FlowId id) const {
@@ -119,17 +118,6 @@ BaiDecision FlareRateController::DecideBai(
   if (params_.solver == SolverMode::kContinuousRelaxation) {
     solved = SolveContinuous(problem);
     recommended = DiscretizeDown(problem, solved.rates_bps);
-  } else if (params_.solver == SolverMode::kIncrementalSweep) {
-    // Refresh only what changed (Upsert is a no-op for identical
-    // parameters); flows that left were dropped via RemoveFlow, so the
-    // solver re-prices from the persisted warm state.
-    for (std::size_t u = 0; u < problem.flows.size(); ++u) {
-      sweep_.Upsert(ids[u], problem.flows[u]);
-    }
-    solved = sweep_.Solve(ids, problem.n_data_flows, problem.rb_rate,
-                          problem.alpha, problem.max_video_fraction,
-                          span_trace_);
-    recommended = solved.levels;
   } else if (params_.solver == SolverMode::kBatchedSweep) {
     solved = batch_.Solve(problem);
     recommended = solved.levels;

@@ -2,8 +2,8 @@
 // hysteresis.
 //
 // Each BAI the controller rebuilds problem (3)-(4) from the RB & Rate Trace
-// observations (bits-per-RB per flow), solves it (exact/greedy or the
-// continuous relaxation + round-down), and then applies the paper's
+// observations (bits-per-RB per flow), solves it (greedy, the exact sweep
+// or the continuous relaxation + round-down), and then applies the paper's
 // stability rule: a recommended one-rung increase is only adopted after it
 // has been recommended for delta * (L+1) consecutive BAIs (slower increases
 // at higher rungs, after FESTIVE); decreases are adopted immediately
@@ -23,15 +23,15 @@
 namespace flare {
 
 enum class SolverMode {
-  kGreedyDiscrete,  // the paper's "exact (3)-(4)" path
+  /// Greedy single-rung ascent (SolveGreedy). The default for the paper
+  /// figures, though not exact: on Fig 6/7-shaped problems it fell below
+  /// the (3)-(4) optimum on 14.5% of instances, by up to 2.1% (see
+  /// optimizer.h).
+  kGreedyDiscrete,
   kContinuousRelaxation,
-  /// Warm-started concave-envelope sweep (IncrementalSolver): the solver
-  /// persists per-flow state across BAIs so flow-set deltas (session
-  /// churn) re-solve incrementally instead of from scratch.
-  kIncrementalSweep,
-  /// Batched structure-of-arrays sweep (BatchSolver): bit-identical
-  /// results to kIncrementalSweep's cold path, rebuilt from flat arrays
-  /// every BAI — the 10k+-flows-per-solve / many-cells-per-thread layout.
+  /// Concave-envelope sweep (BatchSolver): exact on those problems,
+  /// rebuilt from flat arrays every BAI. Churned FLARE cells and the
+  /// daemon run it.
   kBatchedSweep,
 };
 
@@ -140,9 +140,6 @@ class FlareRateController {
 
   FlareParams params_;
   std::map<FlowId, FlowCtl> flows_;
-  /// Persistent warm state for kIncrementalSweep (unused by the other
-  /// modes); RemoveFlow keeps it in sync with flows_.
-  IncrementalSolver sweep_;
   /// Scratch-reusing SoA solver for kBatchedSweep (stateless between
   /// solves beyond reusable buffers, so flow-set changes need no sync).
   BatchSolver batch_;

@@ -1,8 +1,12 @@
 #include "net/messages.h"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/csv.h"
@@ -11,7 +15,9 @@ namespace flare {
 namespace {
 
 // key=value fields separated by ';'. Values never contain ';' or '='
-// (numbers and comma-joined number lists only).
+// (numbers and comma-joined number lists only). Integer ids and levels are
+// written in full: "%.6g" would round a flow id above 999999, and
+// kInvalidFlow past the FlowId range.
 using Fields = std::map<std::string, std::string>;
 
 std::string Join(const Fields& fields) {
@@ -44,7 +50,24 @@ std::optional<double> Number(const Fields& fields, const std::string& key) {
   char* end = nullptr;
   const double value = std::strtod(it->second.c_str(), &end);
   if (end == it->second.c_str() || *end != '\0') return std::nullopt;
+  // strtod accepts "nan" and "inf"; no field of this protocol carries them.
+  if (!std::isfinite(value)) return std::nullopt;
   return value;
+}
+
+/// An integral number inside Int's range, so the conversion is defined.
+template <typename Int>
+std::optional<Int> Integer(const Fields& fields, const std::string& key) {
+  const auto value = Number(fields, key);
+  if (!value || *value != std::trunc(*value)) return std::nullopt;
+  // Both bounds are exact doubles: lowest() is 0 or -2^k, and max() + 1 is
+  // the power of two 2 * (max() / 2 + 1).
+  constexpr double kLowest =
+      static_cast<double>(std::numeric_limits<Int>::lowest());
+  constexpr double kPastMax =
+      2.0 * static_cast<double>(std::numeric_limits<Int>::max() / 2 + 1);
+  if (*value < kLowest || *value >= kPastMax) return std::nullopt;
+  return static_cast<Int>(*value);
 }
 
 std::optional<std::vector<double>> NumberList(const Fields& fields,
@@ -57,7 +80,9 @@ std::optional<std::vector<double>> NumberList(const Fields& fields,
   while (std::getline(in, token, ',')) {
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') return std::nullopt;
+    if (end == token.c_str() || *end != '\0' || !std::isfinite(value)) {
+      return std::nullopt;
+    }
     values.push_back(value);
   }
   if (values.empty()) return std::nullopt;
@@ -69,14 +94,14 @@ std::optional<std::vector<double>> NumberList(const Fields& fields,
 std::string EncodeClientInfo(const ClientInfo& info) {
   Fields fields;
   fields["type"] = "client_info";
-  fields["flow"] = FormatNumber(info.flow);
+  fields["flow"] = std::to_string(info.flow);
   std::ostringstream ladder;
   for (std::size_t i = 0; i < info.ladder_bps.size(); ++i) {
     if (i > 0) ladder << ',';
     ladder << FormatNumber(info.ladder_bps[i]);
   }
   fields["ladder"] = ladder.str();
-  if (info.max_level) fields["max_level"] = FormatNumber(*info.max_level);
+  if (info.max_level) fields["max_level"] = std::to_string(*info.max_level);
   if (info.utility) {
     fields["beta"] = FormatNumber(info.utility->beta);
     fields["theta"] = FormatNumber(info.utility->theta_bps);
@@ -91,18 +116,25 @@ std::optional<ClientInfo> DecodeClientInfo(const std::string& wire) {
       fields->at("type") != "client_info") {
     return std::nullopt;
   }
-  const auto flow = Number(*fields, "flow");
+  const auto flow = Integer<FlowId>(*fields, "flow");
   const auto ladder = NumberList(*fields, "ladder");
   if (!flow || !ladder) return std::nullopt;
 
   ClientInfo info;
-  info.flow = static_cast<FlowId>(*flow);
+  info.flow = *flow;
   info.ladder_bps = *ladder;
-  if (const auto max_level = Number(*fields, "max_level")) {
-    info.max_level = static_cast<int>(*max_level);
+  if (fields->count("max_level") > 0) {
+    const auto max_level = Integer<int>(*fields, "max_level");
+    if (!max_level) return std::nullopt;
+    info.max_level = *max_level;
   }
   const auto beta = Number(*fields, "beta");
   const auto theta = Number(*fields, "theta");
+  // A disclosed field that does not parse is malformed, not absent.
+  if ((!beta && fields->count("beta") > 0) ||
+      (!theta && fields->count("theta") > 0)) {
+    return std::nullopt;
+  }
   if (beta && theta) {
     VideoUtilityParams utility;
     utility.beta = *beta;
@@ -117,8 +149,8 @@ std::optional<ClientInfo> DecodeClientInfo(const std::string& wire) {
 std::string EncodeRateAssignment(const RateAssignmentMsg& msg) {
   Fields fields;
   fields["type"] = "rate_assignment";
-  fields["flow"] = FormatNumber(msg.flow);
-  fields["level"] = FormatNumber(msg.level);
+  fields["flow"] = std::to_string(msg.flow);
+  fields["level"] = std::to_string(msg.level);
   fields["rate"] = FormatNumber(msg.rate_bps);
   fields["gbr"] = FormatNumber(msg.gbr_bps);
   return Join(fields);
@@ -131,14 +163,14 @@ std::optional<RateAssignmentMsg> DecodeRateAssignment(
       fields->at("type") != "rate_assignment") {
     return std::nullopt;
   }
-  const auto flow = Number(*fields, "flow");
-  const auto level = Number(*fields, "level");
+  const auto flow = Integer<FlowId>(*fields, "flow");
+  const auto level = Integer<int>(*fields, "level");
   const auto rate = Number(*fields, "rate");
   const auto gbr = Number(*fields, "gbr");
   if (!flow || !level || !rate || !gbr) return std::nullopt;
   RateAssignmentMsg msg;
-  msg.flow = static_cast<FlowId>(*flow);
-  msg.level = static_cast<int>(*level);
+  msg.flow = *flow;
+  msg.level = *level;
   msg.rate_bps = *rate;
   msg.gbr_bps = *gbr;
   return msg;
@@ -147,7 +179,7 @@ std::optional<RateAssignmentMsg> DecodeRateAssignment(
 std::string EncodeStatsReport(const FlowStatsReport& report) {
   Fields fields;
   fields["type"] = "stats_report";
-  fields["flow"] = FormatNumber(report.flow);
+  fields["flow"] = std::to_string(report.flow);
   fields["class"] = report.type == FlowType::kVideo ? "video" : "data";
   fields["tx_bytes"] = FormatNumber(static_cast<double>(report.tx_bytes));
   fields["rbs"] = FormatNumber(static_cast<double>(report.rbs));
@@ -163,9 +195,9 @@ std::optional<FlowStatsReport> DecodeStatsReport(const std::string& wire) {
       fields->count("class") == 0) {
     return std::nullopt;
   }
-  const auto flow = Number(*fields, "flow");
-  const auto tx_bytes = Number(*fields, "tx_bytes");
-  const auto rbs = Number(*fields, "rbs");
+  const auto flow = Integer<FlowId>(*fields, "flow");
+  const auto tx_bytes = Integer<std::uint64_t>(*fields, "tx_bytes");
+  const auto rbs = Integer<std::uint64_t>(*fields, "rbs");
   const auto tput = Number(*fields, "tput");
   const auto rb_util = Number(*fields, "rb_util");
   if (!flow || !tx_bytes || !rbs || !tput || !rb_util) return std::nullopt;
@@ -173,10 +205,10 @@ std::optional<FlowStatsReport> DecodeStatsReport(const std::string& wire) {
   if (cls != "video" && cls != "data") return std::nullopt;
 
   FlowStatsReport report;
-  report.flow = static_cast<FlowId>(*flow);
+  report.flow = *flow;
   report.type = cls == "video" ? FlowType::kVideo : FlowType::kData;
-  report.tx_bytes = static_cast<std::uint64_t>(*tx_bytes);
-  report.rbs = static_cast<std::uint64_t>(*rbs);
+  report.tx_bytes = *tx_bytes;
+  report.rbs = *rbs;
   report.throughput_bps = *tput;
   report.rb_utilization = *rb_util;
   return report;

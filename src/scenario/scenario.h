@@ -125,18 +125,18 @@ struct ScenarioConfig {
 
   /// Session churn (arrivals/departures mid-run) + admission control.
   /// The n_video/n_data/n_conventional populations above stay as a static
-  /// base load; churned sessions come and go on top of it. For FLARE
-  /// schemes with churn.warm_solver, the greedy solver is swapped for the
-  /// warm-started incremental sweep. AVIS gateway registration is static
-  /// only (the gateway has no removal path), so churned sessions under
-  /// kAvis run without gateway MBR caps.
+  /// base load; churned sessions come and go on top of it. For kFlare
+  /// under churn, the greedy solver is swapped for the concave-envelope
+  /// sweep (BatchSolver). AVIS gateway registration is static only (the
+  /// gateway has no removal path), so churned sessions under kAvis run
+  /// without gateway MBR caps.
   ChurnConfig churn;
 
   /// Optional override of the FLARE solver chosen by the scheme/churn
-  /// wiring (greedy for kFlare, continuous for kFlareRelaxed, incremental
-  /// sweep under churn.warm_solver). Set to force one — e.g.
-  /// SolverMode::kBatchedSweep for metro-scale cells — in every FLARE
-  /// cell of the run; non-FLARE schemes ignore it.
+  /// wiring (greedy for kFlare, continuous for kFlareRelaxed, the batched
+  /// sweep for kFlare under churn). Set to force one in every FLARE cell
+  /// of the run — e.g. SolverMode::kGreedyDiscrete to keep a churned cell
+  /// on greedy; non-FLARE schemes ignore it.
   std::optional<SolverMode> solver_override;
 
   /// Collect 1 Hz time series (Figures 4/5); off for CDF sweeps.

@@ -94,15 +94,13 @@ OneApiConfig MakeOneApiConfig(const ScenarioConfig& config) {
   oneapi_config.params.solver = config.scheme == Scheme::kFlareRelaxed
                                     ? SolverMode::kContinuousRelaxation
                                     : SolverMode::kGreedyDiscrete;
-  // Under churn the flow set changes by one or two entries per BAI, which
-  // is exactly the delta workload the warm-started incremental sweep is
-  // built for; swap it in unless the config opts out.
-  if (config.churn.enabled && config.churn.warm_solver &&
+  // Churned FLARE cells run the exact sweep instead of greedy.
+  if (config.churn.enabled &&
       oneapi_config.params.solver == SolverMode::kGreedyDiscrete) {
-    oneapi_config.params.solver = SolverMode::kIncrementalSweep;
+    oneapi_config.params.solver = SolverMode::kBatchedSweep;
   }
   // An explicit override beats both the scheme default and the churn
-  // auto-upgrade (e.g. the batched SoA sweep for metro-scale cells).
+  // upgrade (e.g. greedy to opt a churned cell out of the sweep).
   if (config.solver_override) {
     oneapi_config.params.solver = *config.solver_override;
   }

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/optimizer.h"
 #include "net/messages.h"
 #include "netio/event_loop.h"
 #include "netio/tcp.h"
@@ -267,7 +268,19 @@ void OneApiService::Impl::HandleClientInfo(SessionConn& sc,
                                            const Frame& frame,
                                            const FrameTiming& timing) {
   const std::optional<ClientInfo> info = DecodeClientInfo(frame.payload);
-  if (!info || info->ladder_bps.empty()) {
+  if (!info) {
+    SendOverloadAndClose(sc, Overload("malformed"));
+    return;
+  }
+  // The flow as admission and the controller will see it, over its full
+  // ladder. Whatever the solvers would reject is malformed, on first
+  // connect and on refresh alike, so it never reaches either of them.
+  OptFlow candidate;
+  candidate.ladder_bps = info->ladder_bps;
+  candidate.utility = info->utility.value_or(options.params.utility);
+  candidate.bits_per_rb = options.default_bits_per_rb;
+  candidate.max_level = static_cast<int>(candidate.ladder_bps.size()) - 1;
+  if (FlowDefect(candidate) != nullptr) {
     SendOverloadAndClose(sc, Overload("malformed"));
     return;
   }
@@ -333,13 +346,8 @@ void OneApiService::Impl::HandleClientInfo(SessionConn& sc,
   // connect-time efficiency estimate, exactly like OneApiServer.
   AdmissionRequest request;
   request.flow = info->flow;
-  OptFlow candidate;
-  candidate.ladder_bps = info->ladder_bps;
-  candidate.utility = info->utility.value_or(options.params.utility);
-  candidate.bits_per_rb = options.default_bits_per_rb;
-  candidate.min_level = 0;
-  candidate.max_level = 0;
   request.candidate = candidate;
+  request.candidate.max_level = 0;
   request.n_data_flows = options.n_data_flows;
   request.rb_rate = static_cast<double>(options.num_rbs) * 1000.0;
 
@@ -365,7 +373,6 @@ void OneApiService::Impl::HandleClientInfo(SessionConn& sc,
   }
 
   controller.AddFlow(info->flow, info->ladder_bps);
-  candidate.max_level = static_cast<int>(candidate.ladder_bps.size()) - 1;
   admission.OnAdmitted(info->flow, candidate);
   Session session;
   session.info = *info;

@@ -1,11 +1,9 @@
 // Tests for the session-churn subsystem: engine lifecycle/determinism,
-// admission policies, warm-started sweep exactness under flow-set deltas,
-// churn-enabled scenarios, and regression tests for the teardown paths
-// (greedy timers, UE slot release, connect bookkeeping, mid-run session
-// destruction) that used to leak per-flow state.
+// admission policies, churn-enabled scenarios, and regression tests for
+// the teardown paths (greedy timers, UE slot release, connect bookkeeping,
+// mid-run session destruction) that used to leak per-flow state.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -288,74 +286,6 @@ TEST(Admission, EstimateRefreshChangesTheDecision) {
   EXPECT_TRUE(controller.Decide(MakeRequest(9)).admit);
 }
 
-// --------------------------------------------- warm-started sweep solver
-
-OptFlow RandomOptFlow(Rng& rng) {
-  OptFlow flow;
-  const int rungs = rng.UniformInt(2, 7);
-  double rate = rng.Uniform(200'000.0, 600'000.0);
-  for (int i = 0; i < rungs; ++i) {
-    flow.ladder_bps.push_back(rate);
-    rate += rng.Uniform(100'000.0, 1'000'000.0);
-  }
-  flow.bits_per_rb = rng.Uniform(50.0, 600.0);
-  flow.min_level = 0;
-  flow.max_level = rungs - 1;
-  return flow;
-}
-
-TEST(IncrementalSweep, WarmEqualsColdAcrossRandomDeltas) {
-  Rng rng(123);
-  IncrementalSolver solver;
-  std::map<FlowId, OptFlow> flows;
-  FlowId next_id = 1;
-  const double rb_rate = 60'000.0;
-
-  for (int i = 0; i < 30; ++i) {
-    flows.emplace(next_id, RandomOptFlow(rng));
-    solver.Upsert(next_id, flows.at(next_id));
-    ++next_id;
-  }
-
-  for (int round = 0; round < 60; ++round) {
-    // Random one-flow delta: arrival, departure, or estimate refresh.
-    const double move = rng.Uniform();
-    if (move < 0.4 || flows.empty()) {
-      flows.emplace(next_id, RandomOptFlow(rng));
-      solver.Upsert(next_id, flows.at(next_id));
-      ++next_id;
-    } else if (move < 0.7) {
-      auto victim = flows.begin();
-      std::advance(victim,
-                   rng.UniformInt(0, static_cast<int>(flows.size()) - 1));
-      solver.Remove(victim->first);
-      flows.erase(victim);
-    } else {
-      auto target = flows.begin();
-      std::advance(target,
-                   rng.UniformInt(0, static_cast<int>(flows.size()) - 1));
-      target->second.bits_per_rb = rng.Uniform(50.0, 600.0);
-      solver.Upsert(target->first, target->second);
-    }
-
-    std::vector<FlowId> order;
-    OptProblem problem;
-    problem.n_data_flows = 2;
-    problem.rb_rate = rb_rate;
-    for (const auto& [id, flow] : flows) {
-      order.push_back(id);
-      problem.flows.push_back(flow);
-    }
-    const OptResult warm = solver.Solve(order, 2, rb_rate);
-    const OptResult cold = SolveSweep(problem);
-    ASSERT_EQ(warm.levels, cold.levels) << "round " << round;
-    ASSERT_EQ(warm.objective, cold.objective) << "round " << round;
-    ASSERT_EQ(warm.video_fraction, cold.video_fraction)
-        << "round " << round;
-    ASSERT_EQ(warm.feasible, cold.feasible) << "round " << round;
-  }
-}
-
 // ------------------------------------------------------- churn scenarios
 
 TEST(ChurnScenario, FlareChurnReproducesExactly) {
@@ -420,8 +350,8 @@ TEST(ChurnScenario, ClientSideSchemeChurnsWithoutAdmission) {
   EXPECT_EQ(result.video.size(), 2u);
 }
 
-TEST(ChurnScenario, WarmSolverMatchesGreedyRungsWithoutChurn) {
-  // The solver swap (greedy -> incremental sweep) must not change what a
+TEST(ChurnScenario, SweepSolverMatchesGreedyRungsWithoutChurn) {
+  // The solver swap (greedy -> batched sweep) must not change what a
   // churn-free run decides: with zero arrivals the flow set never
   // changes, and both solvers pick envelope-optimal rungs for the static
   // population.

@@ -38,7 +38,8 @@ MultiCellConfig HarnessConfig(int workers) {
 
 /// Churn variant: 8 cells with Poisson arrivals, lognormal holds and
 /// capacity-threshold admission, so dynamic session creation/teardown and
-/// the warm-started sweep solver are all inside the determinism contract.
+/// the batched sweep solver churned cells run are all inside the
+/// determinism contract.
 MultiCellConfig ChurnHarnessConfig(int workers) {
   MultiCellConfig multi = HarnessConfig(workers);
   multi.n_cells = 8;
@@ -50,16 +51,6 @@ MultiCellConfig ChurnHarnessConfig(int workers) {
   multi.cell.churn.data_fraction = 0.2;
   multi.cell.churn.admission.policy = AdmissionPolicy::kCapacityThreshold;
   multi.cell.churn.admission.capacity_threshold = 0.5;
-  return multi;
-}
-
-/// Batched-solver variant: the same 8-cell churn harness forced onto
-/// SolverMode::kBatchedSweep, so the SoA solver's per-BAI rebuild path is
-/// inside the byte-identity contract (serial == parallel, qoe and flight
-/// bytes included).
-MultiCellConfig BatchedChurnHarnessConfig(int workers) {
-  MultiCellConfig multi = ChurnHarnessConfig(workers);
-  multi.cell.solver_override = SolverMode::kBatchedSweep;
   return multi;
 }
 
@@ -149,6 +140,8 @@ TEST(Determinism, ParallelIsBitIdenticalToSerial) {
 TEST(Determinism, ChurnSerialVsParallelBitIdentical) {
   const RunOutput serial = RunMulti(ChurnHarnessConfig(/*workers=*/0));
   ASSERT_FALSE(serial.csv.empty());
+  // Churned FLARE cells solve on the batched sweep.
+  ASSERT_NE(serial.spans.find("solve.batch_sweep"), std::string::npos);
   // Churn actually ran: every cell's engine saw arrivals.
   std::uint64_t arrived = 0;
   for (const ScenarioResult& cell : serial.result.cells) {
@@ -174,36 +167,6 @@ TEST(Determinism, ChurnSerialVsParallelBitIdentical) {
           << "workers=" << workers << " cell=" << c;
     }
   }
-}
-
-TEST(Determinism, BatchedSweepChurnSerialVsParallelBitIdentical) {
-  const RunOutput serial = RunMulti(BatchedChurnHarnessConfig(/*workers=*/0));
-  ASSERT_FALSE(serial.csv.empty());
-  std::uint64_t arrived = 0;
-  for (const ScenarioResult& cell : serial.result.cells) {
-    arrived += cell.sessions_arrived;
-  }
-  ASSERT_GT(arrived, 0u);
-  for (const int workers : {2, 8}) {
-    const RunOutput parallel =
-        RunMulti(BatchedChurnHarnessConfig(workers));
-    EXPECT_EQ(serial.csv, parallel.csv) << "workers=" << workers;
-    EXPECT_EQ(serial.json, parallel.json) << "workers=" << workers;
-    EXPECT_EQ(serial.spans, parallel.spans) << "workers=" << workers;
-    EXPECT_EQ(serial.health, parallel.health) << "workers=" << workers;
-    EXPECT_EQ(serial.qoe, parallel.qoe) << "workers=" << workers;
-    EXPECT_EQ(serial.flight, parallel.flight) << "workers=" << workers;
-  }
-  // End-to-end differential: every per-BAI solve of the batched run is
-  // bit-exact vs the warm incremental sweep the churn harness normally
-  // uses, so the two runs' controllers walk identical hysteresis
-  // trajectories and the full run artifacts must agree byte for byte —
-  // the run-level extension of solver_differential_test's contract.
-  const RunOutput incremental = RunMulti(ChurnHarnessConfig(/*workers=*/0));
-  EXPECT_EQ(serial.csv, incremental.csv);
-  EXPECT_EQ(serial.json, incremental.json);
-  EXPECT_EQ(serial.qoe, incremental.qoe);
-  EXPECT_EQ(serial.flight, incremental.flight);
 }
 
 TEST(Determinism, CellsAreDifferentiatedBySplitStreams) {

@@ -5,6 +5,8 @@
 // peer parses identically, and an old peer's bytes parse unchanged here.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "net/messages.h"
@@ -28,16 +30,20 @@ ClientInfo SampleInfo() {
 }
 
 TEST(Messages, ClientInfoRoundTrip) {
-  const ClientInfo original = SampleInfo();
-  const auto decoded = DecodeClientInfo(EncodeClientInfo(original));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->flow, original.flow);
-  EXPECT_EQ(decoded->ladder_bps, original.ladder_bps);
-  EXPECT_EQ(decoded->max_level, original.max_level);
-  ASSERT_TRUE(decoded->utility.has_value());
-  EXPECT_DOUBLE_EQ(decoded->utility->beta, 12.0);
-  EXPECT_DOUBLE_EQ(decoded->utility->theta_bps, 0.3e6);
-  EXPECT_TRUE(decoded->skimming);
+  // Seven-digit and default (kInvalidFlow) ids round-trip exactly too.
+  for (const FlowId flow : {FlowId{42}, FlowId{1234567}, kInvalidFlow}) {
+    ClientInfo original = SampleInfo();
+    original.flow = flow;
+    const auto decoded = DecodeClientInfo(EncodeClientInfo(original));
+    ASSERT_TRUE(decoded.has_value()) << flow;
+    EXPECT_EQ(decoded->flow, original.flow);
+    EXPECT_EQ(decoded->ladder_bps, original.ladder_bps);
+    EXPECT_EQ(decoded->max_level, original.max_level);
+    ASSERT_TRUE(decoded->utility.has_value());
+    EXPECT_DOUBLE_EQ(decoded->utility->beta, 12.0);
+    EXPECT_DOUBLE_EQ(decoded->utility->theta_bps, 0.3e6);
+    EXPECT_TRUE(decoded->skimming);
+  }
 }
 
 TEST(Messages, ClientInfoOptionalFieldsAbsent) {
@@ -62,6 +68,36 @@ TEST(Messages, ClientInfoRejectsMalformed) {
       DecodeClientInfo("type=client_info;flow=1;ladder=10,abc")
           .has_value());
   EXPECT_FALSE(DecodeClientInfo("=1;type=client_info").has_value());
+  // strtod reads these; the codec must not.
+  for (const char* wire : {
+           "type=client_info;flow=1;ladder=100000,nan,500000",
+           "type=client_info;flow=1;ladder=100000,250000,inf",
+           "type=client_info;flow=1;ladder=-inf",
+           "type=client_info;flow=nan;ladder=100000",
+           "type=client_info;flow=1;ladder=100000;beta=nan;theta=200000",
+           "type=client_info;flow=1;ladder=100000;beta=10;theta=inf",
+       }) {
+    EXPECT_FALSE(DecodeClientInfo(wire).has_value()) << wire;
+  }
+  // Integer fields: integral and inside the target type, or rejected
+  // (the cast to FlowId / int would be undefined otherwise).
+  for (const char* wire : {
+           "type=client_info;flow=-1;ladder=100000",
+           "type=client_info;flow=1.5;ladder=100000",
+           "type=client_info;flow=4294967296;ladder=100000",
+           "type=client_info;flow=1e300;ladder=100000",
+           "type=client_info;flow=1;ladder=100000;max_level=2.5",
+           "type=client_info;flow=1;ladder=100000;max_level=3e9",
+           "type=client_info;flow=1;ladder=100000;max_level=x",
+       }) {
+    EXPECT_FALSE(DecodeClientInfo(wire).has_value()) << wire;
+  }
+  // The extremes of each range still decode.
+  const auto widest = DecodeClientInfo(
+      "type=client_info;flow=4294967295;ladder=100000;max_level=-2147483648");
+  ASSERT_TRUE(widest.has_value());
+  EXPECT_EQ(widest->flow, 4294967295u);
+  EXPECT_EQ(widest->max_level, -2147483647 - 1);
 }
 
 TEST(Messages, RateAssignmentRoundTrip) {
@@ -82,6 +118,17 @@ TEST(Messages, RateAssignmentRejectsMissingFields) {
   EXPECT_FALSE(DecodeRateAssignment("type=rate_assignment;flow=1;level=2")
                    .has_value());
   EXPECT_FALSE(DecodeRateAssignment("type=client_info;flow=1").has_value());
+  for (const char* wire : {
+           "type=rate_assignment;flow=nan;level=1;rate=1;gbr=1",
+           "type=rate_assignment;flow=1;level=inf;rate=1;gbr=1",
+           "type=rate_assignment;flow=1;level=1;rate=nan;gbr=1",
+           "type=rate_assignment;flow=1;level=1;rate=1;gbr=-inf",
+           "type=rate_assignment;flow=-1;level=1;rate=1;gbr=1",
+           "type=rate_assignment;flow=1;level=0.5;rate=1;gbr=1",
+           "type=rate_assignment;flow=1;level=2147483648;rate=1;gbr=1",
+       }) {
+    EXPECT_FALSE(DecodeRateAssignment(wire).has_value()) << wire;
+  }
 }
 
 TEST(Messages, StatsReportRoundTrip) {
@@ -111,11 +158,28 @@ TEST(Messages, StatsReportDataClass) {
   EXPECT_EQ(decoded->type, FlowType::kData);
 }
 
-TEST(Messages, StatsReportRejectsBadClass) {
-  EXPECT_FALSE(
-      DecodeStatsReport("type=stats_report;flow=1;class=voice;"
-                        "tx_bytes=1;rbs=1;tput=1;rb_util=0.1")
-          .has_value());
+TEST(Messages, StatsReportRejectsMalformed) {
+  const std::string prefix = "type=stats_report;";
+  for (const std::string fields : {
+           "flow=1;class=voice;tx_bytes=1;rbs=1;tput=1;rb_util=0.1",
+           "flow=nan;class=video;tx_bytes=1;rbs=1;tput=1;rb_util=0.1",
+           "flow=1;class=video;tx_bytes=inf;rbs=1;tput=1;rb_util=0.1",
+           "flow=1;class=video;tx_bytes=1;rbs=-1;tput=1;rb_util=0.1",
+           "flow=1;class=video;tx_bytes=1;rbs=1.5;tput=1;rb_util=0.1",
+           "flow=1;class=video;tx_bytes=1e20;rbs=1;tput=1;rb_util=0.1",
+           "flow=1;class=video;tx_bytes=18446744073709551616;rbs=1;tput=1;"
+           "rb_util=0.1",
+           "flow=1;class=video;tx_bytes=1;rbs=1;tput=nan;rb_util=0.1",
+           "flow=1;class=video;tx_bytes=1;rbs=1;tput=1;rb_util=inf",
+       }) {
+    EXPECT_FALSE(DecodeStatsReport(prefix + fields).has_value()) << fields;
+  }
+  // 2^64 - 2048 is the largest double below 2^64: still a uint64_t.
+  const auto largest = DecodeStatsReport(
+      prefix + "flow=1;class=video;tx_bytes=18446744073709549568;rbs=0;"
+               "tput=1;rb_util=0");
+  ASSERT_TRUE(largest.has_value());
+  EXPECT_EQ(largest->tx_bytes, 18446744073709549568ull);
 }
 
 TEST(Messages, MutatedWiresNeverCrashAndRarelyParse) {
@@ -155,13 +219,15 @@ TEST(Messages, MutatedWiresNeverCrashAndRarelyParse) {
 
 TEST(Messages, RandomizedRoundTripAllTypes) {
   // Round-trip fuzz: random field values for every message type must
-  // survive encode → decode with integer fields exact. Doubles go
-  // through %.6g formatting, so draw them from a grid that the format
-  // preserves exactly (integers of at most 6 digits).
+  // survive encode → decode with integer fields exact. Flow ids are
+  // written in full, so they span the whole FlowId range. Doubles go through %.6g formatting, so draw them from a
+  // grid that the format preserves exactly (integers of at most 6
+  // digits).
+  constexpr std::int64_t kMaxFlow = std::numeric_limits<FlowId>::max();
   Rng rng(2024);
   for (int trial = 0; trial < 300; ++trial) {
     ClientInfo info;
-    info.flow = static_cast<FlowId>(rng.UniformInt(0, 999999));
+    info.flow = static_cast<FlowId>(rng.UniformInt(0, kMaxFlow));
     const int levels = static_cast<int>(rng.UniformInt(1, 8));
     for (int i = 0; i < levels; ++i) {
       info.ladder_bps.push_back(
@@ -187,7 +253,7 @@ TEST(Messages, RandomizedRoundTripAllTypes) {
     EXPECT_EQ(info_rt->skimming, info.skimming);
 
     RateAssignmentMsg assignment;
-    assignment.flow = static_cast<FlowId>(rng.UniformInt(0, 999999));
+    assignment.flow = static_cast<FlowId>(rng.UniformInt(0, kMaxFlow));
     assignment.level = static_cast<int>(rng.UniformInt(0, 16));
     assignment.rate_bps = static_cast<double>(rng.UniformInt(0, 999999));
     assignment.gbr_bps = static_cast<double>(rng.UniformInt(0, 999999));
@@ -200,7 +266,7 @@ TEST(Messages, RandomizedRoundTripAllTypes) {
     EXPECT_DOUBLE_EQ(assignment_rt->gbr_bps, assignment.gbr_bps);
 
     FlowStatsReport stats;
-    stats.flow = static_cast<FlowId>(rng.UniformInt(0, 999999));
+    stats.flow = static_cast<FlowId>(rng.UniformInt(0, kMaxFlow));
     stats.type = rng.UniformInt(0, 1) == 1 ? FlowType::kVideo
                                            : FlowType::kData;
     stats.tx_bytes = static_cast<std::uint64_t>(rng.UniformInt(0, 999999));

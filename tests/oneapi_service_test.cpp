@@ -429,6 +429,82 @@ TEST(OneApiService, MalformedFrameGetsTypedRejectAndClose) {
   service.Stop();
 }
 
+// A ClientInfo that decodes but that the solver would refuse must get a
+// typed reject and never reach admission or the controller, where the
+// solver's throw on the IO thread would abort the daemon; every other
+// session stays served. `refresh` sends it as a mid-session update from an
+// admitted session instead of as a first connect.
+void ExpectSolverRejectKeepsOthersServed(const std::string& bad_info,
+                                         bool refresh) {
+  OneApiServiceOptions options;
+  options.bai_ms = 0;
+  OneApiService service(options);
+  ASSERT_TRUE(service.Start());
+
+  TestClient good;
+  ASSERT_TRUE(good.Connect(service.port()));
+  ASSERT_TRUE(good.SendFrame(FrameType::kClientInfo,
+                             EncodeClientInfo(BasicInfo(1))));
+  const auto welcome = good.ReadFrame();
+  ASSERT_TRUE(welcome.has_value());
+  ASSERT_EQ(welcome->type, FrameType::kWelcome);
+
+  TestClient bad;
+  ASSERT_TRUE(bad.Connect(service.port()));
+  if (refresh) {
+    ASSERT_TRUE(bad.SendFrame(FrameType::kClientInfo,
+                              EncodeClientInfo(BasicInfo(2))));
+    const auto bad_welcome = bad.ReadFrame();
+    ASSERT_TRUE(bad_welcome.has_value());
+    ASSERT_EQ(bad_welcome->type, FrameType::kWelcome);
+  }
+  ASSERT_TRUE(bad.SendFrame(FrameType::kClientInfo, bad_info));
+  const auto reject = bad.ReadFrame();
+  ASSERT_TRUE(reject.has_value());
+  ASSERT_EQ(reject->type, FrameType::kOverload);
+  const auto overload = DecodeOverload(reject->payload);
+  ASSERT_TRUE(overload.has_value());
+  EXPECT_EQ(overload->reason, "malformed");
+  EXPECT_FALSE(bad.ReadFrame(500).has_value());  // closed
+  EXPECT_TRUE(WaitFor([&] { return service.sessions() == 1; }));
+
+  for (int tick = 0; tick < 2; ++tick) {
+    service.TriggerTick();
+    const auto frame = good.ReadFrame();
+    ASSERT_TRUE(frame.has_value()) << "tick " << tick;
+    ASSERT_EQ(frame->type, FrameType::kAssignment);
+    const auto assignment = DecodeRateAssignment(frame->payload);
+    ASSERT_TRUE(assignment.has_value());
+    EXPECT_EQ(assignment->flow, 1u);
+  }
+  service.Stop();
+}
+
+TEST(OneApiService, DescendingLadderGetsTypedReject) {
+  ExpectSolverRejectKeepsOthersServed(
+      "type=client_info;flow=2;ladder=500000,100000", /*refresh=*/false);
+}
+
+TEST(OneApiService, NanLadderRungGetsTypedReject) {
+  ExpectSolverRejectKeepsOthersServed(
+      "type=client_info;flow=2;ladder=100000,nan,500000", /*refresh=*/false);
+}
+
+TEST(OneApiService, InfiniteLadderRungGetsTypedReject) {
+  ExpectSolverRejectKeepsOthersServed(
+      "type=client_info;flow=2;ladder=100000,250000,inf", /*refresh=*/false);
+}
+
+TEST(OneApiService, NegativeBetaRefreshGetsTypedReject) {
+  ClientInfo info = BasicInfo(2);
+  VideoUtilityParams utility;
+  utility.beta = -1.0;
+  utility.theta_bps = 0.2e6;
+  info.utility = utility;
+  ExpectSolverRejectKeepsOthersServed(EncodeClientInfo(info),
+                                      /*refresh=*/true);
+}
+
 // ---------------------------------------------------------------------
 // Slow clients lose frames, not the tick
 // ---------------------------------------------------------------------

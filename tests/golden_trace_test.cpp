@@ -6,33 +6,20 @@
 //
 // When a change *intentionally* alters the traces, regenerate with
 //   FLARE_REGEN_GOLDEN=1 ./build/tests/golden_trace_test
-// and commit the updated CSVs after reviewing the diff.
+// and commit the updated CSVs after reviewing the diff (tests/golden_util.h
+// holds the check).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
 
+#include "golden_util.h"
 #include "obs/bai_trace.h"
 #include "scenario/scenario.h"
 
-#ifndef FLARE_GOLDEN_DIR
-#error "FLARE_GOLDEN_DIR must point at tests/golden (set by CMake)"
-#endif
-
 namespace flare {
 namespace {
-
-bool RegenRequested() {
-  const char* env = std::getenv("FLARE_REGEN_GOLDEN");
-  return env != nullptr && env[0] != '\0' && std::string(env) != "0";
-}
-
-std::string GoldenPath(const std::string& name) {
-  return std::string(FLARE_GOLDEN_DIR) + "/" + name;
-}
 
 /// Run `config` with a trace sink attached and return the trace CSV; the
 /// run's result lands in `result` when given.
@@ -47,27 +34,6 @@ std::string TraceCsv(ScenarioConfig config,
   std::ostringstream out;
   trace.WriteCsv(out);
   return out.str();
-}
-
-void CheckAgainstGolden(const std::string& name, const std::string& fresh) {
-  const std::string path = GoldenPath(name);
-  if (RegenRequested()) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << fresh;
-    ASSERT_TRUE(out.good()) << "short write to " << path;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good())
-      << path << " missing — run with FLARE_REGEN_GOLDEN=1 to create it";
-  std::ostringstream stored;
-  stored << in.rdbuf();
-  // One EXPECT_EQ over the whole file: gtest prints the first differing
-  // line, which names the BAI where behaviour drifted.
-  EXPECT_EQ(stored.str(), fresh)
-      << "trace drift vs " << path
-      << " (regenerate with FLARE_REGEN_GOLDEN=1 if intentional)";
 }
 
 // Figure 6 shape: the static testbed scenario, FLARE scheme — 3 FLARE

@@ -1,10 +1,12 @@
-// Example: one OneAPI server, two cells, one car.
+// Example: one OneAPI control plane, two cells, one car.
 //
 // A vehicle streams FLARE-managed video while driving 3 km across two
-// eNodeBs 1600 m apart, both managed by the same OneAPI multi-cell
-// server. The handover manager watches per-cell SINR (A3 rule); on
-// handover, the bearer is torn down in the source cell, recreated in the
-// target, the session is rebound, and the target cell's controller takes
+// eNodeBs 1600 m apart. Each cell has its own OneApiServer and PCEF over
+// one shared PCRF ("the bitrates are calculated independently for each
+// network cell", Section II-A). The handover manager watches per-cell
+// SINR (A3 rule); on handover, the flow is deregistered from the source
+// cell's server, the bearer is torn down there and recreated in the
+// target, the session is rebound, and the target cell's server takes
 // over rate adaptation. A 10 s timeline shows the serving cell, the
 // SINRs, and the selected bitrate.
 #include <algorithm>
@@ -14,7 +16,9 @@
 #include "has/video_session.h"
 #include "lte/gbr_scheduler.h"
 #include "net/handover.h"
-#include "net/oneapi_multi.h"
+#include "net/oneapi_server.h"
+#include "net/pcef.h"
+#include "net/pcrf.h"
 #include "sim/simulator.h"
 #include "transport/transport_host.h"
 
@@ -49,7 +53,6 @@ int main() {
   OneApiConfig oneapi_config;
   oneapi_config.bai = FromSeconds(1.0);
   oneapi_config.params.delta = 2;
-  OneApiMultiServer server(sim, pcrf, oneapi_config);
 
   RadioConfig radio;
   radio.shadowing_stddev_db = 0.0;  // scripted geometry, quiet radio
@@ -62,8 +65,16 @@ int main() {
               Rng(1));
   Cell cell_b(sim, std::make_unique<TwoPhaseGbrScheduler>(), CellConfig{},
               Rng(2));
-  const CellId id_a = server.AddCell(cell_a);
-  const CellId id_b = server.AddCell(cell_b);
+  // One server per cell, each registering its flows under its own PCRF
+  // cell tag.
+  Pcef pcef_a(sim, cell_a, oneapi_config.downlink_latency);
+  Pcef pcef_b(sim, cell_b, oneapi_config.downlink_latency);
+  OneApiConfig config_a = oneapi_config;
+  config_a.cell_tag = 0;
+  OneApiConfig config_b = oneapi_config;
+  config_b.cell_tag = 1;
+  OneApiServer server_a(sim, cell_a, pcrf, pcef_a, config_a);
+  OneApiServer server_b(sim, cell_b, pcrf, pcef_b, config_b);
   const UeId ue_a = cell_a.AddUe(std::make_unique<FadedMobilityChannel>(
       drive, radio, Rng(3), Position{0.0, 0.0}));
   const UeId ue_b = cell_b.AddUe(std::make_unique<FadedMobilityChannel>(
@@ -81,7 +92,7 @@ int main() {
   FlarePlugin* plugin_ptr = plugin.get();
   VideoSession session(sim, *http, mpd, std::move(plugin),
                        VideoSessionConfig{});
-  server.ConnectVideoClient(id_a, plugin_ptr, mpd);
+  server_a.ConnectVideoClient(plugin_ptr, mpd);
   session.Start(0);
 
   HandoverManager manager(sim, HandoverConfig{});
@@ -91,12 +102,12 @@ int main() {
   manager.SetOnHandover([&](int, int, int) {
     std::printf("  >> handover at t=%.1f s: cell A -> cell B\n",
                 ToSeconds(sim.Now()));
-    server.DisconnectVideoClient(id_a, flow_a.id());
+    server_a.DisconnectVideoClient(flow_a.id());
     host_a.DestroyFlow(flow_a.id());
     TcpFlow& flow_b = host_b.CreateFlow(ue_b, FlowType::kVideo);
     next_http = std::make_unique<HttpClient>(sim, flow_b);
     next_plugin = std::make_unique<FlarePlugin>(flow_b.id());
-    server.ConnectVideoClient(id_b, next_plugin.get(), mpd);
+    server_b.ConnectVideoClient(next_plugin.get(), mpd);
     session.RebindHttp(*next_http);
   });
 
@@ -115,7 +126,8 @@ int main() {
   });
 
   manager.Start();
-  server.Start();
+  server_a.Start();
+  server_b.Start();
   cell_a.Start();
   cell_b.Start();
   sim.RunUntil(trip);

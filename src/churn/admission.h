@@ -3,9 +3,9 @@
 // Under session churn the interesting question stops being "which rung
 // does each admitted flow get" and becomes "should this arrival be
 // admitted at all" — the joint scheduling/admission setting of
-// Bethanabhotla et al. The controller is consulted by OneApiServer when a
-// delayed ConnectVideoClient lands, before any controller/PCRF state is
-// created. Three policies:
+// Bethanabhotla et al. The OneAPI BaiEngine (net/bai_engine) consults the
+// controller when a connect lands — in the simulator or the daemon —
+// before any controller/PCRF state is created. Three policies:
 //
 //  * kAdmitAll         — baseline; every arrival is admitted.
 //  * kCapacityThreshold— reject when the admitted floor-rung RB fraction

@@ -1,6 +1,6 @@
 #include "net/oneapi_server.h"
 
-#include <algorithm>
+#include <optional>
 #include <string>
 
 #include "lte/tbs_table.h"
@@ -17,7 +17,8 @@ OneApiServer::OneApiServer(Simulator& sim, Cell& cell, Pcrf& pcrf,
       pcrf_(pcrf),
       pcef_(pcef),
       config_(config),
-      controller_(config.params) {}
+      engine_(config.params, config.efficiency_smoothing,
+              config.gbr_headroom) {}
 
 void OneApiServer::ConnectVideoClient(FlarePlugin* plugin, const Mpd& mpd) {
   // The client info crosses the operator API as a wire message; the
@@ -38,73 +39,54 @@ void OneApiServer::ConnectVideoClient(FlarePlugin* plugin, const Mpd& mpd) {
     // This attempt owns the entry; it is no longer in flight either way.
     connect_generation_.erase(gen);
     const std::optional<ClientInfo> info = DecodeClientInfo(wire);
-    if (!info) {
+    AdmissionController* admission = engine_.admission();
+    BaiEngine::ConnectVerdict verdict;
+    if (info) {
+      // The channel is read for the connect estimate only when admission
+      // prices it; any valid estimate serves the validation alone.
+      verdict = engine_.Connect(
+          *info, admission != nullptr ? NominalBitsPerRb(id) : 1.0,
+          pcrf_.CountFlows(FlowType::kData, config_.cell_tag),
+          static_cast<double>(cell_.num_rbs()) * 1000.0);
+    }
+    if (!info || verdict.defect != nullptr) {
       FLOG_WARN << "OneApiServer: dropping malformed client info";
       if (admission_callback_) admission_callback_(id, false);
       return;
     }
-    if (admission_ != nullptr && !AdmitClient(*info)) {
-      if (admission_callback_) admission_callback_(info->flow, false);
+    if (!verdict.decision.admit) {
+      const char* policy = AdmissionPolicyName(admission->config().policy);
+      const double value = verdict.decision.value;
+      admission_rejects_metric_.Add();
+      if (flight_ != nullptr) {
+        flight_->Record(ToSeconds(sim_.Now()), "admission_reject", id, -1,
+                        value,
+                        "{\"policy\":\"" + std::string(policy) + "\"}");
+      }
+      if (span_trace_ != nullptr) {
+        span_trace_->Instant(
+            kLaneControl, "churn", "admission_reject",
+            static_cast<double>(sim_.Now()),
+            "{\"flow\":" + std::to_string(id) + ",\"policy\":\"" +
+                policy + "\",\"value\":" + FormatNumber(value) + "}");
+      }
+      if (admission_callback_) admission_callback_(id, false);
       return;
     }
-    controller_.AddFlow(info->flow, info->ladder_bps);
-    pcrf_.RegisterFlow(info->flow, FlowType::kVideo, config_.cell_tag);
-    clients_[info->flow] = ClientEntry{plugin, *info};
+    pcrf_.RegisterFlow(id, FlowType::kVideo, config_.cell_tag);
+    plugins_[id] = plugin;
     // Reset the trace window so the first BAI measures a clean interval.
-    if (cell_.HasFlow(info->flow)) cell_.TakeWindow(info->flow);
-    if (admission_ != nullptr && flight_ != nullptr) {
-      flight_->Record(ToSeconds(sim_.Now()), "admission_admit", info->flow);
+    if (cell_.HasFlow(id)) cell_.TakeWindow(id);
+    if (admission != nullptr && flight_ != nullptr) {
+      flight_->Record(ToSeconds(sim_.Now()), "admission_admit", id);
     }
-    if (admission_callback_) admission_callback_(info->flow, true);
+    if (admission_callback_) admission_callback_(id, true);
   });
 }
 
-bool OneApiServer::AdmitClient(const ClientInfo& info) {
-  AdmissionRequest request;
-  request.flow = info.flow;
-  OptFlow candidate;
-  candidate.ladder_bps = info.ladder_bps;
-  candidate.utility = info.utility.value_or(config_.params.utility);
-  // Channel-based estimate at connect time: the flow has no trace window
-  // yet, so use the nominal per-RB capacity at its current MCS (mirrors
-  // RunBai's idle-flow fallback).
-  candidate.bits_per_rb =
-      cell_.HasFlow(info.flow)
-          ? static_cast<double>(
-                TbsBitsPerPrb(cell_.UeItbs(cell_.flow(info.flow).ue)))
-          : 1.0;
-  // Arrivals enter at the lowest rung (Algorithm 1 caps new flows there).
-  candidate.min_level = 0;
-  candidate.max_level = 0;
-  request.candidate = candidate;
-  request.n_data_flows = pcrf_.CountFlows(FlowType::kData, config_.cell_tag);
-  request.rb_rate = static_cast<double>(cell_.num_rbs()) * 1000.0;
-
-  const AdmissionDecision decision = admission_->Decide(request);
-  if (decision.admit) {
-    // Track the admitted flow over its full ladder from now on.
-    candidate.max_level = static_cast<int>(candidate.ladder_bps.size()) - 1;
-    admission_->OnAdmitted(info.flow, candidate);
-    return true;
-  }
-  admission_rejects_metric_.Add();
-  if (flight_ != nullptr) {
-    flight_->Record(ToSeconds(sim_.Now()), "admission_reject", info.flow, -1,
-                    decision.value,
-                    "{\"policy\":\"" +
-                        std::string(AdmissionPolicyName(
-                            admission_->config().policy)) +
-                        "\"}");
-  }
-  if (span_trace_ != nullptr) {
-    span_trace_->Instant(
-        kLaneControl, "churn", "admission_reject",
-        static_cast<double>(sim_.Now()),
-        "{\"flow\":" + std::to_string(info.flow) + ",\"policy\":\"" +
-            AdmissionPolicyName(admission_->config().policy) +
-            "\",\"value\":" + FormatNumber(decision.value) + "}");
-  }
-  return false;
+double OneApiServer::NominalBitsPerRb(FlowId id) const {
+  if (!cell_.HasFlow(id)) return 1.0;
+  return static_cast<double>(TbsBitsPerPrb(cell_.UeItbs(cell_.flow(id).ue)));
 }
 
 void OneApiServer::UpdateClientInfo(FlowId id, const ClientInfo& info) {
@@ -115,20 +97,17 @@ void OneApiServer::UpdateClientInfo(FlowId id, const ClientInfo& info) {
       FLOG_WARN << "OneApiServer: dropping malformed client-info update";
       return;
     }
-    const auto it = clients_.find(id);
-    if (it == clients_.end()) return;
-    it->second.info.max_level = update->max_level;
-    it->second.info.utility = update->utility;
-    it->second.info.skimming = update->skimming;
+    if (const char* defect = engine_.Refresh(id, *update)) {
+      FLOG_WARN << "OneApiServer: dropping client-info update: " << defect;
+    }
   });
 }
 
 void OneApiServer::DisconnectVideoClient(FlowId id) {
   connect_generation_.erase(id);  // cancel any in-flight ConnectVideoClient
-  controller_.RemoveFlow(id);
+  engine_.Remove(id);
   pcrf_.DeregisterFlow(id, config_.cell_tag);
-  clients_.erase(id);
-  if (admission_ != nullptr) admission_->OnDeparted(id);
+  plugins_.erase(id);
 }
 
 void OneApiServer::SetObservers(MetricsRegistry* registry,
@@ -137,7 +116,7 @@ void OneApiServer::SetObservers(MetricsRegistry* registry,
   trace_sink_ = sink;
   span_trace_ = spans;
   health_ = health;
-  controller_.SetSpanTracer(spans);
+  engine_.controller().SetSpanTracer(spans);
   bais_metric_ = MakeCounterHandle(registry, "oneapi.bais");
   assignments_metric_ = MakeCounterHandle(registry, "oneapi.assignments");
   admission_rejects_metric_ =
@@ -162,51 +141,26 @@ void OneApiServer::Start() {
 
 void OneApiServer::RunBai() {
   SpanScope bai_span(span_trace_, kLaneControl, "oneapi", "bai");
-  // --- Gather client information + RB/rate trace windows.
-  std::vector<FlowObservation> observations;
-  observations.reserve(clients_.size());
-  std::map<FlowId, double> raw_samples;
-  for (auto& [id, entry] : clients_) {
-    if (!cell_.HasFlow(id)) continue;
-    const RbRateWindow window = cell_.TakeWindow(id);
-    double sample;
-    if (window.rbs > 0) {
-      sample = static_cast<double>(window.tx_bytes) * 8.0 /
-               static_cast<double>(window.rbs);
-    } else {
-      // Flow idle all BAI (e.g. buffer full): fall back to the channel's
-      // nominal per-RB capacity at the current MCS.
-      sample = static_cast<double>(
-          TbsBitsPerPrb(cell_.UeItbs(cell_.flow(id).ue)));
-    }
-    const double w = std::clamp(config_.efficiency_smoothing, 0.0, 1.0);
-    entry.smoothed_bits_per_rb =
-        entry.smoothed_bits_per_rb <= 0.0
-            ? sample
-            : (1.0 - w) * entry.smoothed_bits_per_rb + w * sample;
-    raw_samples[id] = sample;
-    // Keep the admission controller's capacity picture current, so
-    // between-BAI connect decisions price against live efficiencies.
-    if (admission_ != nullptr) {
-      admission_->OnEstimate(id, entry.smoothed_bits_per_rb);
-    }
-
-    FlowObservation obs;
-    obs.id = id;
-    obs.bits_per_rb = entry.smoothed_bits_per_rb;
-    obs.client_max_level = entry.info.max_level;
-    // A skimming viewer gets the minimum bitrate while it lasts.
-    if (entry.info.skimming) obs.client_max_level = 0;
-    obs.utility = entry.info.utility;
-    observations.push_back(obs);
-  }
-  if (observations.empty()) return;
+  // --- Gather the RB/rate trace windows: e_u = 8 * b_u / n_u. A flow
+  // whose bearer is already gone (teardown not yet reported) sits out.
+  const bool observed =
+      engine_.Gather([this](FlowId id, double) -> std::optional<double> {
+        if (!cell_.HasFlow(id)) return std::nullopt;
+        const RbRateWindow window = cell_.TakeWindow(id);
+        if (window.rbs > 0) {
+          return static_cast<double>(window.tx_bytes) * 8.0 /
+                 static_cast<double>(window.rbs);
+        }
+        // Flow idle all BAI (e.g. buffer full): fall back to the channel's
+        // nominal per-RB capacity at the current MCS.
+        return NominalBitsPerRb(id);
+      });
+  if (!observed) return;
 
   const int n_data =
       pcrf_.CountFlows(FlowType::kData, config_.cell_tag);
   const double rb_rate = static_cast<double>(cell_.num_rbs()) * 1000.0;
-  const BaiDecision decision =
-      controller_.DecideBai(observations, n_data, rb_rate);
+  const BaiDecision decision = engine_.Decide(n_data, rb_rate);
 
   const double solve_ms =
       config_.deterministic_timing
@@ -230,11 +184,7 @@ void OneApiServer::RunBai() {
   // --- Enforce: GBR via PCEF at the eNodeB, rung via the UE plugin. The
   // assignment travels as a wire message and the plugin side decodes it.
   for (const RateAssignment& a : decision.assignments) {
-    RateAssignmentMsg msg;
-    msg.flow = a.id;
-    msg.level = a.level;
-    msg.rate_bps = a.rate_bps;
-    msg.gbr_bps = a.rate_bps * config_.gbr_headroom;
+    const RateAssignmentMsg msg = engine_.Message(a);
     pcef_.EnforceGbr(msg.flow, msg.gbr_bps);
     assignments_metric_.Add();
     if (a.level != a.previous_level) {
@@ -269,14 +219,14 @@ void OneApiServer::RunBai() {
           "{\"flow\":" + std::to_string(a.id) +
               ",\"gbr_kbps\":" + FormatNumber(msg.gbr_bps / 1000.0) + "}");
     }
-    const auto it = clients_.find(a.id);
-    if (trace_sink_ != nullptr && it != clients_.end()) {
+    if (trace_sink_ != nullptr) {
+      const BaiEngine::Flow& flow = *engine_.Find(a.id);
       BaiTraceRow row;
       row.t_s = ToSeconds(sim_.Now());
       row.cell = static_cast<int>(config_.cell_tag);
       row.flow = a.id;
-      row.observed_bits_per_rb = raw_samples[a.id];
-      row.smoothed_bits_per_rb = it->second.smoothed_bits_per_rb;
+      row.observed_bits_per_rb = flow.sample_bits_per_rb;
+      row.smoothed_bits_per_rb = flow.smoothed_bits_per_rb;
       row.recommended_level = a.recommended_level;
       row.hysteresis_up = a.consecutive_up;
       row.enforced_level = a.level;
@@ -288,7 +238,6 @@ void OneApiServer::RunBai() {
       row.cause = DecisionCauseName(a.cause);
       trace_sink_->RecordBai(row);
     }
-    if (it == clients_.end()) continue;
     const std::string wire = EncodeRateAssignment(msg);
     // Resolve the plugin at delivery time, not capture time: the client
     // may disconnect (and its plugin die) while the push is in flight.
@@ -296,9 +245,9 @@ void OneApiServer::RunBai() {
       const std::optional<RateAssignmentMsg> decoded =
           DecodeRateAssignment(wire);
       if (!decoded) return;
-      const auto client = clients_.find(decoded->flow);
-      if (client == clients_.end()) return;
-      client->second.plugin->SetAssignedLevel(decoded->level);
+      const auto plugin = plugins_.find(decoded->flow);
+      if (plugin == plugins_.end()) return;
+      plugin->second->SetAssignedLevel(decoded->level);
     });
   }
 }

@@ -8,6 +8,13 @@
 // eNodeB scheduler, and pushing the chosen rung to each FLARE UE plugin so
 // the client requests exactly the assigned bitrate. Both pushes cross the
 // control plane with configurable latency.
+//
+// The control loop itself (validation, admission, smoothing, Algorithm 1,
+// the GBR rule) is the shared BaiEngine (net/bai_engine.h); this adapter
+// is the simulator transport around it. One server manages one cell; a
+// multi-cell deployment runs one server per cell over a shared PCRF, each
+// with its own PCEF and `cell_tag`, since "the bitrates are calculated
+// independently for each network cell" (Section II-A).
 #pragma once
 
 #include <cstdint>
@@ -18,6 +25,7 @@
 #include "churn/admission.h"
 #include "core/rate_controller.h"
 #include "lte/cell.h"
+#include "net/bai_engine.h"
 #include "net/flare_plugin.h"
 #include "net/pcef.h"
 #include "net/pcrf.h"
@@ -77,7 +85,8 @@ class OneApiServer {
 
   /// Client pushes refreshed info mid-session (new cost cap, clickstream
   /// state, ...). Applied after the uplink latency; unknown flows are
-  /// ignored (teardown race).
+  /// ignored (teardown race), and an update the solvers could not take is
+  /// dropped, leaving the previous constraints in force.
   void UpdateClientInfo(FlowId id, const ClientInfo& info);
 
   /// Begin the BAI loop.
@@ -86,12 +95,14 @@ class OneApiServer {
   /// Run one BAI synchronously (exposed for tests).
   void RunBai();
 
-  FlareRateController& controller() { return controller_; }
-  const FlareRateController& controller() const { return controller_; }
+  FlareRateController& controller() { return engine_.controller(); }
+  const FlareRateController& controller() const {
+    return engine_.controller();
+  }
 
   /// Whether `id` has a *landed* registration (an in-flight
   /// ConnectVideoClient still inside the uplink latency does not count).
-  bool HasClient(FlowId id) const { return clients_.count(id) > 0; }
+  bool HasClient(FlowId id) const { return engine_.Find(id) != nullptr; }
 
   /// Connect attempts still inside the uplink-latency window. Bounded by
   /// the in-flight count — landed and disconnected flows leave no
@@ -105,15 +116,17 @@ class OneApiServer {
   /// controller/PCRF/client state) and emits an `admission_reject`
   /// instant. Each BAI refreshes the controller's per-flow estimates.
   void SetAdmissionController(AdmissionController* admission) {
-    admission_ = admission;
+    engine_.SetAdmission(admission);
   }
 
   /// Invoked when a ConnectVideoClient resolves: (flow, admitted). Fires
   /// with admitted=true after every successful registration — also with
   /// no admission controller attached — so dynamically spawned sessions
   /// can defer playback until their registration lands. Fires with
-  /// admitted=false on an admission rejection (or a malformed wire
-  /// message). Does NOT fire for connects cancelled by a disconnect.
+  /// admitted=false on an admission rejection, or on client info the
+  /// solvers could not take (malformed wire message, bad ladder or
+  /// utility), which leaves no controller/PCRF state either. Does NOT
+  /// fire for connects cancelled by a disconnect.
   using AdmissionCallback = std::function<void(FlowId, bool)>;
   void SetAdmissionCallback(AdmissionCallback callback) {
     admission_callback_ = std::move(callback);
@@ -138,31 +151,24 @@ class OneApiServer {
                     RunHealthMonitor* health = nullptr);
 
   /// Attach the QoE/flight-recorder tier (either may be null): `qoe`
-  /// counts enforced rung changes by DecisionCause and admission
-  /// verdicts; `flight` records rung_change / gbr_push / admission
-  /// events. Separate from SetObservers so existing call sites keep
-  /// their signature.
+  /// counts enforced rung changes by DecisionCause; `flight` records
+  /// rung_change / gbr_push / admission events. Separate from
+  /// SetObservers because only the scenario world wires this tier.
   void SetAnalytics(QoeAnalytics* qoe, FlightRecorder* flight);
 
  private:
-  /// Run the attached admission controller on a landed connect; true =
-  /// admit (controller bookkeeping updated), false = reject (instant +
-  /// counter emitted).
-  bool AdmitClient(const ClientInfo& info);
-
-  struct ClientEntry {
-    FlarePlugin* plugin = nullptr;
-    ClientInfo info;
-    double smoothed_bits_per_rb = 0.0;  // 0 = no observation yet
-  };
+  /// Channel-based bits-per-RB at the UE's current MCS, for connects and
+  /// idle BAIs (1.0 when the cell has no such flow).
+  double NominalBitsPerRb(FlowId id) const;
 
   Simulator& sim_;
   Cell& cell_;
   Pcrf& pcrf_;
   Pcef& pcef_;
   OneApiConfig config_;
-  FlareRateController controller_;
-  std::map<FlowId, ClientEntry> clients_;
+  BaiEngine engine_;
+  /// Assignment delivery targets of the landed registrations.
+  std::map<FlowId, FlarePlugin*> plugins_;
   /// In-flight connects only: each ConnectVideoClient stores a globally
   /// unique generation here and its delayed callback registers only if
   /// the entry still matches; DisconnectVideoClient erases the entry
@@ -172,7 +178,6 @@ class OneApiServer {
   /// erase.
   std::map<FlowId, std::uint64_t> connect_generation_;
   std::uint64_t next_generation_ = 0;
-  AdmissionController* admission_ = nullptr;
   AdmissionCallback admission_callback_;
   std::vector<double> solve_times_ms_;
   std::vector<double> video_fractions_;

@@ -4,17 +4,17 @@
 #include <sys/timerfd.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/optimizer.h"
+#include "net/bai_engine.h"
 #include "net/messages.h"
 #include "netio/event_loop.h"
 #include "netio/tcp.h"
@@ -45,11 +45,10 @@ struct SessionConn {
   }
 };
 
-/// Per-admitted-flow state, mirroring OneApiServer::ClientEntry plus the
-/// latest stats sample waiting for the next BAI tick.
+/// Per-admitted-flow transport state (the BaiEngine holds the client info
+/// and the smoothed estimate): the latest stats sample waiting for the
+/// next BAI tick, and the delivery connection.
 struct Session {
-  ClientInfo info;
-  double smoothed_bits_per_rb = 0.0;  // 0 = no observation yet
   double pending_sample = 0.0;
   bool has_pending_sample = false;
   int conn_fd = -1;
@@ -88,10 +87,12 @@ OverloadInfo Overload(const char* reason, const char* policy = "",
 struct OneApiService::Impl {
   explicit Impl(OneApiServiceOptions opts)
       : options(std::move(opts)),
-        controller(options.params),
+        engine(options.params, options.efficiency_smoothing,
+               options.gbr_headroom),
         admission(options.admission),
         epoch(std::chrono::steady_clock::now()) {
     admission.SetObservers(&registry);
+    engine.SetAdmission(&admission);
     if (!options.trace_json.empty()) {
       tracer = std::make_unique<RequestTracer>(
           &registry, &metrics_mu, options.flight_recorder, options.trace);
@@ -107,8 +108,8 @@ struct OneApiService::Impl {
 
   // --- Loop-thread-only state -------------------------------------------
   std::map<int, std::unique_ptr<SessionConn>> conns;
-  std::map<FlowId, Session> sessions;  // ascending FlowId, like OneApiServer
-  FlareRateController controller;
+  std::map<FlowId, Session> sessions;  // the engine's flows, by FlowId
+  BaiEngine engine;
   AdmissionController admission;
   /// Null when tracing is off: the request path then never reads a clock
   /// or records a span, and assignments to untraced clients are
@@ -268,19 +269,11 @@ void OneApiService::Impl::HandleClientInfo(SessionConn& sc,
                                            const Frame& frame,
                                            const FrameTiming& timing) {
   const std::optional<ClientInfo> info = DecodeClientInfo(frame.payload);
-  if (!info) {
-    SendOverloadAndClose(sc, Overload("malformed"));
-    return;
-  }
-  // The flow as admission and the controller will see it, over its full
-  // ladder. Whatever the solvers would reject is malformed, on first
-  // connect and on refresh alike, so it never reaches either of them.
-  OptFlow candidate;
-  candidate.ladder_bps = info->ladder_bps;
-  candidate.utility = info->utility.value_or(options.params.utility);
-  candidate.bits_per_rb = options.default_bits_per_rb;
-  candidate.max_level = static_cast<int>(candidate.ladder_bps.size()) - 1;
-  if (FlowDefect(candidate) != nullptr) {
+  // Whatever the solvers would reject is malformed, on first connect and
+  // on refresh alike. Checked before any counter moves; the engine's
+  // Connect and Refresh apply the same rule again.
+  if (!info ||
+      engine.Defect(*info, options.default_bits_per_rb) != nullptr) {
     SendOverloadAndClose(sc, Overload("malformed"));
     return;
   }
@@ -299,83 +292,61 @@ void OneApiService::Impl::HandleClientInfo(SessionConn& sc,
   };
 
   if (sc.flow != kInvalidFlow) {
-    // Mid-session refresh (new cost cap, clickstream state, ...): mirrors
-    // OneApiServer::UpdateClientInfo — constraints update, ladder does not.
+    // Mid-session refresh (new cost cap, clickstream state, ...):
+    // constraints update, ladder does not.
     if (info->flow != sc.flow) {
       SendOverloadAndClose(sc, Overload("malformed"));
       return;
     }
-    const auto session = sessions.find(sc.flow);
-    if (session != sessions.end()) {
-      session->second.info.max_level = info->max_level;
-      session->second.info.utility = info->utility;
-      session->second.info.skimming = info->skimming;
-    }
+    engine.Refresh(sc.flow, *info);
     return;
   }
 
   arrivals.fetch_add(1, std::memory_order_relaxed);
-  if (sessions.count(info->flow) > 0) {
+  // A blocked arrival is counted under `count`/`metric`, then rejected.
+  const auto block = [&](std::atomic<std::uint64_t>& count,
+                         const char* metric, const OverloadInfo& reject) {
     blocked.fetch_add(1, std::memory_order_relaxed);
-    overload_rejects.fetch_add(1, std::memory_order_relaxed);
+    count.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(metrics_mu);
-      registry.GetCounter("svc.oneapi.overload_rejects").Add();
+      registry.GetCounter(metric).Add();
     }
     UpdateBlockingRate();
     record_admit(false);
-    SendOverloadAndClose(sc, Overload("duplicate_flow"));
+    SendOverloadAndClose(sc, reject);
+  };
+  if (sessions.count(info->flow) > 0) {
+    block(overload_rejects, "svc.oneapi.overload_rejects",
+          Overload("duplicate_flow"));
     return;
   }
   if (options.max_sessions > 0 && sessions.size() >= options.max_sessions) {
-    blocked.fetch_add(1, std::memory_order_relaxed);
-    overload_rejects.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu);
-      registry.GetCounter("svc.oneapi.overload_rejects").Add();
-    }
-    UpdateBlockingRate();
-    record_admit(false);
-    SendOverloadAndClose(
-        sc, Overload("session_limit", "",
-                     static_cast<double>(options.max_sessions)));
+    block(overload_rejects, "svc.oneapi.overload_rejects",
+          Overload("session_limit", "",
+                   static_cast<double>(options.max_sessions)));
     return;
   }
 
-  // Admission: candidate pinned at the lowest rung with the configured
-  // connect-time efficiency estimate, exactly like OneApiServer.
-  AdmissionRequest request;
-  request.flow = info->flow;
-  request.candidate = candidate;
-  request.candidate.max_level = 0;
-  request.n_data_flows = options.n_data_flows;
-  request.rb_rate = static_cast<double>(options.num_rbs) * 1000.0;
-
-  AdmissionDecision decision;
+  // Admission prices the candidate at the configured connect-time
+  // estimate (the daemon has no channel to read). The policy writes the
+  // registry, so the lock spans the whole connect.
+  BaiEngine::ConnectVerdict verdict;
   {
     std::lock_guard<std::mutex> lock(metrics_mu);
-    decision = admission.Decide(request);
+    verdict = engine.Connect(*info, options.default_bits_per_rb,
+                             options.n_data_flows,
+                             static_cast<double>(options.num_rbs) * 1000.0);
   }
-  if (!decision.admit) {
-    blocked.fetch_add(1, std::memory_order_relaxed);
-    admission_rejects.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu);
-      registry.GetCounter("svc.oneapi.admission_rejects").Add();
-    }
-    UpdateBlockingRate();
-    record_admit(false);
-    SendOverloadAndClose(
-        sc, Overload("admission",
-                     AdmissionPolicyName(options.admission.policy),
-                     decision.value));
+  if (!verdict.decision.admit) {
+    block(admission_rejects, "svc.oneapi.admission_rejects",
+          Overload("admission",
+                   AdmissionPolicyName(options.admission.policy),
+                   verdict.decision.value));
     return;
   }
 
-  controller.AddFlow(info->flow, info->ladder_bps);
-  admission.OnAdmitted(info->flow, candidate);
   Session session;
-  session.info = *info;
   session.conn_fd = sc.conn.fd();
   sessions[info->flow] = std::move(session);
   sc.flow = info->flow;
@@ -477,8 +448,7 @@ void OneApiService::Impl::TeardownConn(int fd) {
     const auto session = sessions.find(flow);
     if (session != sessions.end() && session->second.conn_fd == fd) {
       sessions.erase(session);
-      controller.RemoveFlow(flow);
-      admission.OnDeparted(flow);
+      engine.Remove(flow);
       session_count.store(sessions.size(), std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(metrics_mu);
       registry.GetGauge("svc.oneapi.sessions")
@@ -513,46 +483,29 @@ void OneApiService::Impl::Tick() {
   const auto tick_start = std::chrono::steady_clock::now();
   const double tick_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
 
-  // --- Gather: ascending FlowId, the same iteration order (and the same
-  // EWMA arithmetic) as OneApiServer::RunBai, so wire assignments match
-  // an in-process run observation-for-observation.
-  std::vector<FlowObservation> observations;
-  observations.reserve(sessions.size());
-  const double w = std::clamp(options.efficiency_smoothing, 0.0, 1.0);
-  for (auto& [id, session] : sessions) {
-    const double sample =
-        session.has_pending_sample
-            ? session.pending_sample
-            : (session.smoothed_bits_per_rb > 0.0
-                   ? session.smoothed_bits_per_rb
-                   : options.default_bits_per_rb);
-    session.has_pending_sample = false;
-    session.smoothed_bits_per_rb =
-        session.smoothed_bits_per_rb <= 0.0
-            ? sample
-            : (1.0 - w) * session.smoothed_bits_per_rb + w * sample;
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu);
-      admission.OnEstimate(id, session.smoothed_bits_per_rb);
-    }
-
-    FlowObservation obs;
-    obs.id = id;
-    obs.bits_per_rb = session.smoothed_bits_per_rb;
-    obs.client_max_level = session.info.max_level;
-    if (session.info.skimming) obs.client_max_level = 0;
-    obs.utility = session.info.utility;
-    observations.push_back(obs);
-  }
+  // --- Gather: each session's latest stats report, else its standing
+  // estimate, else the configured default before any report. A zero-RB
+  // report carries no signal (idle BAI) and leaves the standing estimate
+  // in force, as the simulator's nominal-capacity fallback does.
+  const bool observed = engine.Gather(
+      [this](FlowId id, double standing) -> std::optional<double> {
+        const auto session = sessions.find(id);
+        if (session == sessions.end()) return std::nullopt;
+        Session& sess = session->second;
+        if (!sess.has_pending_sample) {
+          return standing > 0.0 ? standing : options.default_bits_per_rb;
+        }
+        sess.has_pending_sample = false;
+        return sess.pending_sample;
+      });
 
   double solve_start_us = 0.0;
   double solve_span_us = 0.0;
   std::size_t n_assignments = 0;
-  if (!observations.empty()) {
+  if (observed) {
     const double rb_rate = static_cast<double>(options.num_rbs) * 1000.0;
     solve_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
-    const BaiDecision decision =
-        controller.DecideBai(observations, options.n_data_flows, rb_rate);
+    const BaiDecision decision = engine.Decide(options.n_data_flows, rb_rate);
     solve_span_us =
         tracer != nullptr ? tracer->now_us() - solve_start_us : 0.0;
     n_assignments = decision.assignments.size();
@@ -568,11 +521,7 @@ void OneApiService::Impl::Tick() {
       Session& sess = session->second;
       const double encode_start_us =
           tracer != nullptr && sess.pending_trace ? tracer->now_us() : 0.0;
-      RateAssignmentMsg msg;
-      msg.flow = a.id;
-      msg.level = a.level;
-      msg.rate_bps = a.rate_bps;
-      msg.gbr_bps = a.rate_bps * options.gbr_headroom;
+      const RateAssignmentMsg msg = engine.Message(a);
       // Echo the client's trace context (with our receive/transmit
       // stamps) on the assignment that answers it — whether or not
       // server-side tracing is on. Untraced clients get byte-identical

@@ -1,12 +1,14 @@
-// Standalone networked OneAPI control plane (ROADMAP item 2).
+// Standalone networked OneAPI control plane.
 //
-// OneApiService is the real-socket counterpart of net/oneapi_server: the
-// same Algorithm 1 BAI loop (FlareRateController, default kBatchedSweep)
-// and the same admission controller (churn/admission), but with sessions
-// arriving as TCP connections instead of direct method calls. One
-// background thread runs a netio EpollLoop carrying the listener, every
-// session connection, and a timerfd that fires the periodic BAI tick; the
-// public surface (Start/Stop/TriggerTick/counters) is thread-safe.
+// OneApiService is the real-socket counterpart of net/oneapi_server: both
+// are transport adapters over the same BaiEngine (net/bai_engine.h), so
+// validation, admission (churn/admission), the e_u EWMA, the observation
+// build and gbr = rate * gbr_headroom are one implementation. Here the
+// sessions arrive as TCP connections instead of direct method calls, and
+// the controller defaults to kBatchedSweep. One background thread runs a
+// netio EpollLoop carrying the listener, every session connection, and a
+// timerfd that fires the periodic BAI tick; the public surface
+// (Start/Stop/TriggerTick/counters) is thread-safe.
 //
 // Protocol (svc/frame.h framing over the net/messages.h codec):
 //
@@ -17,12 +19,13 @@
 //   <----- kAssignment (EncodeRateAssignment) -    every BAI tick, fanned
 //   ------ kBye ------------------------------->   clean teardown
 //
-// Semantics mirror OneApiServer::RunBai exactly — sessions iterate in
-// ascending FlowId order, e_u = 8*tx_bytes/rbs, the same EWMA smoothing,
-// skimming pins client_max_level to 0, gbr = rate * gbr_headroom — so an
-// assignment stream observed on the wire is value-identical to an
-// in-process run over the same schedule (tests/oneapi_service_test.cpp
-// holds the two byte-equal through the shared codec).
+// Only the e_u source differs from the simulator: each tick samples a
+// session's latest stats report (e_u = 8*tx_bytes/rbs), else its standing
+// estimate, else `default_bits_per_rb`. So an assignment stream observed
+// on the wire is value-identical to an in-process run over the same
+// schedule (tests/oneapi_service_test.cpp holds the two byte-equal
+// through the shared codec, across refreshes, departures and admission
+// verdicts).
 //
 // Overload behaviour is load-shedding, never latency collapse: arrivals
 // beyond max_sessions or rejected by the admission policy get a typed

@@ -17,7 +17,8 @@
 #include "has/video_session.h"
 #include "lte/gbr_scheduler.h"
 #include "lte/pf_scheduler.h"
-#include "net/oneapi_multi.h"
+#include "net/oneapi_server.h"
+#include "net/pcef.h"
 #include "obs/metrics.h"
 #include "scenario/scenario.h"
 #include "sim/simulator.h"
@@ -486,7 +487,6 @@ TEST(ChurnMultiCell, ArrivalDuringHandoverIsAdmitted) {
   Pcrf pcrf;
   OneApiConfig config;
   config.bai = FromSeconds(1.0);
-  OneApiMultiServer server(sim, pcrf, config);
 
   auto make_cell = [&sim](std::uint64_t seed) {
     auto cell = std::make_unique<Cell>(
@@ -497,13 +497,18 @@ TEST(ChurnMultiCell, ArrivalDuringHandoverIsAdmitted) {
   };
   auto cell_a = make_cell(1);
   auto cell_b = make_cell(2);
-  const CellId a = server.AddCell(*cell_a);
-  const CellId b = server.AddCell(*cell_b);
+  // One server per cell over the shared PCRF.
+  Pcef pcef_a(sim, *cell_a, config.downlink_latency);
+  Pcef pcef_b(sim, *cell_b, config.downlink_latency);
+  OneApiConfig config_b = config;
+  config_b.cell_tag = 1;
+  OneApiServer server_a(sim, *cell_a, pcrf, pcef_a, config);
+  OneApiServer server_b(sim, *cell_b, pcrf, pcef_b, config_b);
 
   AdmissionController admission;  // admit-all
-  server.SetAdmissionController(b, &admission);
+  server_b.SetAdmissionController(&admission);
   std::vector<std::pair<FlowId, bool>> outcomes;
-  server.SetAdmissionCallback([&outcomes](FlowId flow, bool admitted) {
+  server_b.SetAdmissionCallback([&outcomes](FlowId flow, bool admitted) {
     outcomes.emplace_back(flow, admitted);
   });
 
@@ -511,26 +516,26 @@ TEST(ChurnMultiCell, ArrivalDuringHandoverIsAdmitted) {
   // Session 1 streams through cell A...
   const FlowId flow1 = cell_a->AddFlow(0, FlowType::kVideo);
   FlarePlugin plugin1(flow1);
-  server.ConnectVideoClient(a, &plugin1, mpd);
+  server_a.ConnectVideoClient(&plugin1, mpd);
   sim.RunUntil(FromSeconds(0.5));
-  ASSERT_EQ(server.OwnerCell(flow1), a);
+  ASSERT_TRUE(server_a.HasClient(flow1));
 
   // ...starts a handover into cell B, and while that connect is still in
   // flight a brand-new session arrives in B.
   const FlowId flow1_b = cell_b->AddFlow(0, FlowType::kVideo);
   FlarePlugin plugin1_b(flow1_b);
-  server.ConnectVideoClient(b, &plugin1_b, mpd);
+  server_b.ConnectVideoClient(&plugin1_b, mpd);
   const FlowId flow2 = cell_b->AddFlow(0, FlowType::kVideo);
   FlarePlugin plugin2(flow2);
-  server.ConnectVideoClient(b, &plugin2, mpd);
-  EXPECT_EQ(server.cell_server(b).pending_connects(), 2u);
+  server_b.ConnectVideoClient(&plugin2, mpd);
+  EXPECT_EQ(server_b.pending_connects(), 2u);
 
   sim.RunUntil(FromSeconds(1.0));
-  EXPECT_EQ(server.cell_server(b).pending_connects(), 0u);
+  EXPECT_EQ(server_b.pending_connects(), 0u);
   // Both the migrating session and the mid-handover arrival were admitted
   // into B's admission set.
   EXPECT_EQ(admission.admitted_flows(), 2u);
-  EXPECT_EQ(server.OwnerCell(flow2), b);
+  EXPECT_TRUE(server_b.HasClient(flow2));
   bool saw_flow2 = false;
   for (const auto& [flow, admitted] : outcomes) {
     EXPECT_TRUE(admitted);

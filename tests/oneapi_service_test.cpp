@@ -226,14 +226,32 @@ bool WaitFor(Pred predicate, int timeout_ms = 2000) {
 // ---------------------------------------------------------------------
 
 TEST(OneApiService, WireAssignmentsMatchInProcessServer) {
-  // Reference: the in-simulator OneApiServer over three video flows with
-  // distinct static channels. The cell is never started, so every BAI
-  // observes the idle-flow fallback — the channel's nominal bits-per-RB —
-  // which the wire clients below reproduce exactly as stats reports
-  // (tx_bytes = e, rbs = 8 => e_u = e).
-  constexpr int kBais = 6;
-  const std::vector<int> kItbs = {6, 9, 12};
+  // Reference: the in-simulator OneApiServer over video flows with
+  // distinct static channels, through a whole session lifecycle: three
+  // flows connect, two more arrive after the first BAI (the capacity
+  // threshold admits one and blocks the other), one flow takes a rung cap,
+  // another skims and stops skimming, and one departs. The cell is never
+  // started, so every BAI observes the idle-flow fallback — the channel's
+  // nominal bits-per-RB — which the wire clients below reproduce exactly
+  // as stats reports (tx_bytes = e, rbs = 8 => e_u = e).
+  constexpr int kBais = 10;
+  // Flows 1-3 connect up front; flows 4 and 5 arrive before BAI 1 on UEs
+  // whose nominal bits-per-RB is the daemon's connect-time estimate, so
+  // both sides price them identically.
+  constexpr int kArrivalItbs = 9;
+  const std::vector<int> kItbs = {12, 15, 18, kArrivalItbs, kArrivalItbs};
+  constexpr std::size_t kInitial = 3;
   const Mpd mpd = MakeMpd(SimulationLadderKbps(), 10.0);
+
+  // After BAI 0 every estimate is the flow's nominal value: flows 1-3
+  // project a floor-rung RB fraction of 0.023, flow 4 takes it to 0.037
+  // and flow 5 would take it to 0.052. At connect the daemon prices flows
+  // 1-3 at its default instead (0.044 for all three), still admitted.
+  AdmissionConfig admission_config;
+  admission_config.policy = AdmissionPolicy::kCapacityThreshold;
+  admission_config.capacity_threshold = 0.048;
+  FlareParams params = OneApiServiceOptions::BatchedParams();
+  params.delta = 1;  // rungs move every BAI, so caps and skimming bind
 
   Simulator sim;
   Cell cell(sim, std::make_unique<TwoPhaseGbrScheduler>(), CellConfig{},
@@ -244,10 +262,17 @@ TEST(OneApiService, WireAssignmentsMatchInProcessServer) {
   config.uplink_latency = 0;
   config.downlink_latency = 0;
   config.deterministic_timing = true;
-  config.params = OneApiServiceOptions::BatchedParams();
+  config.params = params;
   OneApiServer server(sim, cell, pcrf, pcef, config);
+  AdmissionController admission(admission_config);
+  server.SetAdmissionController(&admission);
   BaiTraceSink sink;
   server.SetObservers(nullptr, &sink);
+  std::map<FlowId, bool> sim_verdicts;
+  server.SetAdmissionCallback([&sim_verdicts](FlowId flow, bool admitted) {
+    sim_verdicts[flow] = admitted;
+  });
+  const auto land = [&sim] { sim.RunUntil(sim.Now() + kMillisecond); };
 
   std::vector<FlowId> flows;
   std::vector<std::unique_ptr<FlarePlugin>> plugins;
@@ -259,60 +284,162 @@ TEST(OneApiService, WireAssignmentsMatchInProcessServer) {
     plugins.push_back(std::make_unique<FlarePlugin>(flow));
     info_wires.push_back(
         EncodeClientInfo(plugins.back()->BuildClientInfo(mpd)));
-    server.ConnectVideoClient(plugins.back().get(), mpd);
   }
-  sim.RunUntil(kMillisecond);  // land the zero-latency registrations
-  for (int i = 0; i < kBais; ++i) server.RunBai();
-  ASSERT_EQ(sink.bai_rows().size(),
-            static_cast<std::size_t>(kBais) * flows.size());
+  for (std::size_t i = 0; i < kInitial; ++i) {
+    server.ConnectVideoClient(plugins[i].get(), mpd);
+  }
+  land();
 
-  // Wire: the standalone service with the identical controller
-  // parameters, driven tick by tick. Every client sends the exact
-  // ClientInfo bytes the reference plugins sent.
+  // Lifecycle events, applied just before the named BAI. A refresh
+  // carries the plugin's ClientInfo bytes as they stand at that point.
+  struct Event {
+    int bai;
+    std::size_t flow_index;
+    enum { kArrive, kRefresh, kDepart } kind;
+    std::string wire;
+  };
+  std::vector<Event> events;
+  const auto refresh = [&](std::size_t i) {
+    return EncodeClientInfo(plugins[i]->BuildClientInfo(mpd));
+  };
+  std::vector<std::size_t> rows_end;  // sink rows after each BAI
+  for (int bai = 0; bai < kBais; ++bai) {
+    if (bai == 1) {
+      for (std::size_t i = kInitial; i < flows.size(); ++i) {
+        events.push_back({bai, i, Event::kArrive, info_wires[i]});
+        server.ConnectVideoClient(plugins[i].get(), mpd);
+      }
+    } else if (bai == 3) {
+      plugins[0]->SetMaxLevel(1);
+      events.push_back({bai, 0, Event::kRefresh, refresh(0)});
+    } else if (bai == 4) {
+      plugins[1]->SetSkimming(true);
+      events.push_back({bai, 1, Event::kRefresh, refresh(1)});
+    } else if (bai == 5) {
+      events.push_back({bai, 2, Event::kDepart, ""});
+      server.DisconnectVideoClient(flows[2]);
+    } else if (bai == 7) {
+      plugins[1]->SetSkimming(false);
+      events.push_back({bai, 1, Event::kRefresh, refresh(1)});
+    }
+    for (const Event& event : events) {
+      if (event.bai == bai && event.kind == Event::kRefresh) {
+        server.UpdateClientInfo(flows[event.flow_index],
+                                *DecodeClientInfo(event.wire));
+      }
+    }
+    land();
+    server.RunBai();
+    rows_end.push_back(sink.bai_rows().size());
+  }
+  const std::map<FlowId, bool> want_verdicts = {
+      {flows[0], true}, {flows[1], true}, {flows[2], true},
+      {flows[3], true}, {flows[4], false}};
+  ASSERT_EQ(sim_verdicts, want_verdicts);
+  // The cap and the skimming pin both bound in the reference run.
+  const auto level_at = [&](int bai, FlowId flow) {
+    for (std::size_t r = bai == 0 ? 0 : rows_end[bai - 1]; r < rows_end[bai];
+         ++r) {
+      if (sink.bai_rows()[r].flow == flow) {
+        return sink.bai_rows()[r].enforced_level;
+      }
+    }
+    return -1;
+  };
+  // Flow 1 holds at its cap while flow 4, on a poorer channel, climbs
+  // past it; flow 2 drops to the floor while it skims.
+  EXPECT_EQ(level_at(kBais - 1, flows[0]), 1);
+  EXPECT_GT(level_at(kBais - 1, flows[3]), 1);
+  EXPECT_GT(level_at(3, flows[1]), 0);
+  EXPECT_EQ(level_at(4, flows[1]), 0);
+  EXPECT_GT(level_at(kBais - 1, flows[1]), 0);
+  EXPECT_EQ(level_at(5, flows[2]), -1);
+
+  // Wire: the standalone service with the identical controller and
+  // admission parameters, driven tick by tick. Every client sends the
+  // exact ClientInfo bytes the reference plugins sent.
   OneApiServiceOptions options;
   options.bai_ms = 0;  // ticks only via TriggerTick
   options.num_rbs = cell.num_rbs();
   options.deterministic_timing = true;
+  options.params = params;
+  options.admission = admission_config;
+  options.default_bits_per_rb = TbsBitsPerPrb(kArrivalItbs);
   OneApiService service(options);
   ASSERT_TRUE(service.Start());
 
-  std::vector<std::unique_ptr<TestClient>> clients;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    clients.push_back(std::make_unique<TestClient>());
-    ASSERT_TRUE(clients.back()->Connect(service.port()));
-    ASSERT_TRUE(
-        clients.back()->SendFrame(FrameType::kClientInfo, info_wires[i]));
-    const auto welcome = clients.back()->ReadFrame();
-    ASSERT_TRUE(welcome.has_value());
-    ASSERT_EQ(welcome->type, FrameType::kWelcome);
-    EXPECT_EQ(DecodeWelcome(welcome->payload).value_or(0), flows[i]);
-  }
+  std::map<std::size_t, std::unique_ptr<TestClient>> clients;  // live
+  std::map<FlowId, bool> wire_verdicts;
+  const auto connect = [&](std::size_t i) {
+    auto client = std::make_unique<TestClient>();
+    ASSERT_TRUE(client->Connect(service.port()));
+    ASSERT_TRUE(client->SendFrame(FrameType::kClientInfo, info_wires[i]));
+    const auto reply = client->ReadFrame();
+    ASSERT_TRUE(reply.has_value());
+    if (reply->type == FrameType::kWelcome) {
+      EXPECT_EQ(DecodeWelcome(reply->payload).value_or(0), flows[i]);
+      wire_verdicts[flows[i]] = true;
+      clients[i] = std::move(client);
+      return;
+    }
+    ASSERT_EQ(reply->type, FrameType::kOverload);
+    const auto overload = DecodeOverload(reply->payload);
+    ASSERT_TRUE(overload.has_value());
+    EXPECT_EQ(overload->reason, "admission");
+    EXPECT_EQ(overload->policy, "capacity-threshold");
+    EXPECT_GT(overload->value, admission_config.capacity_threshold);
+    wire_verdicts[flows[i]] = false;
+  };
+  for (std::size_t i = 0; i < kInitial; ++i) connect(i);
 
-  // One reference BAI at a time: stats in, tick, one assignment out per
-  // flow, compared byte-for-byte against the re-encoded trace row.
+  // One reference BAI at a time: events, stats in, tick, one assignment
+  // out per live flow, compared byte-for-byte against the re-encoded trace
+  // row of that BAI.
+  std::uint64_t infos = kInitial;
+  std::uint64_t stats = 0;
   for (int bai = 0; bai < kBais; ++bai) {
-    for (std::size_t i = 0; i < flows.size(); ++i) {
+    for (const Event& event : events) {
+      if (event.bai != bai) continue;
+      if (event.kind == Event::kArrive) {
+        connect(event.flow_index);
+        ++infos;
+      } else if (event.kind == Event::kRefresh) {
+        ASSERT_TRUE(clients.at(event.flow_index)
+                        ->SendFrame(FrameType::kClientInfo, event.wire));
+        ++infos;
+      } else {
+        ASSERT_TRUE(
+            clients.at(event.flow_index)->SendFrame(FrameType::kBye, ""));
+        clients.erase(event.flow_index);
+      }
+    }
+    ASSERT_TRUE(WaitFor([&] {
+      return service.infos_received() == infos &&
+             service.sessions() == clients.size();
+    })) << "events did not land before tick " << bai;
+    for (const auto& [i, client] : clients) {
       FlowStatsReport report;
       report.flow = flows[i];
       report.type = FlowType::kVideo;
       report.tx_bytes =
           static_cast<std::uint64_t>(TbsBitsPerPrb(kItbs[i]));
       report.rbs = 8;
-      ASSERT_TRUE(clients[i]->SendFrame(FrameType::kStatsReport,
-                                        EncodeStatsReport(report)));
+      ASSERT_TRUE(client->SendFrame(FrameType::kStatsReport,
+                                    EncodeStatsReport(report)));
+      ++stats;
     }
-    const std::uint64_t want =
-        static_cast<std::uint64_t>(flows.size()) *
-        static_cast<std::uint64_t>(bai + 1);
-    ASSERT_TRUE(WaitFor([&] { return service.stats_received() >= want; }))
+    ASSERT_TRUE(WaitFor([&] { return service.stats_received() >= stats; }))
         << "stats did not land before tick " << bai;
     service.TriggerTick();
-    for (std::size_t i = 0; i < flows.size(); ++i) {
-      const auto frame = clients[i]->ReadFrame();
+
+    const std::size_t begin = bai == 0 ? 0 : rows_end[bai - 1];
+    ASSERT_EQ(rows_end[bai] - begin, clients.size()) << "bai " << bai;
+    std::size_t row_index = begin;
+    for (const auto& [i, client] : clients) {  // ascending FlowId
+      const auto frame = client->ReadFrame();
       ASSERT_TRUE(frame.has_value()) << "no assignment, bai " << bai;
       ASSERT_EQ(frame->type, FrameType::kAssignment);
-      const BaiTraceRow& row =
-          sink.bai_rows()[static_cast<std::size_t>(bai) * flows.size() + i];
+      const BaiTraceRow& row = sink.bai_rows()[row_index++];
       ASSERT_EQ(row.flow, flows[i]);
       RateAssignmentMsg msg;
       msg.flow = row.flow;
@@ -324,8 +451,10 @@ TEST(OneApiService, WireAssignmentsMatchInProcessServer) {
           << " flow " << flows[i];
     }
   }
+  EXPECT_EQ(wire_verdicts, sim_verdicts);
+  EXPECT_EQ(service.admission_rejects(), 1u);
 
-  for (auto& client : clients) {
+  for (auto& [i, client] : clients) {
     EXPECT_TRUE(client->SendFrame(FrameType::kBye, ""));
   }
   EXPECT_TRUE(WaitFor([&] { return service.sessions() == 0; }));

@@ -158,8 +158,8 @@ void BM_ObsHandlesEnabled(benchmark::State& state) {
   MetricsRegistry registry;
   CounterHandle counter = MakeCounterHandle(&registry, "bench.counter");
   GaugeHandle gauge = MakeGaugeHandle(&registry, "bench.gauge");
-  HistogramHandle histogram = MakeHistogramHandle(
-      &registry, "bench.histogram", {1.0, 2.0, 5.0, 10.0});
+  HistogramHandle histogram =
+      MakeHistogramHandle(&registry, "bench.histogram");
   for (auto _ : state) {
     counter.Add();
     gauge.Set(42.0);
@@ -182,9 +182,8 @@ void BM_ObsOverhead(benchmark::State& state) {
   MetricsRegistry registry;
   CounterHandle ticks =
       MakeCounterHandle(enabled ? &registry : nullptr, "bench.ticks");
-  HistogramHandle latency = MakeHistogramHandle(
-      enabled ? &registry : nullptr, "bench.latency_ms",
-      {0.01, 0.1, 1.0, 10.0});
+  HistogramHandle latency =
+      MakeHistogramHandle(enabled ? &registry : nullptr, "bench.latency_ms");
   for (auto _ : state) {
     fake_now_us += 1000.0;
     {
@@ -323,9 +322,8 @@ void BM_DecideBaiWithObs(benchmark::State& state) {
   MetricsRegistry registry;
   CounterHandle bais =
       MakeCounterHandle(enabled ? &registry : nullptr, "bench.bais");
-  HistogramHandle solve_ms = MakeHistogramHandle(
-      enabled ? &registry : nullptr, "bench.solve_ms",
-      {0.01, 0.1, 1.0, 10.0});
+  HistogramHandle solve_ms =
+      MakeHistogramHandle(enabled ? &registry : nullptr, "bench.solve_ms");
   for (auto _ : state) {
     const BaiDecision decision =
         controller.DecideBai(observations, 2, 3'125.0 * n);

@@ -130,9 +130,7 @@ void VideoPlayer::SetQoeAnalytics(QoeAnalytics* qoe, FlightRecorder* flight,
 void VideoPlayer::SetMetrics(MetricsRegistry* registry) {
   stalls_metric_ = MakeCounterHandle(registry, "player.stalls");
   switches_metric_ = MakeCounterHandle(registry, "player.switches");
-  buffer_metric_ = MakeHistogramHandle(
-      registry, "player.buffer_s",
-      {1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 45.0, 60.0});
+  buffer_metric_ = MakeHistogramHandle(registry, "player.buffer_s");
 }
 
 }  // namespace flare

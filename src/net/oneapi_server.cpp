@@ -121,9 +121,7 @@ void OneApiServer::SetObservers(MetricsRegistry* registry,
   assignments_metric_ = MakeCounterHandle(registry, "oneapi.assignments");
   admission_rejects_metric_ =
       MakeCounterHandle(registry, "oneapi.admission_rejects");
-  solve_ms_metric_ = MakeHistogramHandle(
-      registry, "oneapi.solve_ms",
-      {0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0});
+  solve_ms_metric_ = MakeHistogramHandle(registry, "oneapi.solve_ms");
   video_fraction_metric_ =
       MakeGaugeHandle(registry, "oneapi.video_fraction");
 }

@@ -1,112 +1,124 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <ostream>
 #include <utility>
 
 #include "util/csv.h"
+#include "util/stats.h"
 
 namespace flare {
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)) {
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  buckets_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::Observe(double value) {
-  const auto it =
-      std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
-  ++count_;
-  sum_ += value;
-}
-
 namespace {
 
-/// Shared quantile kernel: the live Histogram and the detached
-/// HistogramSnapshot must agree bit for bit, so both call this.
-double QuantileImpl(const std::vector<double>& bounds,
-                    const std::vector<std::uint64_t>& buckets,
-                    std::uint64_t count, double sum, double q) {
-  // NaN rather than a fake 0: downstream JSON export turns it into null
-  // so tools never mistake "no samples" for "all samples were zero".
-  if (count == 0) return std::numeric_limits<double>::quiet_NaN();
-  if (bounds.empty()) return sum / static_cast<double>(count);  // == Mean()
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count);
-  std::uint64_t below = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i] == 0) continue;
-    const double lo_count = static_cast<double>(below);
-    below += buckets[i];
-    if (static_cast<double>(below) < target) continue;
-    if (i == bounds.size()) break;  // overflow bucket: clamp below
-    const double hi = bounds[i];
-    const double lo = i == 0 ? std::min(0.0, hi) : bounds[i - 1];
-    const double frac = std::clamp(
-        (target - lo_count) / static_cast<double>(buckets[i]), 0.0, 1.0);
-    return lo + (hi - lo) * frac;
-  }
-  return bounds.back();
+// A positive double's bit pattern grows with its value, and its top bits
+// are the exponent (the octave) followed by the mantissa's leading bits
+// (the linear sub-bucket). Shifting (bits - 1) right by kKeyShift keys
+// the upper-inclusive sub-bucket (EdgeOf(key), EdgeOf(key + 1)], so a
+// value that is exactly a power of two closes the octave below it and
+// the `le` edges of CumulativeEdges() count it exactly.
+static_assert(std::has_single_bit(
+    static_cast<unsigned>(Histogram::kSubBuckets)));
+constexpr int kKeyShift =
+    52 - std::countr_zero(static_cast<unsigned>(Histogram::kSubBuckets));
+constexpr std::uint64_t kOctaveMask = Histogram::kSubBuckets - 1;
+
+std::uint64_t KeyOf(double value) {
+  return (std::bit_cast<std::uint64_t>(value) - 1) >> kKeyShift;
 }
 
-std::vector<std::uint64_t> CumulativeImpl(
-    const std::vector<std::uint64_t>& buckets) {
-  std::vector<std::uint64_t> cumulative(buckets.size(), 0);
-  std::uint64_t running = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    running += buckets[i];
-    cumulative[i] = running;
-  }
-  return cumulative;
+double EdgeOf(std::uint64_t key) {
+  return std::bit_cast<double>(key << kKeyShift);
 }
 
 }  // namespace
+
+void Histogram::Observe(double value) {
+  ++count_;
+  sum_ += value;
+  if (!(value > 0.0)) {
+    ++zero_;
+    return;
+  }
+  const std::uint64_t key = KeyOf(value);
+  // One unsigned compare: a key below first_key_ wraps around.
+  if (key - first_key_ >= counts_.size()) Cover(key, key);
+  ++counts_[key - first_key_];
+}
+
+void Histogram::Cover(std::uint64_t lo_key, std::uint64_t hi_key) {
+  lo_key &= ~kOctaveMask;
+  hi_key |= kOctaveMask;
+  if (counts_.empty()) {
+    counts_.assign(hi_key - lo_key + 1, 0);
+    first_key_ = lo_key;
+    return;
+  }
+  lo_key = std::min(lo_key, first_key_);
+  hi_key = std::max(hi_key, first_key_ + counts_.size() - 1);
+  if (lo_key == first_key_ && hi_key - lo_key + 1 == counts_.size()) return;
+  std::vector<std::uint64_t> grown(hi_key - lo_key + 1, 0);
+  std::copy(counts_.begin(), counts_.end(),
+            grown.begin() + static_cast<std::ptrdiff_t>(first_key_ - lo_key));
+  counts_ = std::move(grown);
+  first_key_ = lo_key;
+}
 
 double Histogram::Mean() const {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
 }
 
 double Histogram::Quantile(double q) const {
-  return QuantileImpl(bounds_, buckets_, count_, sum_, q);
-}
-
-double HistogramSnapshot::Mean() const {
-  return count == 0 ? 0.0 : sum / static_cast<double>(count);
-}
-
-double HistogramSnapshot::Quantile(double q) const {
-  return QuantileImpl(bounds, buckets, count, sum, q);
-}
-
-std::vector<std::uint64_t> HistogramSnapshot::CumulativeCounts() const {
-  return CumulativeImpl(buckets);
-}
-
-HistogramSnapshot Histogram::Snapshot() const {
-  HistogramSnapshot snap;
-  snap.bounds = bounds_;
-  snap.buckets = buckets_;
-  snap.count = count_;
-  snap.sum = sum_;
-  return snap;
+  // NaN rather than a fake 0: downstream JSON export turns it into null
+  // so tools never mistake "no samples" for "all samples were zero".
+  if (count_ == 0) return std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t rank = NearestRank(count_, q);
+  if (rank <= zero_) return 0.0;
+  rank -= zero_;
+  std::uint64_t key = first_key_;
+  for (const std::uint64_t n : counts_) {
+    if (rank <= n) break;
+    rank -= n;
+    ++key;
+  }
+  const double lo = EdgeOf(key);
+  return lo + 0.5 * (EdgeOf(key + 1) - lo);
 }
 
 void Histogram::MergeFrom(const Histogram& other) {
-  if (other.bounds_ != bounds_) return;  // shards share one config
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
+  if (!other.counts_.empty()) {
+    Cover(other.first_key_, other.first_key_ + other.counts_.size() - 1);
+    for (std::size_t i = 0; i < other.counts_.size(); ++i) {
+      counts_[other.first_key_ - first_key_ + i] += other.counts_[i];
+    }
   }
+  zero_ += other.zero_;
   count_ += other.count_;
   sum_ += other.sum_;
 }
 
-std::vector<std::uint64_t> Histogram::CumulativeCounts() const {
-  return CumulativeImpl(buckets_);
+std::vector<Histogram::Edge> Histogram::CumulativeEdges() const {
+  std::vector<Edge> edges;
+  std::uint64_t running = zero_;
+  edges.push_back({0.0, running});
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    running += counts_[i];
+    const std::uint64_t next = first_key_ + i + 1;
+    if ((next & kOctaveMask) == 0) edges.push_back({EdgeOf(next), running});
+  }
+  edges.push_back({std::numeric_limits<double>::infinity(), count_});
+  return edges;
+}
+
+std::string FormatBucketEdge(double le) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), le);
+  return std::string(buf, result.ptr);
 }
 
 Counter& MetricsRegistry::GetCounter(const std::string& name) {
@@ -117,12 +129,8 @@ Gauge& MetricsRegistry::GetGauge(const std::string& name) {
   return gauges_[name];
 }
 
-Histogram& MetricsRegistry::GetHistogram(const std::string& name,
-                                         std::vector<double> bounds) {
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  return histograms_.emplace(name, Histogram(std::move(bounds)))
-      .first->second;
+Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
+  return histograms_[name];
 }
 
 void MetricsRegistry::MergeFrom(const MetricsRegistry& other,
@@ -134,8 +142,7 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other,
     GetGauge(prefix + name).Set(gauge.value());
   }
   for (const auto& [name, histogram] : other.histograms_) {
-    GetHistogram(prefix + name, histogram.bounds())
-        .MergeFrom(histogram);
+    GetHistogram(prefix + name).MergeFrom(histogram);
   }
 }
 
@@ -167,20 +174,7 @@ void MetricsSnapshot::AbsorbFrom(const MetricsRegistry& registry,
     gauges[prefix + name] = gauge.value();
   }
   for (const auto& [name, histogram] : registry.histograms()) {
-    const auto [it, inserted] =
-        histograms.emplace(prefix + name, HistogramSnapshot{});
-    HistogramSnapshot& dest = it->second;
-    if (inserted) {
-      dest = histogram.Snapshot();
-      continue;
-    }
-    if (dest.bounds != histogram.bounds()) continue;  // shards share config
-    const HistogramSnapshot shard = histogram.Snapshot();
-    for (std::size_t i = 0; i < dest.buckets.size(); ++i) {
-      dest.buckets[i] += shard.buckets[i];
-    }
-    dest.count += shard.count;
-    dest.sum += shard.sum;
+    histograms[prefix + name].MergeFrom(histogram);
   }
 }
 
@@ -209,26 +203,20 @@ void MetricsSnapshot::WriteJson(std::ostream& out) const {
     WriteJsonString(out, name);
     // Empty histograms export null aggregates (Quantile is NaN, and a
     // bare `nan` token would make the whole document unparseable).
-    const bool empty = histogram.count == 0;
-    out << ": {\"count\": " << histogram.count
-        << ", \"sum\": " << JsonNumber(histogram.sum) << ", \"mean\": "
+    const bool empty = histogram.count() == 0;
+    out << ": {\"count\": " << histogram.count()
+        << ", \"sum\": " << JsonNumber(histogram.sum()) << ", \"mean\": "
         << (empty ? "null" : JsonNumber(histogram.Mean()))
         << ", \"p50\": " << JsonNumber(histogram.Quantile(0.50))
         << ", \"p95\": " << JsonNumber(histogram.Quantile(0.95))
         << ", \"p99\": " << JsonNumber(histogram.Quantile(0.99))
         << ", \"buckets\": [";
-    const std::vector<double>& bounds = histogram.bounds;
-    const std::vector<std::uint64_t> cumulative =
-        histogram.CumulativeCounts();
-    for (std::size_t i = 0; i < cumulative.size(); ++i) {
-      if (i > 0) out << ", ";
-      out << "{\"le\": ";
-      if (i < bounds.size()) {
-        out << FormatNumber(bounds[i]);
-      } else {
-        out << "\"inf\"";
-      }
-      out << ", \"count\": " << cumulative[i] << '}';
+    bool first_edge = true;
+    for (const Histogram::Edge& edge : histogram.CumulativeEdges()) {
+      out << (first_edge ? "" : ", ") << "{\"le\": "
+          << (std::isinf(edge.le) ? "\"inf\"" : FormatBucketEdge(edge.le))
+          << ", \"count\": " << edge.count << '}';
+      first_edge = false;
     }
     out << "]}";
   }
@@ -246,25 +234,6 @@ bool MetricsRegistry::ExportJson(const std::string& path) const {
   return true;
 }
 
-bool MetricsRegistry::ExportCsv(const std::string& path) const {
-  CsvWriter csv(path, {"metric", "kind", "field", "value"});
-  if (!csv.ok()) return false;
-  for (const auto& [name, counter] : counters_) {
-    csv.RawRow({name, "counter", "value",
-                FormatNumber(static_cast<double>(counter.value()))});
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    csv.RawRow({name, "gauge", "value", FormatNumber(gauge.value())});
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    csv.RawRow({name, "histogram", "count",
-                FormatNumber(static_cast<double>(histogram.count()))});
-    csv.RawRow({name, "histogram", "sum", FormatNumber(histogram.sum())});
-    csv.RawRow({name, "histogram", "mean", FormatNumber(histogram.Mean())});
-  }
-  return true;
-}
-
 CounterHandle MakeCounterHandle(MetricsRegistry* registry,
                                 const std::string& name) {
   return registry == nullptr ? CounterHandle{}
@@ -278,12 +247,9 @@ GaugeHandle MakeGaugeHandle(MetricsRegistry* registry,
 }
 
 HistogramHandle MakeHistogramHandle(MetricsRegistry* registry,
-                                    const std::string& name,
-                                    std::vector<double> bounds) {
-  return registry == nullptr
-             ? HistogramHandle{}
-             : HistogramHandle(
-                   &registry->GetHistogram(name, std::move(bounds)));
+                                    const std::string& name) {
+  return registry == nullptr ? HistogramHandle{}
+                             : HistogramHandle(&registry->GetHistogram(name));
 }
 
 }  // namespace flare

@@ -1,9 +1,9 @@
 // Cell-wide metrics registry.
 //
 // Every layer of the system (simulator core, eNodeB MAC, OneAPI control
-// plane, HAS players) exposes counters, gauges and fixed-bucket histograms
+// plane, HAS players) exposes counters, gauges and log-linear histograms
 // through one registry so a run can be summarized — and compared across
-// PRs — from a single structured export (JSON or CSV).
+// runs — from a single structured export (JSON or OpenMetrics).
 //
 // Cost model: instrumented components hold *handles* by value, resolved
 // once when a registry is attached. A default-constructed handle carries a
@@ -44,61 +44,62 @@ class Gauge {
   double value_ = 0.0;
 };
 
-struct HistogramSnapshot;
-
-/// Fixed-bucket histogram: `bounds` are inclusive upper bounds of the
-/// finite buckets; one overflow bucket (+inf) is implicit.
+/// Log-linear histogram with one layout for every instrument, so no call
+/// site picks bucket bounds. Positive values fall into power-of-two
+/// octaves (2^e, 2^(e+1)], each split into kSubBuckets equal-width
+/// sub-buckets; values <= 0 (and NaN) share one zero bucket. Storage is a
+/// contiguous run of sub-bucket counts covering only the octaves between
+/// the smallest and largest value seen, grown on demand. count() and
+/// sum() are exact; merging adds counts bucket for bucket.
 class Histogram {
  public:
-  explicit Histogram(std::vector<double> bounds);
+  static constexpr int kSubBuckets = 16;
+  /// Relative error bound of Quantile(): half a sub-bucket over the
+  /// octave's lower edge, 1 / (2 * kSubBuckets) = 3.125%.
+  static constexpr double kRelativeError = 0.5 / kSubBuckets;
 
   void Observe(double value);
 
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }
   double Mean() const;
-  /// Quantile estimate with linear interpolation inside the containing
-  /// bucket (Prometheus `histogram_quantile` semantics). The first finite
-  /// bucket interpolates from 0; a quantile landing in the overflow
-  /// bucket clamps to the largest finite bound. Returns NaN when empty
-  /// (JSON export renders it as null) and Mean() when the histogram has
-  /// no finite bounds. `q` is clamped to [0, 1].
+  /// Nearest-rank quantile (NearestRank in util/stats.h): the midpoint of
+  /// the sub-bucket holding the rank-ceil(q * count()) sample, so
+  /// |Quantile(q) - exact| <= kRelativeError * exact for positive exact
+  /// values, and exactly 0 when that sample is in the zero bucket.
+  /// Returns NaN when empty (JSON export renders it as null). `q` is
+  /// clamped to [0, 1].
   double Quantile(double q) const;
-  /// Fold another histogram's observations into this one. Both must share
-  /// the same bucket bounds (merging shards created from one config).
+  /// Fold another histogram's observations into this one.
   void MergeFrom(const Histogram& other);
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Cumulative count of observations <= bounds()[i]; the final entry is
-  /// the overflow bucket and equals count().
-  std::vector<std::uint64_t> CumulativeCounts() const;
-  /// Detached plain-data copy (see MetricsSnapshot).
-  HistogramSnapshot Snapshot() const;
+
+  /// Cumulative export projection shared by the JSON and OpenMetrics
+  /// renderers: (le, count of observations <= le) at le = 0, at the upper
+  /// edge of every octave between the smallest and largest value seen,
+  /// then at +inf (== count()). Every count is exact.
+  struct Edge {
+    double le = 0.0;
+    std::uint64_t count = 0;
+  };
+  std::vector<Edge> CumulativeEdges() const;
 
  private:
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> buckets_;  // bounds_.size() + 1 (overflow last)
+  std::uint64_t zero_ = 0;       // observations <= 0 or NaN
+  std::uint64_t first_key_ = 0;  // bucket key of counts_[0]
+  std::vector<std::uint64_t> counts_;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
+
+  /// Widen counts_ to whole octaves covering [lo_key, hi_key].
+  void Cover(std::uint64_t lo_key, std::uint64_t hi_key);
 };
+
+/// Shortest text that parses back to exactly `le`, so a rendered octave
+/// edge keeps the exactness of its count. Shared by the JSON and
+/// OpenMetrics renderers.
+std::string FormatBucketEdge(double le);
 
 class MetricsRegistry;
-
-/// Plain-data copy of one histogram, detached from the live instrument.
-struct HistogramSnapshot {
-  std::vector<double> bounds;
-  /// Per-bucket counts, bounds.size() + 1 with the overflow bucket last
-  /// (same layout as the live Histogram).
-  std::vector<std::uint64_t> buckets;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-
-  double Mean() const;
-  /// Bit-identical to Histogram::Quantile (both call one shared
-  /// implementation), so exports rendered from a snapshot match exports
-  /// rendered from the live registry byte for byte.
-  double Quantile(double q) const;
-  std::vector<std::uint64_t> CumulativeCounts() const;
-};
 
 /// Point-in-time copy of a whole registry (or several, via AbsorbFrom):
 /// the read-path synchronization story for concurrent export. Live
@@ -111,10 +112,10 @@ struct HistogramSnapshot {
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
+  std::map<std::string, Histogram> histograms;
 
   /// Fold a registry in under `prefix` + name, MergeFrom semantics
-  /// (counters add, gauges overwrite, histograms fold when bounds match).
+  /// (counters add, gauges overwrite, histograms fold).
   void AbsorbFrom(const MetricsRegistry& registry,
                   const std::string& prefix = {});
   /// Same JSON bytes MetricsRegistry::WriteJson has always produced.
@@ -135,10 +136,7 @@ class MetricsRegistry {
   /// accumulating into "cell.rbs_used").
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
-  /// `bounds` are used only on first creation; later calls with the same
-  /// name ignore them.
-  Histogram& GetHistogram(const std::string& name,
-                          std::vector<double> bounds);
+  Histogram& GetHistogram(const std::string& name);
 
   const std::map<std::string, Counter>& counters() const {
     return counters_;
@@ -165,8 +163,6 @@ class MetricsRegistry {
   void WriteJson(std::ostream& out) const;
   /// Convenience file form; returns false if the file cannot be opened.
   bool ExportJson(const std::string& path) const;
-  /// Flat CSV (metric,kind,field,value), reusing util/csv.h.
-  bool ExportCsv(const std::string& path) const;
 
  private:
   std::map<std::string, Counter> counters_;
@@ -224,7 +220,6 @@ CounterHandle MakeCounterHandle(MetricsRegistry* registry,
 GaugeHandle MakeGaugeHandle(MetricsRegistry* registry,
                             const std::string& name);
 HistogramHandle MakeHistogramHandle(MetricsRegistry* registry,
-                                    const std::string& name,
-                                    std::vector<double> bounds);
+                                    const std::string& name);
 
 }  // namespace flare

@@ -134,31 +134,30 @@ void RenderOpenMetrics(const MetricsSnapshot& snapshot, std::string* out) {
   }
 
   for (const auto& [family, series] :
-       GroupByFamily<decltype(snapshot.histograms), HistogramSnapshot>(
+       GroupByFamily<decltype(snapshot.histograms), Histogram>(
            snapshot.histograms)) {
     const std::string name = OpenMetricsName(family);
     AppendHeader(out, name, family, "histogram");
     for (const auto& [cell, hist] : series) {
-      const std::vector<std::uint64_t> cumulative = hist.CumulativeCounts();
-      for (std::size_t i = 0; i < cumulative.size(); ++i) {
+      for (const Histogram::Edge& edge : hist.CumulativeEdges()) {
         const std::string le =
-            i < hist.bounds.size() ? FormatNumber(hist.bounds[i]) : "+Inf";
+            std::isinf(edge.le) ? "+Inf" : FormatBucketEdge(edge.le);
         AppendSample(out, name + "_bucket", cell, "le=\"" + le + "\"",
-                     std::to_string(cumulative[i]));
+                     std::to_string(edge.count));
       }
-      AppendSample(out, name + "_sum", cell, {}, FormatNumber(hist.sum));
+      AppendSample(out, name + "_sum", cell, {}, FormatNumber(hist.sum()));
       AppendSample(out, name + "_count", cell, {},
-                   std::to_string(hist.count));
+                   std::to_string(hist.count()));
     }
-    // Companion quantile gauges (the registry's interpolated estimates);
+    // Companion quantile gauges (the histogram's bounded-error estimates);
     // empty histograms have NaN quantiles and contribute nothing.
     bool any = false;
-    for (const auto& [cell, hist] : series) any |= hist.count > 0;
+    for (const auto& [cell, hist] : series) any |= hist.count() > 0;
     if (!any) continue;
     const std::string qname = name + "_quantile";
     AppendHeader(out, qname, family + " quantiles", "gauge");
     for (const auto& [cell, hist] : series) {
-      if (hist.count == 0) continue;
+      if (hist.count() == 0) continue;
       for (const auto& [label, q] :
            {std::pair<const char*, double>{"0.5", 0.50},
             {"0.95", 0.95},

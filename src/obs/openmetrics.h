@@ -10,9 +10,11 @@
 // Kinds map as: counters -> `<family>_total` counter series; gauges ->
 // gauge series (NaN values are omitted — NaN has no useful meaning to an
 // alerting rule and some scrapers reject it); histograms -> classic
-// `_bucket`/`_sum`/`_count` series plus a companion
+// `_bucket`/`_sum`/`_count` series, with `le` at 0, at each power-of-two
+// octave edge across the observed range and at +Inf (exact cumulative
+// counts, Histogram::CumulativeEdges), plus a companion
 // `<family>_quantile{quantile="0.5|0.95|0.99"}` gauge family carrying the
-// registry's interpolated quantiles (omitted while the histogram is
+// histogram's bounded-error quantiles (omitted while the histogram is
 // empty, where Quantile() is NaN).
 //
 // Pure functions over plain data: unit-testable with golden text, no

@@ -69,14 +69,10 @@ void ParallelRunner::SetObservers(MetricsRegistry* registry,
                                   SpanTracer* tracer, bool deterministic) {
   tracer_ = tracer;
   deterministic_ = deterministic;
-  const std::vector<double> ms_bounds = {0.01, 0.05, 0.1, 0.5, 1.0,
-                                         5.0,  10.0, 50.0, 100.0};
-  epoch_ms_metric_ =
-      MakeHistogramHandle(registry, "runner.epoch_ms", ms_bounds);
+  epoch_ms_metric_ = MakeHistogramHandle(registry, "runner.epoch_ms");
   barrier_wait_ms_metric_ =
-      MakeHistogramHandle(registry, "runner.barrier_wait_ms", ms_bounds);
-  drain_ms_metric_ =
-      MakeHistogramHandle(registry, "runner.drain_ms", ms_bounds);
+      MakeHistogramHandle(registry, "runner.barrier_wait_ms");
+  drain_ms_metric_ = MakeHistogramHandle(registry, "runner.drain_ms");
   epochs_metric_ = MakeCounterHandle(registry, "runner.epochs");
   messages_metric_ = MakeCounterHandle(registry, "runner.messages");
 }

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -22,6 +21,7 @@
 #include "svc/frame.h"
 #include "svc/request_trace.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/time.h"
 
 namespace flare {
@@ -60,15 +60,6 @@ bool SendFrame(int fd, FrameType type, std::string_view payload,
     sent += static_cast<std::size_t>(n);
   }
   return true;
-}
-
-/// Nearest-rank quantile over a sorted sample; 0 when empty.
-double SortedQuantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double rank = std::ceil(q * static_cast<double>(sorted.size()));
-  const std::size_t index = static_cast<std::size_t>(
-      std::clamp(rank - 1.0, 0.0, static_cast<double>(sorted.size() - 1)));
-  return sorted[index];
 }
 
 struct Client {
@@ -376,9 +367,9 @@ LoadGenResult LoadGenerator::Run() {
           ? static_cast<double>(result.attempted) / result.wall_s
           : 0.0;
   std::sort(turnarounds_us.begin(), turnarounds_us.end());
-  result.turnaround_p50_us = SortedQuantile(turnarounds_us, 0.50);
-  result.turnaround_p95_us = SortedQuantile(turnarounds_us, 0.95);
-  result.turnaround_p99_us = SortedQuantile(turnarounds_us, 0.99);
+  result.turnaround_p50_us = NearestRankQuantile(turnarounds_us, 0.50);
+  result.turnaround_p95_us = NearestRankQuantile(turnarounds_us, 0.95);
+  result.turnaround_p99_us = NearestRankQuantile(turnarounds_us, 0.99);
   if (!options_.trace_json.empty()) {
     tracer.SortMergedEvents();
     tracer.ExportJson(options_.trace_json);

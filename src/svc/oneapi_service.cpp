@@ -69,10 +69,6 @@ struct FrameTiming {
   double parse_start_us = 0.0;
 };
 
-const std::vector<double> kMicrosBounds = {10.0,    50.0,    100.0,
-                                           500.0,   1000.0,  5000.0,
-                                           10000.0, 50000.0, 100000.0};
-
 OverloadInfo Overload(const char* reason, const char* policy = "",
                       double value = 0.0) {
   OverloadInfo info;
@@ -580,8 +576,7 @@ void OneApiService::Impl::Tick() {
     std::lock_guard<std::mutex> lock(metrics_mu);
     registry.GetCounter("svc.oneapi.assignments")
         .Add(decision.assignments.size());
-    registry.GetHistogram("svc.oneapi.solve_us", kMicrosBounds)
-        .Observe(solve_us);
+    registry.GetHistogram("svc.oneapi.solve_us").Observe(solve_us);
     registry.GetGauge("svc.oneapi.video_fraction")
         .Set(decision.video_fraction);
   }
@@ -597,8 +592,7 @@ void OneApiService::Impl::Tick() {
   {
     std::lock_guard<std::mutex> lock(metrics_mu);
     registry.GetCounter("svc.oneapi.bais").Add();
-    registry.GetHistogram("svc.oneapi.tick_us", kMicrosBounds)
-        .Observe(tick_us);
+    registry.GetHistogram("svc.oneapi.tick_us").Observe(tick_us);
   }
   if (tracer != nullptr) {
     tracer->EndTick(tick_start_us, solve_start_us, solve_span_us,

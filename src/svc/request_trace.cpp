@@ -10,12 +10,6 @@
 namespace flare {
 namespace {
 
-/// Same bucket layout as the service's solve/tick histograms so stage
-/// and end-to-end distributions are directly comparable.
-const std::vector<double> kStageBounds = {10.0,    50.0,    100.0,
-                                          500.0,   1000.0,  5000.0,
-                                          10000.0, 50000.0, 100000.0};
-
 const double kQuantiles[3] = {0.5, 0.95, 0.99};
 const char* const kQuantileNames[3] = {"p50", "p95", "p99"};
 
@@ -73,9 +67,7 @@ double RequestTracer::now_us() const {
 
 void RequestTracer::RecordStage(const char* phase, double value_us) {
   std::lock_guard<std::mutex> lock(*registry_mu_);
-  registry_
-      ->GetHistogram(std::string("svc.oneapi.stage.") + phase + "_us",
-                     kStageBounds)
+  registry_->GetHistogram(std::string("svc.oneapi.stage.") + phase + "_us")
       .Observe(value_us);
 }
 
@@ -220,7 +212,7 @@ void RequestTracer::EndTick(double tick_start_us, double solve_start_us,
     std::lock_guard<std::mutex> lock(*registry_mu_);
     for (const char* phase : kRequestPhaseNames) {
       Histogram& hist = registry_->GetHistogram(
-          std::string("svc.oneapi.stage.") + phase + "_us", kStageBounds);
+          std::string("svc.oneapi.stage.") + phase + "_us");
       for (int q = 0; q < 3; ++q) {
         const double value = hist.Quantile(kQuantiles[q]);
         if (value != value) continue;  // NaN: no observations yet

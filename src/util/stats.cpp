@@ -54,6 +54,18 @@ double Cdf::Quantile(double q) const {
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
+std::uint64_t NearestRank(std::uint64_t n, double q) {
+  const double rank = std::ceil(q * static_cast<double>(n));
+  if (!(rank > 1.0)) return 1;  // also q <= 0 and NaN
+  if (rank >= static_cast<double>(n)) return n;
+  return static_cast<std::uint64_t>(rank);
+}
+
+double NearestRankQuantile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  return sorted[NearestRank(sorted.size(), q) - 1];
+}
+
 double Cdf::FractionBelow(double x) const {
   if (samples_.empty()) return 0.0;
   EnsureSorted();

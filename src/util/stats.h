@@ -1,9 +1,11 @@
 // Statistics helpers used throughout the evaluation harness:
-// running mean/variance, empirical CDFs, Jain's fairness index, and the
-// harmonic mean used by FESTIVE's throughput estimator.
+// running mean/variance, empirical CDFs, the nearest-rank quantile rule,
+// Jain's fairness index, and the harmonic mean used by FESTIVE's
+// throughput estimator.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace flare {
@@ -57,6 +59,14 @@ class Cdf {
   mutable bool sorted_ = true;
   void EnsureSorted() const;
 };
+
+/// Nearest-rank quantile rule: the 1-based rank ceil(q * n), clamped to
+/// [1, n]. `n` must be positive. The metrics Histogram ranks its buckets
+/// by this rule too, so its Quantile() estimates the same sample.
+std::uint64_t NearestRank(std::uint64_t n, double q);
+
+/// sorted[NearestRank(n, q) - 1] over an ascending sample; 0 when empty.
+double NearestRankQuantile(const std::vector<double>& sorted, double q);
 
 /// Jain's fairness index: (sum x)^2 / (n * sum x^2). 1.0 for equal shares.
 double JainIndex(const std::vector<double>& xs);

@@ -5,21 +5,26 @@
 // span-trace JSON, without perturbing the experiment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
 
 #include "obs/bai_trace.h"
 #include "obs/metrics.h"
+#include "obs/openmetrics.h"
 #include "obs/span_trace.h"
 #include "obs/watchdog.h"
 #include "scenario/multi_cell.h"
 #include "scenario/scenario.h"
 #include "util/csv.h"
+#include "util/rng.h"
+#include "util/stats.h"
 #include "util/time.h"
 
 namespace flare {
@@ -122,7 +127,7 @@ TEST(MetricsRegistry, CountersGaugesHistogramsRoundTrip) {
   registry.GetCounter("a").Add(3);
   registry.GetCounter("a").Add();
   registry.GetGauge("g").Set(2.5);
-  Histogram& h = registry.GetHistogram("h", {1.0, 10.0});
+  Histogram& h = registry.GetHistogram("h");
   h.Observe(0.5);
   h.Observe(5.0);
   h.Observe(100.0);
@@ -130,11 +135,18 @@ TEST(MetricsRegistry, CountersGaugesHistogramsRoundTrip) {
   EXPECT_DOUBLE_EQ(registry.GetGauge("g").value(), 2.5);
   EXPECT_EQ(h.count(), 3u);
   EXPECT_DOUBLE_EQ(h.sum(), 105.5);
-  const auto cumulative = h.CumulativeCounts();
-  ASSERT_EQ(cumulative.size(), 3u);  // <=1, <=10, +inf
-  EXPECT_EQ(cumulative[0], 1u);
-  EXPECT_EQ(cumulative[1], 2u);
-  EXPECT_EQ(cumulative[2], 3u);
+  // le = 0, then every octave edge from 0.5's octave (0.25, 0.5] up to
+  // 100's (64, 128], then +inf. 0.5 is a power of two: it closes its
+  // octave, so the le=0.5 row already counts it.
+  std::vector<std::pair<double, std::uint64_t>> edges;
+  for (const Histogram::Edge& edge : h.CumulativeEdges()) {
+    edges.emplace_back(edge.le, edge.count);
+  }
+  const std::vector<std::pair<double, std::uint64_t>> expected = {
+      {0.0, 0},   {0.5, 1},  {1.0, 1},  {2.0, 1},
+      {4.0, 1},   {8.0, 2},  {16.0, 2}, {32.0, 2},
+      {64.0, 2},  {128.0, 3}, {std::numeric_limits<double>::infinity(), 3}};
+  EXPECT_EQ(edges, expected);
 }
 
 TEST(MetricsRegistry, SameNameSharesInstrument) {
@@ -142,9 +154,7 @@ TEST(MetricsRegistry, SameNameSharesInstrument) {
   registry.GetCounter("shared").Add(1);
   registry.GetCounter("shared").Add(1);
   EXPECT_EQ(registry.GetCounter("shared").value(), 2u);
-  // Histogram bounds are fixed on first creation.
-  registry.GetHistogram("h", {1.0});
-  EXPECT_EQ(registry.GetHistogram("h", {5.0, 6.0}).bounds().size(), 1u);
+  EXPECT_EQ(&registry.GetHistogram("h"), &registry.GetHistogram("h"));
 }
 
 TEST(MetricsHandles, NullHandlesAreInertAndCheap) {
@@ -161,27 +171,27 @@ TEST(MetricsHandles, NullHandlesAreInertAndCheap) {
   // Null-registry factory also yields inert handles.
   EXPECT_FALSE(MakeCounterHandle(nullptr, "x").enabled());
   EXPECT_FALSE(MakeGaugeHandle(nullptr, "x").enabled());
-  EXPECT_FALSE(MakeHistogramHandle(nullptr, "x", {1.0}).enabled());
+  EXPECT_FALSE(MakeHistogramHandle(nullptr, "x").enabled());
 }
 
 TEST(MetricsHandles, ResolvedHandlesWriteThrough) {
   MetricsRegistry registry;
   CounterHandle counter = MakeCounterHandle(&registry, "c");
   GaugeHandle gauge = MakeGaugeHandle(&registry, "g");
-  HistogramHandle histogram = MakeHistogramHandle(&registry, "h", {1.0});
+  HistogramHandle histogram = MakeHistogramHandle(&registry, "h");
   counter.Add(2);
   gauge.Set(9.0);
   histogram.Observe(0.5);
   EXPECT_EQ(registry.GetCounter("c").value(), 2u);
   EXPECT_DOUBLE_EQ(registry.GetGauge("g").value(), 9.0);
-  EXPECT_EQ(registry.GetHistogram("h", {}).count(), 1u);
+  EXPECT_EQ(registry.GetHistogram("h").count(), 1u);
 }
 
 TEST(MetricsRegistry, JsonContainsAllSections) {
   MetricsRegistry registry;
   registry.GetCounter("cell.ttis").Add(10);
   registry.GetGauge("oneapi.video_fraction").Set(0.5);
-  registry.GetHistogram("oneapi.solve_ms", {1.0}).Observe(0.2);
+  registry.GetHistogram("oneapi.solve_ms").Observe(0.2);
   std::ostringstream out;
   registry.WriteJson(out);
   const std::string json = out.str();
@@ -283,7 +293,7 @@ TEST(Observability, ScenarioRunEmitsRowsForEveryVideoFlow) {
   EXPECT_EQ(registry.GetCounter("oneapi.bais").value(),
             result.solve_times_ms.size());
   EXPECT_GT(registry.GetCounter("sim.events").value(), 0u);
-  EXPECT_EQ(registry.GetHistogram("oneapi.solve_ms", {}).count(),
+  EXPECT_EQ(registry.GetHistogram("oneapi.solve_ms").count(),
             result.solve_times_ms.size());
 
   // TTI aggregates cover the run at ~1 row/s.
@@ -314,17 +324,25 @@ TEST(Observability, DisabledRunMatchesEnabledRunResults) {
 
 // --- Histogram quantiles ----------------------------------------------------
 
-TEST(Histogram, QuantileInterpolatesWithinBuckets) {
-  Histogram h({10.0, 20.0, 40.0});
-  for (int i = 0; i < 5; ++i) h.Observe(5.0);    // bucket (0, 10]
-  for (int i = 0; i < 3; ++i) h.Observe(15.0);   // bucket (10, 20]
-  for (int i = 0; i < 2; ++i) h.Observe(30.0);   // bucket (20, 40]
-  // target = q * 10 observations, linear within the containing bucket.
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 10.0);   // 5th obs tops bucket 0
-  EXPECT_DOUBLE_EQ(h.Quantile(0.65), 15.0);  // 1.5/3 into (10, 20]
-  EXPECT_DOUBLE_EQ(h.Quantile(0.9), 30.0);   // 1/2 into (20, 40]
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 40.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 0.0);
+/// Exact nearest-rank quantile of an unsorted sample.
+double ExactQuantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  return NearestRankQuantile(values, q);
+}
+
+TEST(Histogram, QuantileIsMidpointOfNearestRankSubBucket) {
+  Histogram h;
+  for (int i = 0; i < 5; ++i) h.Observe(5.0);   // (4.75, 5] in (4, 8]
+  for (int i = 0; i < 3; ++i) h.Observe(15.0);  // (14.5, 15] in (8, 16]
+  for (int i = 0; i < 2; ++i) h.Observe(30.0);  // (29, 30] in (16, 32]
+  // Rank ceil(q * 10) picks the sample; its sub-bucket's midpoint is
+  // the estimate.
+  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 4.875);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 4.875);   // rank 5
+  EXPECT_DOUBLE_EQ(h.Quantile(0.51), 14.75);  // rank 6
+  EXPECT_DOUBLE_EQ(h.Quantile(0.8), 14.75);   // rank 8
+  EXPECT_DOUBLE_EQ(h.Quantile(0.9), 29.5);    // rank 9
+  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 29.5);
   // Out-of-range q clamps.
   EXPECT_DOUBLE_EQ(h.Quantile(2.0), h.Quantile(1.0));
   EXPECT_DOUBLE_EQ(h.Quantile(-1.0), h.Quantile(0.0));
@@ -332,43 +350,144 @@ TEST(Histogram, QuantileInterpolatesWithinBuckets) {
 
 TEST(Histogram, QuantileEdgeCases) {
   // Empty histogram: NaN, never a fake 0 — downstream JSON renders null.
-  Histogram empty({1.0, 2.0});
+  Histogram empty;
   EXPECT_TRUE(std::isnan(empty.Quantile(0.5)));
   EXPECT_TRUE(std::isnan(empty.Quantile(0.0)));
   EXPECT_TRUE(std::isnan(empty.Quantile(1.0)));
 
-  // Every observation in the overflow bucket: clamp to the largest
-  // finite bound rather than inventing a value for (+inf).
-  Histogram overflow({1.0});
-  overflow.Observe(5.0);
-  overflow.Observe(7.0);
-  overflow.Observe(9.0);
-  EXPECT_DOUBLE_EQ(overflow.Quantile(0.5), 1.0);
-  EXPECT_DOUBLE_EQ(overflow.Quantile(1.0), 1.0);
-
-  // No finite bounds at all: fall back to the mean.
-  Histogram unbounded({});
-  unbounded.Observe(3.0);
-  unbounded.Observe(5.0);
-  EXPECT_DOUBLE_EQ(unbounded.Quantile(0.5), 4.0);
+  // Negative values share the zero bucket; the sum stays exact.
+  Histogram mixed;
+  mixed.Observe(-2.0);
+  mixed.Observe(0.0);
+  mixed.Observe(1e12);
+  EXPECT_EQ(mixed.Quantile(0.5), 0.0);
+  EXPECT_NEAR(mixed.Quantile(1.0), 1e12, Histogram::kRelativeError * 1e12);
+  EXPECT_DOUBLE_EQ(mixed.sum(), 1e12 - 2.0);
+  EXPECT_EQ(mixed.CumulativeEdges().front().count, 2u);
 }
 
-TEST(Histogram, MergeFromMismatchedBoundsIsIgnored) {
-  Histogram a({1.0, 2.0});
-  Histogram b({5.0});
-  b.Observe(0.5);
-  a.MergeFrom(b);  // shards are created from one config; mismatch = bug
-  EXPECT_EQ(a.count(), 0u);
-  Histogram c({1.0, 2.0});
-  c.Observe(1.5);
-  a.MergeFrom(c);
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_DOUBLE_EQ(a.sum(), 1.5);
+// Deterministic timing records every solve as 0: the quantiles must say
+// 0, not a point inside some first bucket.
+TEST(Histogram, ZeroObservationsReportZeroQuantiles) {
+  MetricsRegistry registry;
+  Histogram& h = registry.GetHistogram("oneapi.solve_ms");
+  for (int i = 0; i < 30; ++i) h.Observe(0.0);
+  EXPECT_EQ(h.Quantile(0.50), 0.0);
+  EXPECT_EQ(h.Quantile(0.95), 0.0);
+  EXPECT_EQ(h.Quantile(0.99), 0.0);
+  std::ostringstream out;
+  registry.WriteJson(out);
+  EXPECT_NE(out.str().find("\"p50\": 0, \"p95\": 0, \"p99\": 0"),
+            std::string::npos)
+      << out.str();
+}
+
+// Microsecond solve times recorded in ms: a fixed-bound layout whose
+// first bucket is (0, 0.01] reported p50 = 0.005, 4.1x the truth.
+TEST(Histogram, MicrosecondCorpusInMillisecondsWithinBound) {
+  Rng rng(1905);
+  Histogram h;
+  std::vector<double> values;
+  for (int i = 0; i < 5000; ++i) {
+    const double ms = 1.2e-3 * std::exp(rng.Gaussian(0.0, 0.4));
+    values.push_back(ms);
+    h.Observe(ms);
+  }
+  for (const double q : {0.5, 0.99}) {
+    const double exact = ExactQuantile(values, q);
+    EXPECT_LE(std::abs(h.Quantile(q) - exact),
+              Histogram::kRelativeError * exact)
+        << "q=" << q << " exact=" << exact;
+  }
+}
+
+/// Seeded corpus: three shapes at scales 1e-6..1e6, ~5% zeros mixed in.
+std::vector<std::vector<double>> RandomizedCorpora() {
+  Rng rng(20261018);
+  std::vector<std::vector<double>> corpora;
+  for (const double scale : {1e-6, 1e-3, 1.0, 1e3, 1e6}) {
+    for (int shape = 0; shape < 3; ++shape) {
+      std::vector<double> values;
+      for (int i = 0; i < 2000; ++i) {
+        double v = 0.0;
+        if (rng.Uniform() >= 0.05) {
+          switch (shape) {
+            case 0:  // uniform
+              v = rng.Uniform(0.0, scale);
+              break;
+            case 1:  // log-normal
+              v = scale * std::exp(rng.Gaussian(0.0, 1.5));
+              break;
+            default:  // bimodal: two narrow modes 100x apart
+              v = scale * (rng.Uniform() < 0.7 ? 1.0 : 100.0) *
+                  rng.Uniform(0.9, 1.1);
+          }
+        }
+        values.push_back(v);
+      }
+      corpora.push_back(std::move(values));
+    }
+  }
+  return corpora;
+}
+
+TEST(Histogram, RandomizedCorpusQuantilesWithinStatedBound) {
+  for (const std::vector<double>& values : RandomizedCorpora()) {
+    Histogram h;
+    for (double v : values) h.Observe(v);
+    for (const double q : {0.01, 0.1, 0.5, 0.9, 0.95, 0.99}) {
+      const double exact = ExactQuantile(values, q);
+      EXPECT_LE(std::abs(h.Quantile(q) - exact),
+                Histogram::kRelativeError * exact)
+          << "q=" << q << " exact=" << exact;
+    }
+  }
+}
+
+TEST(Histogram, ShardedMergesMatchOneHistogram) {
+  for (const std::vector<double>& values : RandomizedCorpora()) {
+    for (const std::size_t k : {2u, 5u}) {
+      Histogram single;
+      std::vector<MetricsRegistry> shards(k);
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        single.Observe(values[i]);
+        shards[i * k / values.size()].GetHistogram("h").Observe(values[i]);
+      }
+      MetricsRegistry merged;
+      MetricsSnapshot absorbed;
+      for (const MetricsRegistry& shard : shards) {
+        merged.MergeFrom(shard, "");
+        absorbed.AbsorbFrom(shard);
+      }
+      for (const Histogram* h :
+           {&merged.GetHistogram("h"), &absorbed.histograms.at("h")}) {
+        EXPECT_EQ(h->count(), single.count());
+        EXPECT_NEAR(h->sum(), single.sum(), 1e-9 * std::abs(single.sum()));
+        const auto want = single.CumulativeEdges();
+        const auto got = h->CumulativeEdges();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].le, want[i].le);
+          EXPECT_EQ(got[i].count, want[i].count);
+        }
+        for (const double q : {0.0, 0.01, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0}) {
+          EXPECT_EQ(h->Quantile(q), single.Quantile(q)) << "q=" << q;
+        }
+      }
+      std::ostringstream live;
+      std::ostringstream snap;
+      merged.WriteJson(live);
+      absorbed.WriteJson(snap);
+      EXPECT_EQ(live.str(), snap.str());
+      EXPECT_EQ(RenderOpenMetrics(merged.Snapshot()),
+                RenderOpenMetrics(absorbed));
+    }
+  }
 }
 
 TEST(MetricsRegistry, JsonHistogramsIncludeQuantiles) {
   MetricsRegistry registry;
-  Histogram& h = registry.GetHistogram("h", {1.0, 10.0});
+  Histogram& h = registry.GetHistogram("h");
   for (int i = 0; i < 10; ++i) h.Observe(0.5);
   std::ostringstream out;
   registry.WriteJson(out);
@@ -380,7 +499,7 @@ TEST(MetricsRegistry, JsonHistogramsIncludeQuantiles) {
 
 TEST(MetricsRegistry, JsonEmptyHistogramExportsNullNotNaN) {
   MetricsRegistry registry;
-  registry.GetHistogram("empty", {1.0, 10.0});
+  registry.GetHistogram("empty");
   std::ostringstream out;
   registry.WriteJson(out);
   const std::string json = out.str();

@@ -51,7 +51,7 @@ TEST(OpenMetricsFormat, CounterGaugeHistogramGolden) {
   MetricsRegistry registry;
   registry.GetCounter("runner.epochs").Add(3);
   registry.GetGauge("telemetry.progress_pct").Set(42.5);
-  Histogram& h = registry.GetHistogram("solve.ms", {1.0, 5.0});
+  Histogram& h = registry.GetHistogram("solve.ms");
   h.Observe(0.5);
   h.Observe(4.0);
   h.Observe(100.0);
@@ -65,21 +65,24 @@ TEST(OpenMetricsFormat, CounterGaugeHistogramGolden) {
       "flare_telemetry_progress_pct 42.5\n"
       "# HELP flare_solve_ms solve.ms\n"
       "# TYPE flare_solve_ms histogram\n"
+      "flare_solve_ms_bucket{le=\"0\"} 0\n"
+      "flare_solve_ms_bucket{le=\"0.5\"} 1\n"
       "flare_solve_ms_bucket{le=\"1\"} 1\n"
-      "flare_solve_ms_bucket{le=\"5\"} 2\n"
+      "flare_solve_ms_bucket{le=\"2\"} 1\n"
+      "flare_solve_ms_bucket{le=\"4\"} 2\n"
+      "flare_solve_ms_bucket{le=\"8\"} 2\n"
+      "flare_solve_ms_bucket{le=\"16\"} 2\n"
+      "flare_solve_ms_bucket{le=\"32\"} 2\n"
+      "flare_solve_ms_bucket{le=\"64\"} 2\n"
+      "flare_solve_ms_bucket{le=\"128\"} 3\n"
       "flare_solve_ms_bucket{le=\"+Inf\"} 3\n"
       "flare_solve_ms_sum 104.5\n"
       "flare_solve_ms_count 3\n"
       "# HELP flare_solve_ms_quantile solve.ms quantiles\n"
       "# TYPE flare_solve_ms_quantile gauge\n"
-      "flare_solve_ms_quantile{quantile=\"0.5\"} " +
-      FormatNumber(h.Quantile(0.50)) +
-      "\n"
-      "flare_solve_ms_quantile{quantile=\"0.95\"} " +
-      FormatNumber(h.Quantile(0.95)) +
-      "\n"
-      "flare_solve_ms_quantile{quantile=\"0.99\"} " +
-      FormatNumber(h.Quantile(0.99)) + "\n";
+      "flare_solve_ms_quantile{quantile=\"0.5\"} 3.9375\n"
+      "flare_solve_ms_quantile{quantile=\"0.95\"} 98\n"
+      "flare_solve_ms_quantile{quantile=\"0.99\"} 98\n";
   EXPECT_EQ(RenderOpenMetrics(registry.Snapshot()), expected);
 }
 
@@ -144,9 +147,10 @@ TEST(OpenMetricsFormat, NanGaugesAreOmitted) {
 
 TEST(OpenMetricsFormat, EmptyHistogramOmitsQuantiles) {
   MetricsRegistry registry;
-  registry.GetHistogram("empty.ms", {1.0});
+  registry.GetHistogram("empty.ms");
   const std::string text = RenderOpenMetrics(registry.Snapshot());
-  EXPECT_NE(text.find("flare_empty_ms_bucket{le=\"1\"} 0\n"),
+  EXPECT_NE(text.find("flare_empty_ms_bucket{le=\"0\"} 0\n"
+                      "flare_empty_ms_bucket{le=\"+Inf\"} 0\n"),
             std::string::npos);
   EXPECT_NE(text.find("flare_empty_ms_count 0\n"), std::string::npos);
   EXPECT_EQ(text.find("flare_empty_ms_quantile"), std::string::npos);
@@ -158,10 +162,10 @@ TEST(MetricsSnapshotContract, AbsorbFromMatchesMergeFromByteForByte) {
   MetricsRegistry shard_a;
   shard_a.GetCounter("player.segments").Add(2);
   shard_a.GetGauge("player.buffer_s").Set(1.5);
-  shard_a.GetHistogram("solve.ms", {1.0, 5.0}).Observe(3.0);
+  shard_a.GetHistogram("solve.ms").Observe(3.0);
   MetricsRegistry shard_b;
   shard_b.GetCounter("player.segments").Add(7);
-  shard_b.GetHistogram("solve.ms", {1.0, 5.0}).Observe(0.25);
+  shard_b.GetHistogram("solve.ms").Observe(0.25);
 
   MetricsRegistry merged;
   merged.MergeFrom(shard_a, "cell0.");
@@ -180,16 +184,22 @@ TEST(MetricsSnapshotContract, AbsorbFromMatchesMergeFromByteForByte) {
 
 TEST(MetricsSnapshotContract, QuantilesBitIdenticalToLiveHistogram) {
   MetricsRegistry registry;
-  Histogram& h = registry.GetHistogram("x.ms", {1.0, 2.0, 8.0});
+  Histogram& h = registry.GetHistogram("x.ms");
   for (double v : {0.1, 0.9, 1.5, 1.7, 3.0, 6.5, 20.0}) h.Observe(v);
-  const HistogramSnapshot snap = h.Snapshot();
+  const Histogram snap = registry.Snapshot().histograms.at("x.ms");
   for (double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
     // EXPECT_EQ (not NEAR): the bit-identity is the contract that lets
     // /metrics and the end-of-run JSON share one renderer.
     EXPECT_EQ(h.Quantile(q), snap.Quantile(q)) << "q=" << q;
   }
   EXPECT_EQ(h.Mean(), snap.Mean());
-  EXPECT_EQ(h.CumulativeCounts(), snap.CumulativeCounts());
+  const auto live_edges = h.CumulativeEdges();
+  const auto snap_edges = snap.CumulativeEdges();
+  ASSERT_EQ(live_edges.size(), snap_edges.size());
+  for (std::size_t i = 0; i < live_edges.size(); ++i) {
+    EXPECT_EQ(live_edges[i].le, snap_edges[i].le);
+    EXPECT_EQ(live_edges[i].count, snap_edges[i].count);
+  }
 }
 
 // --- Health JSON ------------------------------------------------------------
@@ -569,8 +579,7 @@ TEST(TopCore, ParseBuildRenderRoundTrip) {
     registry.GetGauge(p + "qoe.blocking_probability").Set(0.125);
     registry.GetGauge(p + "health.healthy").Set(cell == 0 ? 1.0 : 0.0);
   }
-  Histogram& barrier =
-      registry.GetHistogram("runner.barrier_wait_ms", {0.1, 1.0, 10.0});
+  Histogram& barrier = registry.GetHistogram("runner.barrier_wait_ms");
   barrier.Observe(0.05);
   barrier.Observe(0.5);
   std::string text = RenderOpenMetrics(registry.Snapshot());

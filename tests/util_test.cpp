@@ -74,6 +74,32 @@ TEST(Cdf, EmptyCdfIsSafe) {
   EXPECT_TRUE(cdf.Curve(5).empty());
 }
 
+TEST(NearestRank, PinsTheRule) {
+  // Empty input reads as 0 rather than indexing out of range.
+  EXPECT_EQ(NearestRankQuantile({}, 0.5), 0.0);
+  // n = 1: every q selects the only sample.
+  for (const double q : {0.0, 0.5, 1.0}) {
+    EXPECT_EQ(NearestRank(1, q), 1u);
+    EXPECT_EQ(NearestRankQuantile({7.0}, q), 7.0);
+  }
+  const std::vector<double> sorted = {10.0, 20.0, 30.0, 40.0};
+  // q = 0 and anything below clamps to rank 1; q = 1 and above to n.
+  EXPECT_EQ(NearestRank(4, 0.0), 1u);
+  EXPECT_EQ(NearestRank(4, -1.0), 1u);
+  EXPECT_EQ(NearestRank(4, 1.0), 4u);
+  EXPECT_EQ(NearestRank(4, 2.0), 4u);
+  EXPECT_EQ(NearestRankQuantile(sorted, 0.0), 10.0);
+  EXPECT_EQ(NearestRankQuantile(sorted, 1.0), 40.0);
+  // The ceil boundary: q * n exactly 2 stays at rank 2; a hair above
+  // moves to rank 3.
+  EXPECT_EQ(NearestRank(4, 0.5), 2u);
+  EXPECT_EQ(NearestRankQuantile(sorted, 0.5), 20.0);
+  EXPECT_EQ(NearestRank(4, 0.5000001), 3u);
+  EXPECT_EQ(NearestRankQuantile(sorted, 0.5000001), 30.0);
+  EXPECT_EQ(NearestRank(100, 0.99), 99u);
+  EXPECT_EQ(NearestRank(101, 0.99), 100u);  // ceil(99.99)
+}
+
 TEST(JainIndex, EqualSharesGiveOne) {
   EXPECT_DOUBLE_EQ(JainIndex({5.0, 5.0, 5.0, 5.0}), 1.0);
 }

@@ -8,6 +8,8 @@
 #include <set>
 #include <sstream>
 
+#include "util/stats.h"
+
 namespace flare {
 namespace {
 
@@ -30,15 +32,6 @@ double NumberField(const JsonValue& args, const char* key) {
 std::string StringField(const JsonValue& args, const char* key) {
   const JsonValue* v = args.Find(key);
   return (v != nullptr && v->is_string()) ? v->AsString() : std::string();
-}
-
-/// Nearest-rank quantile over an already-sorted ascending sample vector.
-double NearestRank(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted.size())));
-  const std::size_t idx = rank == 0 ? 0 : rank - 1;
-  return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 std::string EscapeJson(const std::string& s) {
@@ -282,9 +275,9 @@ TraceAnalysis AnalyzeTraces(const TraceDoc& server, const TraceDoc& client) {
     StageStats stats;
     stats.stage = kStageLabels[i];
     stats.count = stage_samples[i].size();
-    stats.p50_us = NearestRank(stage_samples[i], 0.50);
-    stats.p95_us = NearestRank(stage_samples[i], 0.95);
-    stats.p99_us = NearestRank(stage_samples[i], 0.99);
+    stats.p50_us = NearestRankQuantile(stage_samples[i], 0.50);
+    stats.p95_us = NearestRankQuantile(stage_samples[i], 0.95);
+    stats.p99_us = NearestRankQuantile(stage_samples[i], 0.99);
     stats.max_us = stage_samples[i].empty() ? 0.0 : stage_samples[i].back();
     analysis.stages.push_back(std::move(stats));
   }

@@ -1,5 +1,6 @@
 #include "churn/admission.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -114,10 +115,12 @@ void AdmissionController::OnDeparted(FlowId id) {
 void AdmissionController::OnEstimate(FlowId id, double bits_per_rb) {
   const auto it = flows_.find(id);
   if (it == flows_.end() || bits_per_rb <= 0.0) return;
-  OptFlow updated = it->second;
-  updated.bits_per_rb = bits_per_rb;
-  ValidateFlow(updated);
-  it->second = std::move(updated);
+  // Only the estimate changes; the ladder and utility were validated at
+  // OnAdmitted. A non-finite estimate is refused, as ValidateFlow would.
+  if (!std::isfinite(bits_per_rb)) {
+    throw std::invalid_argument("OptFlow: bits_per_rb not finite positive");
+  }
+  it->second.bits_per_rb = bits_per_rb;
 }
 
 void AdmissionController::SetObservers(MetricsRegistry* registry) {

@@ -1,7 +1,9 @@
 #include "net/messages.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -146,14 +148,29 @@ std::optional<ClientInfo> DecodeClientInfo(const std::string& wire) {
   return info;
 }
 
+void AppendRateAssignment(const RateAssignmentMsg& msg, std::string* out) {
+  // Join's key order, written directly; rates in FormatNumber's "%.6g".
+  char buf[32];
+  const auto integer = [&](const char* key, auto value) {
+    out->append(key);
+    out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+  };
+  const auto number = [&](const char* key, double value) {
+    out->append(key);
+    out->append(buf, static_cast<std::size_t>(
+                         std::snprintf(buf, sizeof(buf), "%.6g", value)));
+  };
+  integer("flow=", msg.flow);
+  number(";gbr=", msg.gbr_bps);
+  integer(";level=", msg.level);
+  number(";rate=", msg.rate_bps);
+  out->append(";type=rate_assignment");
+}
+
 std::string EncodeRateAssignment(const RateAssignmentMsg& msg) {
-  Fields fields;
-  fields["type"] = "rate_assignment";
-  fields["flow"] = std::to_string(msg.flow);
-  fields["level"] = std::to_string(msg.level);
-  fields["rate"] = FormatNumber(msg.rate_bps);
-  fields["gbr"] = FormatNumber(msg.gbr_bps);
-  return Join(fields);
+  std::string out;
+  AppendRateAssignment(msg, &out);
+  return out;
 }
 
 std::optional<RateAssignmentMsg> DecodeRateAssignment(

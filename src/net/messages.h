@@ -30,6 +30,11 @@ struct RateAssignmentMsg {
 std::string EncodeClientInfo(const ClientInfo& info);
 std::optional<ClientInfo> DecodeClientInfo(const std::string& wire);
 
+/// Append the RateAssignment encoding to `out` with no temporary string:
+/// "flow=<id>;gbr=<%.6g>;level=<n>;rate=<%.6g>;type=rate_assignment", keys
+/// in the codec's sorted order. EncodeRateAssignment returns the same
+/// bytes as a new string.
+void AppendRateAssignment(const RateAssignmentMsg& msg, std::string* out);
 std::string EncodeRateAssignment(const RateAssignmentMsg& msg);
 std::optional<RateAssignmentMsg> DecodeRateAssignment(
     const std::string& wire);

@@ -25,21 +25,55 @@ EpollLoop::~EpollLoop() {
   if (wake_fd_ >= 0) close(wake_fd_);
 }
 
-void EpollLoop::Watch(int fd, std::uint32_t events, IoCallback callback) {
-  if (!ok() || fd < 0) return;
+void EpollLoop::Control(int op, int fd, std::uint32_t events) {
   epoll_event ev{};
   ev.events = events;  // kReadable/kWritable/kError mirror EPOLL* values
   ev.data.fd = fd;
-  const bool known = watches_.count(fd) != 0;
-  epoll_ctl(epoll_fd_, known ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd, &ev);
-  watches_[fd] = std::move(callback);
+  epoll_ctl(epoll_fd_, op, fd, op == EPOLL_CTL_DEL ? nullptr : &ev);
+  epoll_ctl_calls_.store(epoll_ctl_calls_.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
+}
+
+void EpollLoop::Watch(int fd, std::uint32_t events, IoCallback callback) {
+  if (!ok() || fd < 0) return;
+  if (static_cast<std::size_t>(fd) >= watches_.size()) {
+    watches_.resize(static_cast<std::size_t>(fd) + 1);
+  }
+  Entry& entry = watches_[static_cast<std::size_t>(fd)];
+  if (entry.callback == nullptr) {
+    Control(EPOLL_CTL_ADD, fd, events);
+  } else {
+    if (entry.events != events) Control(EPOLL_CTL_MOD, fd, events);
+    retired_.push_back(std::move(entry.callback));
+  }
+  entry.events = events;
+  entry.callback = std::make_unique<IoCallback>(std::move(callback));
+}
+
+EpollLoop::Entry* EpollLoop::Find(int fd) {
+  if (fd < 0 || static_cast<std::size_t>(fd) >= watches_.size()) {
+    return nullptr;
+  }
+  Entry& entry = watches_[static_cast<std::size_t>(fd)];
+  return entry.callback != nullptr ? &entry : nullptr;
+}
+
+bool EpollLoop::SetInterest(int fd, std::uint32_t events) {
+  Entry* entry = Find(fd);
+  if (entry == nullptr) return false;
+  if (entry->events != events) {
+    Control(EPOLL_CTL_MOD, fd, events);
+    entry->events = events;
+  }
+  return true;
 }
 
 void EpollLoop::Unwatch(int fd) {
-  if (!ok() || fd < 0) return;
-  if (watches_.erase(fd) != 0) {
-    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
+  Entry* entry = Find(fd);
+  if (entry == nullptr) return;
+  Control(EPOLL_CTL_DEL, fd, 0);
+  retired_.push_back(std::move(entry->callback));
+  entry->events = 0;
 }
 
 void EpollLoop::Post(std::function<void()> task) {
@@ -95,14 +129,18 @@ void EpollLoop::Run() {
         continue;
       }
       // Look the callback up fresh: an earlier callback this round may
-      // have unwatched (and closed) this fd.
-      const auto it = watches_.find(fd);
-      if (it == watches_.end()) continue;
-      // Copy: the callback may Unwatch itself, destroying the map entry.
-      IoCallback cb = it->second;
-      cb(ready[i].events);
+      // have unwatched (and closed) this fd. One that unwatches or
+      // replaces itself is parked in retired_ until the round ends.
+      const Entry* entry = Find(fd);
+      if (entry == nullptr) continue;
+      dispatches_.store(dispatches_.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_relaxed);
+      // Through a raw pointer: the callback may grow watches_.
+      IoCallback* callback = entry->callback.get();
+      (*callback)(ready[i].events);
     }
     RunPostedTasks();
+    retired_.clear();
   }
 }
 

@@ -1,22 +1,29 @@
 // Minimal epoll event loop for background service threads.
 //
-// The telemetry plane (obs/telemetry_server) needs a real socket server
-// that can never stall the simulation: all IO runs on one dedicated
-// thread inside this loop, and the only cross-thread surface is Post(),
-// which enqueues a closure and wakes the loop through an eventfd. The
-// loop is deliberately small and reusable — ROADMAP item 2's standalone
-// OneAPI control-plane server is expected to ride on the same classes
-// (listener, buffered connections, loop) with a different protocol on
-// top.
+// The telemetry plane (obs/telemetry_server) and the OneAPI daemon
+// (svc/oneapi_service) each run one of these on a dedicated thread: all
+// IO happens inside the loop, and the only cross-thread surface is
+// Post(), which enqueues a closure and wakes the loop through an eventfd.
 //
-// Threading contract: Watch/Unwatch/Run are loop-thread-only (call Watch
-// before Run for the initial set, or from a Post()ed task / IO callback
-// afterwards). Post() and Stop() are safe from any thread.
+// Interest contract. Watch() registers an fd with its callback once;
+// afterwards SetInterest() changes only the mask. Both call epoll_ctl
+// only when the kernel's view actually changes (a new fd, or a mask that
+// differs from the registered one), so a service that recomputes its
+// interest after every read or write pays no syscall in the steady state.
+// epoll_ctl_calls() counts every epoll_ctl the loop has made for its
+// watches, and dispatches() every IO callback it has run; both are safe
+// to read from any thread.
+//
+// Threading contract: Watch/SetInterest/Unwatch/Run are loop-thread-only
+// (call Watch before Run for the initial set, or from a Post()ed task / IO
+// callback afterwards). Post(), Stop() and the two counters are safe from
+// any thread.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -40,9 +47,15 @@ class EpollLoop {
   /// False when epoll/eventfd creation failed (the loop is inert).
   bool ok() const { return epoll_fd_ >= 0 && wake_fd_ >= 0; }
 
-  /// Register (or re-register with a new mask) a level-triggered watch.
-  /// The callback runs on the loop thread; it may Unwatch its own fd.
+  /// Register a level-triggered watch, or replace a watched fd's callback
+  /// and mask. The callback runs on the loop thread; it may Unwatch or
+  /// re-Watch its own fd.
   void Watch(int fd, std::uint32_t events, IoCallback callback);
+  /// Change a watched fd's mask and keep its callback; epoll_ctl runs
+  /// only when `events` differs from the registered mask. A mask of 0
+  /// pauses the fd (the kernel still reports errors and hangups). False
+  /// for an fd that is not watched.
+  bool SetInterest(int fd, std::uint32_t events);
   /// Drop the watch; safe for fds that were never watched. Does not
   /// close the fd — ownership stays with the caller.
   void Unwatch(int fd);
@@ -57,13 +70,40 @@ class EpollLoop {
   /// Thread-safe and idempotent.
   void Stop();
 
+  /// epoll_ctl calls made for watches (ADD, MOD and DEL). Thread-safe.
+  std::uint64_t epoll_ctl_calls() const {
+    return epoll_ctl_calls_.load(std::memory_order_relaxed);
+  }
+  /// IO callbacks run so far. Thread-safe.
+  std::uint64_t dispatches() const {
+    return dispatches_.load(std::memory_order_relaxed);
+  }
+
  private:
+  /// One watched fd. The callback sits on the heap so it stays put while
+  /// it runs, even if it watches new fds and watches_ grows.
+  struct Entry {
+    std::uint32_t events = 0;
+    std::unique_ptr<IoCallback> callback;  // null = not watched
+  };
+
+  /// The watched entry for `fd`, or null.
+  Entry* Find(int fd);
+  void Control(int op, int fd, std::uint32_t events);
   void DrainWake();
   void RunPostedTasks();
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd: Post()/Stop() wakeups
-  std::map<int, IoCallback> watches_;
+  /// Indexed by fd: O(1) dispatch lookup, no per-event copy.
+  std::vector<Entry> watches_;
+  /// Callbacks unwatched or replaced during a dispatch round; destroyed
+  /// after it, so a callback can drop its own watch while running.
+  std::vector<std::unique_ptr<IoCallback>> retired_;
+
+  // Written only by the loop thread (plain load + store); read anywhere.
+  std::atomic<std::uint64_t> epoll_ctl_calls_{0};
+  std::atomic<std::uint64_t> dispatches_{0};
 
   std::mutex post_mu_;
   std::vector<std::function<void()>> posted_;

@@ -47,11 +47,29 @@ bool TcpListener::Listen(const std::string& address, std::uint16_t port) {
   return true;
 }
 
-int TcpListener::Accept() {
-  if (fd_ < 0) return -1;
-  const int conn = accept4(fd_, nullptr, nullptr,
-                           SOCK_NONBLOCK | SOCK_CLOEXEC);
-  return conn >= 0 ? conn : -1;
+AcceptStatus TcpListener::Accept(int* fd) {
+  *fd = -1;
+  if (fd_ < 0) return AcceptStatus::kNone;
+  for (;;) {
+    const int conn =
+        accept4(fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (conn >= 0) {
+      *fd = conn;
+      return AcceptStatus::kAccepted;
+    }
+    switch (errno) {
+      case EINTR:
+      case ECONNABORTED:  // the peer gave up while queued: take the next
+        continue;
+      case EMFILE:
+      case ENFILE:
+      case ENOBUFS:
+      case ENOMEM:
+        return AcceptStatus::kFdExhausted;
+      default:
+        return AcceptStatus::kNone;
+    }
+  }
 }
 
 void TcpListener::Close() {
@@ -96,6 +114,7 @@ IoStatus TcpConnection::Flush() {
     const ssize_t n =
         send(fd_, outbox_.data() + outbox_offset_,
              outbox_.size() - outbox_offset_, MSG_NOSIGNAL);
+    ++sends_;
     if (n > 0) {
       outbox_offset_ += static_cast<std::size_t>(n);
       continue;

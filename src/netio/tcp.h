@@ -24,6 +24,15 @@ enum class IoStatus {
   kError,       // unrecoverable socket error
 };
 
+/// Outcome of one TcpListener::Accept().
+enum class AcceptStatus {
+  kAccepted,     // a new connection fd was handed out
+  kNone,         // nothing pending (EAGAIN), or the listener is closed
+  kFdExhausted,  // EMFILE/ENFILE (or no socket memory): a connection is
+                 // still queued, and a level-triggered watch on the
+                 // listener fires again at once until an fd frees up
+};
+
 /// Make `fd` non-blocking; returns false on fcntl failure.
 bool SetNonBlocking(int fd);
 
@@ -37,9 +46,11 @@ class TcpListener {
   /// Bind `address:port` (port 0 = ephemeral) and listen, non-blocking
   /// with SO_REUSEADDR. Returns false on any failure.
   bool Listen(const std::string& address, std::uint16_t port);
-  /// Accept one pending connection as a non-blocking fd, or -1 when none
-  /// is waiting (or on error). Ownership of the fd passes to the caller.
-  int Accept();
+  /// Accept one pending connection as a non-blocking fd into `*fd`
+  /// (ownership passes to the caller); `*fd` is -1 unless kAccepted. On
+  /// kFdExhausted the owner should stop watching the listener until one
+  /// of its own fds closes, or it spins.
+  AcceptStatus Accept(int* fd);
 
   int fd() const { return fd_; }
   /// The actual bound port (resolves port 0 via getsockname).
@@ -78,6 +89,8 @@ class TcpConnection {
   std::size_t pending_bytes() const {
     return outbox_.size() - outbox_offset_;
   }
+  /// send() calls Flush has made on this connection, EAGAIN ones included.
+  std::uint64_t sends() const { return sends_; }
 
   /// Graceful shutdown: close once the outbox drains.
   void CloseAfterFlush() { close_after_flush_ = true; }
@@ -94,6 +107,7 @@ class TcpConnection {
   std::string inbox_;
   std::string outbox_;
   std::size_t outbox_offset_ = 0;  // bytes of outbox_ already written
+  std::uint64_t sends_ = 0;
   bool close_after_flush_ = false;
 };
 

@@ -106,9 +106,12 @@ struct TelemetryServer::Impl {
   std::atomic<std::uint64_t> events_published{0};
   std::atomic<std::uint64_t> events_dropped{0};
   std::atomic<std::uint64_t> connections{0};
+  std::atomic<std::uint64_t> accept_fd_exhausted{0};
 
   // --- Loop-thread-only state -------------------------------------------
   std::map<int, std::unique_ptr<ClientConn>> clients;
+  /// True while the listener's mask is 0 because accept ran out of fds.
+  bool listener_paused = false;
 
   void OnAccept();
   void OnClientIo(int fd, std::uint32_t events);
@@ -124,8 +127,17 @@ struct TelemetryServer::Impl {
 
 void TelemetryServer::Impl::OnAccept() {
   for (;;) {
-    const int fd = listener.Accept();
-    if (fd < 0) return;
+    int fd = -1;
+    const AcceptStatus status = listener.Accept(&fd);
+    if (status == AcceptStatus::kFdExhausted) {
+      // The level-triggered listener would fire again at once: pause it
+      // until one of our connections closes and frees an fd.
+      listener_paused = true;
+      loop.SetInterest(listener.fd(), 0);
+      accept_fd_exhausted.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    if (status != AcceptStatus::kAccepted) return;
     connections.fetch_add(1, std::memory_order_relaxed);
     clients.emplace(fd, std::make_unique<ClientConn>(fd));
     loop.Watch(fd, EpollLoop::kReadable | EpollLoop::kError,
@@ -170,8 +182,7 @@ void TelemetryServer::Impl::OnClientIo(int fd, std::uint32_t events) {
 void TelemetryServer::Impl::UpdateInterest(ClientConn& client) {
   std::uint32_t mask = EpollLoop::kReadable | EpollLoop::kError;
   if (client.conn.pending_bytes() > 0) mask |= EpollLoop::kWritable;
-  const int fd = client.conn.fd();
-  loop.Watch(fd, mask, [this, fd](std::uint32_t ev) { OnClientIo(fd, ev); });
+  loop.SetInterest(client.conn.fd(), mask);
 }
 
 void TelemetryServer::Impl::CloseClient(int fd) {
@@ -179,6 +190,10 @@ void TelemetryServer::Impl::CloseClient(int fd) {
   if (it == clients.end()) return;
   loop.Unwatch(fd);
   clients.erase(it);  // TcpConnection destructor closes the fd
+  if (listener_paused) {
+    listener_paused = false;
+    loop.SetInterest(listener.fd(), EpollLoop::kReadable | EpollLoop::kError);
+  }
 }
 
 std::string TelemetryServer::Impl::RenderMetricsBody() {
@@ -211,6 +226,9 @@ std::string TelemetryServer::Impl::RenderMetricsBody() {
        events_dropped.load(std::memory_order_relaxed));
   self("flare_telemetry_connections_total", "connections accepted",
        connections.load(std::memory_order_relaxed));
+  self("flare_telemetry_accept_fd_exhausted_total",
+       "accepts refused for want of a free fd (listener paused)",
+       accept_fd_exhausted.load(std::memory_order_relaxed));
   {
     std::lock_guard<std::mutex> lock(state_mu);
     body += "# HELP flare_run_info run identity\n";

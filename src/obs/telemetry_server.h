@@ -3,7 +3,9 @@
 // Endpoints:
 //   GET /metrics  - Prometheus/OpenMetrics text rendered from the most
 //                   recently published MetricsSnapshot plus the server's
-//                   own counters (scrapes, events published/dropped).
+//                   own counters (scrapes, events published/dropped,
+//                   accepts refused for want of an fd — the listener
+//                   then pauses until a connection closes).
 //   GET /healthz  - JSON run health: 200 while every shard's
 //                   RunHealthMonitor is clean, 503 once any watchdog
 //                   warning has latched (or before the first publish),

@@ -137,20 +137,30 @@ void AppendFrame(FrameType type, std::string_view payload, std::string* out) {
 
 void AppendFrame(FrameType type, std::string_view payload,
                  const TraceContext* trace, std::string* out) {
-  std::string body(payload);
-  if (trace != nullptr) AppendTraceTrailer(*trace, &body);
-  assert(body.size() <= kMaxFramePayload);
-  const std::uint32_t length = static_cast<std::uint32_t>(body.size()) + 1;
-  char header[kHeaderBytes + 1];
+  const std::size_t begin = BeginFrame(out);
+  out->append(payload.data(), payload.size());
+  EndFrame(type, trace, begin, out);
+}
+
+std::size_t BeginFrame(std::string* out) {
+  const std::size_t begin = out->size();
+  out->append(kHeaderBytes + 1, '\0');
+  return begin;
+}
+
+void EndFrame(FrameType type, const TraceContext* trace, std::size_t begin,
+              std::string* out) {
+  if (trace != nullptr) AppendTraceTrailer(*trace, out);
+  const std::size_t body = out->size() - begin - kHeaderBytes - 1;
+  assert(body <= kMaxFramePayload);
+  const std::uint32_t length = static_cast<std::uint32_t>(body) + 1;
+  char* header = out->data() + begin;
   header[0] = static_cast<char>(length & 0xff);
   header[1] = static_cast<char>((length >> 8) & 0xff);
   header[2] = static_cast<char>((length >> 16) & 0xff);
   header[3] = static_cast<char>((length >> 24) & 0xff);
-  const std::uint8_t raw = static_cast<std::uint8_t>(type) |
-                           (trace != nullptr ? kFrameTraceExtBit : 0);
-  header[4] = static_cast<char>(raw);
-  out->append(header, kHeaderBytes + 1);
-  out->append(body.data(), body.size());
+  header[4] = static_cast<char>(static_cast<std::uint8_t>(type) |
+                                (trace != nullptr ? kFrameTraceExtBit : 0));
 }
 
 std::string EncodeFrame(FrameType type, std::string_view payload) {

@@ -96,6 +96,15 @@ std::string EncodeFrame(FrameType type, std::string_view payload);
 std::string EncodeFrame(FrameType type, std::string_view payload,
                         const TraceContext* trace);
 
+/// Build a frame in place, for payloads written by an append-based
+/// encoder (AppendRateAssignment): BeginFrame reserves the header at the
+/// end of `out` and returns its offset; the caller appends the text
+/// payload; EndFrame appends the trace trailer (when `trace` is set) and
+/// fills the header in. The bytes equal AppendFrame's.
+std::size_t BeginFrame(std::string* out);
+void EndFrame(FrameType type, const TraceContext* trace, std::size_t begin,
+              std::string* out);
+
 enum class FrameParseStatus {
   kNeedMore,  // buffer holds a partial frame; read more bytes
   kFrame,     // one frame extracted into *out and consumed from buffer

@@ -10,7 +10,9 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -26,12 +28,16 @@
 namespace flare {
 namespace {
 
-/// One TCP connection; `flow` stays kInvalidFlow until a ClientInfo is
-/// admitted, after which the connection is the session's delivery path.
+struct Session;
+
+/// One TCP connection; `flow` stays kInvalidFlow (and `session` null)
+/// until a ClientInfo is admitted, after which the connection is the
+/// session's delivery path.
 struct SessionConn {
   explicit SessionConn(int fd) : conn(fd) {}
   TcpConnection conn;
   FlowId flow = kInvalidFlow;
+  Session* session = nullptr;
   /// Cumulative bytes ever handed to Queue(); `queued_bytes -
   /// pending_bytes()` is the cumulative flushed count the tracer uses as
   /// the outbox-drain watermark.
@@ -39,7 +45,7 @@ struct SessionConn {
   std::uint64_t drained_bytes() const {
     return queued_bytes - conn.pending_bytes();
   }
-  void QueueFrame(const std::string& frame) {
+  void QueueFrame(std::string_view frame) {
     queued_bytes += frame.size();
     conn.Queue(frame);
   }
@@ -47,11 +53,17 @@ struct SessionConn {
 
 /// Per-admitted-flow transport state (the BaiEngine holds the client info
 /// and the smoothed estimate): the latest stats sample waiting for the
-/// next BAI tick, and the delivery connection.
+/// next BAI tick, and the delivery connection. The two point at each
+/// other from admission to teardown, so neither the read path nor the
+/// fan-out looks a connection up by fd.
 struct Session {
+  Session() = default;
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
   double pending_sample = 0.0;
   bool has_pending_sample = false;
-  int conn_fd = -1;
+  SessionConn* conn = nullptr;
   /// Trace context of the latest traced stats report, waiting to be
   /// echoed on (and attributed to) the next assignment. Lives in the
   /// session — not the tracer — because the wire echo works even when
@@ -104,7 +116,17 @@ struct OneApiService::Impl {
 
   // --- Loop-thread-only state -------------------------------------------
   std::map<int, std::unique_ptr<SessionConn>> conns;
-  std::map<FlowId, Session> sessions;  // the engine's flows, by FlowId
+  /// The engine's flows, by FlowId. Node-based: Session addresses are
+  /// stable, so SessionConn::session stays valid until teardown.
+  std::unordered_map<FlowId, Session> sessions;
+  /// Reused by every tick to encode one assignment frame at a time.
+  std::string frame_buf;
+  /// send() calls since the last tick's export, and the loop's epoll_ctl
+  /// count at that export.
+  std::uint64_t writes = 0;
+  std::uint64_t epoll_ctl_exported = 0;
+  /// True while the listener's mask is 0 because accept ran out of fds.
+  bool listener_paused = false;
   BaiEngine engine;
   AdmissionController admission;
   /// Null when tracing is off: the request path then never reads a clock
@@ -128,6 +150,20 @@ struct OneApiService::Impl {
   /// thread; both sides take this (uncontended) mutex.
   mutable std::mutex metrics_mu;
   MetricsRegistry registry;
+  // Per-tick instruments, resolved once (registry entries never move);
+  // still written under metrics_mu.
+  Counter& m_assignments = registry.GetCounter("svc.oneapi.assignments");
+  Counter& m_dropped = registry.GetCounter("svc.oneapi.assignments_dropped");
+  Counter& m_bais = registry.GetCounter("svc.oneapi.bais");
+  Counter& m_writes = registry.GetCounter("svc.oneapi.writes");
+  Counter& m_epoll_ctl = registry.GetCounter("svc.oneapi.epoll_ctl");
+  Gauge& m_video_fraction = registry.GetGauge("svc.oneapi.video_fraction");
+  Histogram& m_solve_us = registry.GetHistogram("svc.oneapi.solve_us");
+  Histogram& m_tick_us = registry.GetHistogram("svc.oneapi.tick_us");
+  Histogram& m_gather_us = registry.GetHistogram("svc.oneapi.tick.gather_us");
+  Histogram& m_fanout_us = registry.GetHistogram("svc.oneapi.tick.fanout_us");
+  Histogram& m_publish_us =
+      registry.GetHistogram("svc.oneapi.tick.publish_us");
 
   // --- Thread-safe progress counters ------------------------------------
   std::atomic<std::uint64_t> connections_accepted{0};
@@ -151,8 +187,11 @@ struct OneApiService::Impl {
   void HandleStats(SessionConn& sc, const Frame& frame,
                    const FrameTiming& timing);
   void SendOverloadAndClose(SessionConn& sc, const OverloadInfo& info);
+  IoStatus Flush(SessionConn& sc);
   void NotifyFlushed(SessionConn& sc);
   void UpdateInterest(SessionConn& sc);
+  void PauseListener();
+  void ResumeListener();
   void TeardownConn(int fd);
   void Tick();
   void PublishTelemetry();
@@ -162,8 +201,13 @@ struct OneApiService::Impl {
 
 void OneApiService::Impl::OnAccept() {
   for (;;) {
-    const int fd = listener.Accept();
-    if (fd < 0) return;
+    int fd = -1;
+    const AcceptStatus status = listener.Accept(&fd);
+    if (status == AcceptStatus::kFdExhausted) {
+      PauseListener();
+      return;
+    }
+    if (status != AcceptStatus::kAccepted) return;
     if (options.send_buffer_bytes > 0) {
       // Tests shrink the kernel send buffer so a deliberately slow client
       // backs up into the bounded user-space outbox quickly.
@@ -179,6 +223,21 @@ void OneApiService::Impl::OnAccept() {
     loop.Watch(fd, EpollLoop::kReadable | EpollLoop::kError,
                [this, fd](std::uint32_t events) { OnConnIo(fd, events); });
   }
+}
+
+void OneApiService::Impl::PauseListener() {
+  // The level-triggered listener would fire again at once for the
+  // connection it cannot accept: stop watching it until an fd frees up.
+  listener_paused = true;
+  loop.SetInterest(listener.fd(), 0);
+  std::lock_guard<std::mutex> lock(metrics_mu);
+  registry.GetCounter("svc.oneapi.accept_fd_exhausted").Add();
+}
+
+void OneApiService::Impl::ResumeListener() {
+  if (!listener_paused) return;
+  listener_paused = false;
+  loop.SetInterest(listener.fd(), EpollLoop::kReadable | EpollLoop::kError);
 }
 
 void OneApiService::Impl::OnConnIo(int fd, std::uint32_t events) {
@@ -201,13 +260,13 @@ void OneApiService::Impl::OnConnIo(int fd, std::uint32_t events) {
     if (conns.find(fd) == conns.end()) return;  // closed while processing
     if (status == IoStatus::kEof || status == IoStatus::kError) {
       // Flush any goodbye frames we just queued, then drop the peer.
-      sc.conn.Flush();
+      Flush(sc);
       TeardownConn(fd);
       return;
     }
   }
   if ((events & EpollLoop::kWritable) != 0) {
-    if (sc.conn.Flush() == IoStatus::kError) {
+    if (Flush(sc) == IoStatus::kError) {
       TeardownConn(fd);
       return;
     }
@@ -342,9 +401,9 @@ void OneApiService::Impl::HandleClientInfo(SessionConn& sc,
     return;
   }
 
-  Session session;
-  session.conn_fd = sc.conn.fd();
-  sessions[info->flow] = std::move(session);
+  Session& session = sessions[info->flow];
+  session.conn = &sc;
+  sc.session = &session;
   sc.flow = info->flow;
   session_count.store(sessions.size(), std::memory_order_relaxed);
   {
@@ -355,7 +414,7 @@ void OneApiService::Impl::HandleClientInfo(SessionConn& sc,
   UpdateBlockingRate();
   record_admit(true);
   sc.QueueFrame(EncodeFrame(FrameType::kWelcome, EncodeWelcome(info->flow)));
-  sc.conn.Flush();
+  Flush(sc);
   NotifyFlushed(sc);
   UpdateInterest(sc);
 }
@@ -374,21 +433,20 @@ void OneApiService::Impl::HandleStats(SessionConn& sc, const Frame& frame,
     SendOverloadAndClose(sc, Overload("malformed"));
     return;
   }
-  const auto it = sessions.find(sc.flow);
-  if (it == sessions.end()) return;
+  Session& session = *sc.session;
   if (report->rbs > 0) {
     // e_u = 8 * b_u / n_u, the RB & Rate Trace efficiency sample. A
     // zero-RB report carries no signal (idle BAI) and leaves the EWMA
     // untouched, mirroring the in-simulator nominal-capacity fallback
     // (the smoothed value already is the standing estimate).
-    it->second.pending_sample = static_cast<double>(report->tx_bytes) * 8.0 /
-                                static_cast<double>(report->rbs);
-    it->second.has_pending_sample = true;
+    session.pending_sample = static_cast<double>(report->tx_bytes) * 8.0 /
+                             static_cast<double>(report->rbs);
+    session.has_pending_sample = true;
   }
   if (frame.trace) {
     // Latest-wins, like the sample itself: a second traced report before
     // the tick supersedes the first (counted — its id will never echo).
-    if (it->second.pending_trace) {
+    if (session.pending_trace) {
       std::lock_guard<std::mutex> lock(metrics_mu);
       registry.GetCounter("svc.oneapi.trace.superseded").Add();
     }
@@ -403,7 +461,7 @@ void OneApiService::Impl::HandleStats(SessionConn& sc, const Frame& frame,
     pending.parse_us =
         tracer != nullptr ? now_us - timing.parse_start_us : 0.0;
     pending.queued_at_us = now_us;
-    it->second.pending_trace = pending;
+    session.pending_trace = pending;
     if (tracer != nullptr) tracer->OnSampleQueued(pending);
   }
   stats_received.fetch_add(1, std::memory_order_relaxed);
@@ -413,12 +471,19 @@ void OneApiService::Impl::SendOverloadAndClose(SessionConn& sc,
                                                const OverloadInfo& info) {
   sc.QueueFrame(EncodeFrame(FrameType::kOverload, EncodeOverload(info)));
   sc.conn.CloseAfterFlush();
-  sc.conn.Flush();
+  Flush(sc);
   if (sc.conn.FlushedAndDone()) {
     TeardownConn(sc.conn.fd());
     return;
   }
   UpdateInterest(sc);
+}
+
+IoStatus OneApiService::Impl::Flush(SessionConn& sc) {
+  const std::uint64_t before = sc.conn.sends();
+  const IoStatus status = sc.conn.Flush();
+  writes += sc.conn.sends() - before;
+  return status;
 }
 
 void OneApiService::Impl::NotifyFlushed(SessionConn& sc) {
@@ -429,8 +494,7 @@ void OneApiService::Impl::NotifyFlushed(SessionConn& sc) {
 void OneApiService::Impl::UpdateInterest(SessionConn& sc) {
   std::uint32_t mask = EpollLoop::kReadable | EpollLoop::kError;
   if (sc.conn.pending_bytes() > 0) mask |= EpollLoop::kWritable;
-  const int fd = sc.conn.fd();
-  loop.Watch(fd, mask, [this, fd](std::uint32_t ev) { OnConnIo(fd, ev); });
+  loop.SetInterest(sc.conn.fd(), mask);
 }
 
 void OneApiService::Impl::TeardownConn(int fd) {
@@ -439,20 +503,18 @@ void OneApiService::Impl::TeardownConn(int fd) {
   if (tracer != nullptr) {
     tracer->OnConnClosed(fd, it->second->drained_bytes(), tracer->now_us());
   }
-  const FlowId flow = it->second->flow;
-  if (flow != kInvalidFlow) {
-    const auto session = sessions.find(flow);
-    if (session != sessions.end() && session->second.conn_fd == fd) {
-      sessions.erase(session);
-      engine.Remove(flow);
-      session_count.store(sessions.size(), std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(metrics_mu);
-      registry.GetGauge("svc.oneapi.sessions")
-          .Set(static_cast<double>(sessions.size()));
-    }
+  if (it->second->session != nullptr) {
+    const FlowId flow = it->second->flow;
+    sessions.erase(flow);
+    engine.Remove(flow);
+    session_count.store(sessions.size(), std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(metrics_mu);
+    registry.GetGauge("svc.oneapi.sessions")
+        .Set(static_cast<double>(sessions.size()));
   }
   loop.Unwatch(fd);
   conns.erase(it);  // TcpConnection destructor closes the fd
+  ResumeListener();  // the freed fd may take a connection accept refused
 }
 
 void OneApiService::Impl::UpdateBlockingRate() {
@@ -476,8 +538,22 @@ void OneApiService::Impl::OnTimer() {
 }
 
 void OneApiService::Impl::Tick() {
-  const auto tick_start = std::chrono::steady_clock::now();
+  // Stage clocks: read a fixed number of times per tick, never per
+  // session, and not at all under deterministic_timing (stages read 0).
+  using SteadyClock = std::chrono::steady_clock;
+  const auto stamp = [this] {
+    return options.deterministic_timing ? SteadyClock::time_point{}
+                                        : SteadyClock::now();
+  };
+  const auto micros = [](SteadyClock::time_point from,
+                         SteadyClock::time_point to) {
+    return std::chrono::duration<double, std::micro>(to - from).count();
+  };
+  const SteadyClock::time_point tick_start = stamp();
   const double tick_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
+  // A listener paused on fd exhaustion also retries once per tick, for
+  // fds freed outside this service's own connections.
+  ResumeListener();
 
   // --- Gather: each session's latest stats report, else its standing
   // estimate, else the configured default before any report. A zero-RB
@@ -494,30 +570,36 @@ void OneApiService::Impl::Tick() {
         sess.has_pending_sample = false;
         return sess.pending_sample;
       });
+  const SteadyClock::time_point gathered = stamp();
 
   double solve_start_us = 0.0;
   double solve_span_us = 0.0;
   std::size_t n_assignments = 0;
+  std::optional<BaiDecision> decided;
+  SteadyClock::time_point fanout_start = gathered;
   if (observed) {
     const double rb_rate = static_cast<double>(options.num_rbs) * 1000.0;
     solve_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
-    const BaiDecision decision = engine.Decide(options.n_data_flows, rb_rate);
+    decided = engine.Decide(options.n_data_flows, rb_rate);
+    const BaiDecision& decision = *decided;
     solve_span_us =
         tracer != nullptr ? tracer->now_us() - solve_start_us : 0.0;
     n_assignments = decision.assignments.size();
+    fanout_start = stamp();
+    std::uint64_t sent = 0;
 
-    // --- Fan out: one kAssignment frame per flow, bounded outbox. A full
-    // buffer drops this BAI's frame for that client only (counted); the
-    // tick itself never waits on anyone's socket.
+    // --- Fan out: one kAssignment frame per flow, encoded into the
+    // reused frame buffer and written at once — one send per session,
+    // no epoll_ctl unless the socket backs up. A full outbox drops this
+    // BAI's frame for that client only (counted); the tick itself never
+    // waits on anyone's socket.
     for (const RateAssignment& a : decision.assignments) {
       const auto session = sessions.find(a.id);
       if (session == sessions.end()) continue;
-      const auto conn = conns.find(session->second.conn_fd);
-      if (conn == conns.end()) continue;
       Session& sess = session->second;
+      SessionConn& sc = *sess.conn;
       const double encode_start_us =
           tracer != nullptr && sess.pending_trace ? tracer->now_us() : 0.0;
-      const RateAssignmentMsg msg = engine.Message(a);
       // Echo the client's trace context (with our receive/transmit
       // stamps) on the assignment that answers it — whether or not
       // server-side tracing is on. Untraced clients get byte-identical
@@ -529,10 +611,11 @@ void OneApiService::Impl::Tick() {
         echo.server_send_us = static_cast<std::int64_t>(NowUs());
         echo_ptr = &echo;
       }
-      const std::string frame = EncodeFrame(
-          FrameType::kAssignment, EncodeRateAssignment(msg), echo_ptr);
-      SessionConn& sc = *conn->second;
-      if (sc.conn.pending_bytes() + frame.size() >
+      frame_buf.clear();
+      const std::size_t begin = BeginFrame(&frame_buf);
+      AppendRateAssignment(engine.Message(a), &frame_buf);
+      EndFrame(FrameType::kAssignment, echo_ptr, begin, &frame_buf);
+      if (sc.conn.pending_bytes() + frame_buf.size() >
           options.connection_buffer_limit) {
         assignments_dropped.fetch_add(1, std::memory_order_relaxed);
         if (tracer != nullptr && sess.pending_trace) {
@@ -540,10 +623,10 @@ void OneApiService::Impl::Tick() {
         }
         sess.pending_trace.reset();
         std::lock_guard<std::mutex> lock(metrics_mu);
-        registry.GetCounter("svc.oneapi.assignments_dropped").Add();
+        m_dropped.Add();
         continue;
       }
-      sc.QueueFrame(frame);
+      sc.QueueFrame(frame_buf);
       if (tracer != nullptr && sess.pending_trace) {
         RequestTiming timing = *sess.pending_trace;
         const double send_us = tracer->now_us();
@@ -560,46 +643,50 @@ void OneApiService::Impl::Tick() {
       // One echo per traced request: the context is consumed by the
       // assignment that answered it.
       sess.pending_trace.reset();
-      assignments_sent.fetch_add(1, std::memory_order_relaxed);
-      if (sc.conn.Flush() == IoStatus::kError) {
+      ++sent;
+      if (Flush(sc) == IoStatus::kError) {
         TeardownConn(sc.conn.fd());
         continue;
       }
       NotifyFlushed(sc);
       UpdateInterest(sc);
     }
-
-    const double solve_us =
-        options.deterministic_timing
-            ? 0.0
-            : static_cast<double>(decision.solve_time.count()) / 1e3;
-    std::lock_guard<std::mutex> lock(metrics_mu);
-    registry.GetCounter("svc.oneapi.assignments")
-        .Add(decision.assignments.size());
-    registry.GetHistogram("svc.oneapi.solve_us").Observe(solve_us);
-    registry.GetGauge("svc.oneapi.video_fraction")
-        .Set(decision.video_fraction);
+    assignments_sent.fetch_add(sent, std::memory_order_relaxed);
   }
+  const SteadyClock::time_point fanned_out = stamp();
 
   bais.fetch_add(1, std::memory_order_relaxed);
-  const double tick_us =
-      options.deterministic_timing
-          ? 0.0
-          : std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - tick_start)
-                    .count() /
-                1e3;
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu);
-    registry.GetCounter("svc.oneapi.bais").Add();
-    registry.GetHistogram("svc.oneapi.tick_us").Observe(tick_us);
-  }
   if (tracer != nullptr) {
     tracer->EndTick(tick_start_us, solve_start_us, solve_span_us,
                     tracer->now_us() - tick_start_us, sessions.size(),
                     n_assignments);
   }
+  const std::uint64_t epoll_ctl = loop.epoll_ctl_calls();
+  {
+    std::lock_guard<std::mutex> lock(metrics_mu);
+    if (decided) {
+      m_assignments.Add(decided->assignments.size());
+      m_solve_us.Observe(
+          options.deterministic_timing
+              ? 0.0
+              : static_cast<double>(decided->solve_time.count()) / 1e3);
+      m_video_fraction.Set(decided->video_fraction);
+    }
+    m_bais.Add();
+    m_tick_us.Observe(micros(tick_start, fanned_out));
+    m_gather_us.Observe(micros(tick_start, gathered));
+    m_fanout_us.Observe(micros(fanout_start, fanned_out));
+    m_writes.Add(writes);
+    writes = 0;
+    m_epoll_ctl.Add(epoll_ctl - epoll_ctl_exported);
+    epoll_ctl_exported = epoll_ctl;
+  }
+  // This tick's publish time lands in the next tick's snapshot.
+  const SteadyClock::time_point publish_start = stamp();
   PublishTelemetry();
+  const double publish_us = micros(publish_start, stamp());
+  std::lock_guard<std::mutex> lock(metrics_mu);
+  m_publish_us.Observe(publish_us);
 }
 
 void OneApiService::Impl::PublishTelemetry() {
@@ -743,6 +830,9 @@ std::uint64_t OneApiService::overload_rejects() const {
 }
 std::uint64_t OneApiService::sessions() const {
   return impl_->session_count.load(std::memory_order_relaxed);
+}
+std::uint64_t OneApiService::loop_dispatches() const {
+  return impl_->loop.dispatches();
 }
 std::uint64_t OneApiService::traced_requests() const {
   return impl_->tracer != nullptr ? impl_->tracer->finalized_requests() : 0;

@@ -31,7 +31,14 @@
 // beyond max_sessions or rejected by the admission policy get a typed
 // kOverload frame and a graceful close (both counted); per-connection
 // outboxes are bounded, so a slow client loses its assignment frames
-// (counted) instead of stalling the BAI tick for everyone else.
+// (counted) instead of stalling the BAI tick for everyone else. Out of
+// fds, the listener pauses (svc.oneapi.accept_fd_exhausted) instead of
+// spinning, and re-arms when a connection closes or at the next tick.
+//
+// Tick cost: in the steady state each assignment is encoded in place and
+// written with one send(), and the loop makes no epoll_ctl
+// (svc.oneapi.writes, svc.oneapi.epoll_ctl; stage times in
+// svc.oneapi.tick.{gather,fanout,publish}_us). DESIGN.md §5n.
 #pragma once
 
 #include <cstdint>
@@ -143,6 +150,8 @@ class OneApiService {
   std::uint64_t admission_rejects() const;
   std::uint64_t overload_rejects() const;
   std::uint64_t sessions() const;
+  /// IO callbacks the service's event loop has run (a busy-loop probe).
+  std::uint64_t loop_dispatches() const;
   /// Requests finalized by the tracer (0 when tracing is off). Like the
   /// other counters, safe from any thread.
   std::uint64_t traced_requests() const;

@@ -4,8 +4,11 @@
 // mid-run session destruction) that used to leak per-flow state.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -285,6 +288,30 @@ TEST(Admission, EstimateRefreshChangesTheDecision) {
   // did, so the candidate fits.
   for (FlowId id = 1; id <= 4; ++id) controller.OnEstimate(id, 800.0);
   EXPECT_TRUE(controller.Decide(MakeRequest(9)).admit);
+}
+
+TEST(Admission, NonFiniteEstimateIsRefused) {
+  AdmissionConfig config;
+  config.policy = AdmissionPolicy::kCapacityThreshold;
+  config.capacity_threshold = 0.2;
+  AdmissionController controller(config);
+  for (FlowId id = 1; id <= 4; ++id) {
+    controller.OnAdmitted(id, MakeAdmissionFlow(200.0));
+  }
+  EXPECT_FALSE(controller.Decide(MakeRequest(9)).admit);
+  // A NaN or infinite estimate is refused and leaves the standing one in
+  // force: the set still costs what it did at 200 bits/RB.
+  EXPECT_THROW(controller.OnEstimate(1, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(
+      controller.OnEstimate(2, std::numeric_limits<double>::infinity()),
+      std::invalid_argument);
+  EXPECT_FALSE(controller.Decide(MakeRequest(10)).admit);
+  // Non-positive estimates carry no signal and are ignored, as before.
+  controller.OnEstimate(3, 0.0);
+  controller.OnEstimate(4, -5.0);
+  EXPECT_FALSE(controller.Decide(MakeRequest(11)).admit);
+  for (FlowId id = 1; id <= 4; ++id) controller.OnEstimate(id, 800.0);
+  EXPECT_TRUE(controller.Decide(MakeRequest(12)).admit);
 }
 
 // ------------------------------------------------------- churn scenarios

@@ -114,6 +114,75 @@ TEST(Messages, RateAssignmentRoundTrip) {
   EXPECT_DOUBLE_EQ(decoded->gbr_bps, msg.gbr_bps);
 }
 
+RateAssignmentMsg Assignment(FlowId flow, int level, double rate_bps,
+                             double gbr_bps) {
+  RateAssignmentMsg msg;
+  msg.flow = flow;
+  msg.level = level;
+  msg.rate_bps = rate_bps;
+  msg.gbr_bps = gbr_bps;
+  return msg;
+}
+
+TEST(Messages, RateAssignmentBytesArePinned) {
+  // Literal wire bytes: sorted keys, ids and levels in full, rates in
+  // "%.6g" (exponent form from 1e6 up, six significant digits).
+  EXPECT_EQ(EncodeRateAssignment(Assignment(9, 3, 790e3, 869e3)),
+            "flow=9;gbr=869000;level=3;rate=790000;type=rate_assignment");
+  EXPECT_EQ(
+      EncodeRateAssignment(
+          Assignment(std::numeric_limits<FlowId>::max(), 7, 1.5e6, 1.65e6)),
+      "flow=4294967295;gbr=1.65e+06;level=7;rate=1.5e+06;"
+      "type=rate_assignment");
+  EXPECT_EQ(EncodeRateAssignment(Assignment(0, 0, 1e6, 1234.5678)),
+            "flow=0;gbr=1234.57;level=0;rate=1e+06;type=rate_assignment");
+  EXPECT_EQ(EncodeRateAssignment(Assignment(1000, 12, 12345678.0, 0.5)),
+            "flow=1000;gbr=0.5;level=12;rate=1.23457e+07;"
+            "type=rate_assignment");
+  EXPECT_EQ(EncodeRateAssignment(Assignment(5, -1, 0.0, 1e-5)),
+            "flow=5;gbr=1e-05;level=-1;rate=0;type=rate_assignment");
+  EXPECT_EQ(EncodeRateAssignment(Assignment(77, 2, 999999.5, 100000.0)),
+            "flow=77;gbr=100000;level=2;rate=1e+06;type=rate_assignment");
+}
+
+TEST(Messages, RateAssignmentFrameBytesArePinned) {
+  using namespace std::string_literals;
+  const std::string payload = EncodeRateAssignment(
+      Assignment(std::numeric_limits<FlowId>::max(), 7, 1.5e6, 1.65e6));
+  // Untraced: u32 LE length 71 (type + 70 payload bytes), type 5.
+  EXPECT_EQ(EncodeFrame(FrameType::kAssignment, payload),
+            "\x47\x00\x00\x00\x05"s + payload);
+  // Traced echo: type 5 | 0x80, then the payload, a NUL and the trailer.
+  TraceContext echo;
+  echo.trace_id = 0xa9;
+  echo.client_send_us = 777;
+  echo.server_recv_us = 1000;
+  echo.server_send_us = 1234;
+  EXPECT_EQ(EncodeFrame(FrameType::kAssignment, payload, &echo),
+            "\x77\x00\x00\x00\x85"s + payload +
+                "\0trace=00000000000000a9;ts=777;srx=1000;stx=1234"s);
+}
+
+TEST(Messages, InPlaceFrameMatchesEncodeFrame) {
+  // The daemon's fan-out path (BeginFrame + AppendRateAssignment +
+  // EndFrame into a reused buffer) writes EncodeFrame's exact bytes,
+  // after whatever the buffer already holds.
+  TraceContext echo;
+  echo.trace_id = 0x0123456789abcdefULL;
+  echo.client_send_us = -5;
+  const RateAssignmentMsg msg = Assignment(42, 4, 2.5e6, 2.75e6);
+  for (const TraceContext* trace : {static_cast<const TraceContext*>(nullptr),
+                                    static_cast<const TraceContext*>(&echo)}) {
+    std::string buffer = "prefix";
+    const std::size_t begin = BeginFrame(&buffer);
+    AppendRateAssignment(msg, &buffer);
+    EndFrame(FrameType::kAssignment, trace, begin, &buffer);
+    EXPECT_EQ(buffer, "prefix" + EncodeFrame(FrameType::kAssignment,
+                                             EncodeRateAssignment(msg),
+                                             trace));
+  }
+}
+
 TEST(Messages, RateAssignmentRejectsMissingFields) {
   EXPECT_FALSE(DecodeRateAssignment("type=rate_assignment;flow=1;level=2")
                    .has_value());

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include <cstdio>
 
 #include "churn/admission.h"
+#include "fd_limit.h"
 #include "has/mpd.h"
 #include "obs/flight_recorder.h"
 #include "util/json.h"
@@ -675,6 +677,142 @@ TEST(OneApiService, SlowClientDropsAssignmentsInsteadOfStallingTick) {
   EXPECT_GT(service.assignments_sent(), 0u);
   // The session itself survives — load shedding, not eviction.
   EXPECT_EQ(service.sessions(), 1u);
+  service.Stop();
+}
+
+/// A counter the service must export; fails the test when it is absent.
+std::uint64_t ExportedCounter(const MetricsSnapshot& snapshot,
+                              const std::string& name) {
+  const auto it = snapshot.counters.find(name);
+  EXPECT_NE(it, snapshot.counters.end()) << name << " not exported";
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+/// One BAI round as a responsive client sees it: read the assignment,
+/// answer with a stats report.
+void AnswerAssignment(TestClient* client, FlowId flow) {
+  const auto frame = client->ReadFrame();
+  ASSERT_TRUE(frame.has_value());
+  ASSERT_EQ(frame->type, FrameType::kAssignment);
+  FlowStatsReport report;
+  report.flow = flow;
+  report.type = FlowType::kVideo;
+  report.tx_bytes = 160;
+  report.rbs = 8;
+  ASSERT_TRUE(client->SendFrame(FrameType::kStatsReport,
+                                EncodeStatsReport(report)));
+}
+
+TEST(OneApiService, SteadyTickIsOneWritePerSessionAndNoEpollCtl) {
+  // The fan-out invariant: once sessions are up, a tick costs each
+  // responsive session exactly one send() and the loop no epoll_ctl — not
+  // for the assignment written, nor for the stats report read back.
+  constexpr int kSessions = 6;
+  constexpr int kTicks = 5;
+  OneApiServiceOptions options;
+  options.bai_ms = 0;
+  options.deterministic_timing = true;
+  OneApiService service(options);
+  ASSERT_TRUE(service.Start());
+
+  std::vector<std::unique_ptr<TestClient>> clients;
+  for (int i = 0; i < kSessions; ++i) {
+    clients.push_back(std::make_unique<TestClient>());
+    const FlowId flow = static_cast<FlowId>(100 + i);
+    ASSERT_TRUE(clients.back()->Connect(service.port()));
+    ASSERT_TRUE(clients.back()->SendFrame(FrameType::kClientInfo,
+                                          EncodeClientInfo(BasicInfo(flow))));
+    const auto welcome = clients.back()->ReadFrame();
+    ASSERT_TRUE(welcome.has_value());
+    ASSERT_EQ(welcome->type, FrameType::kWelcome);
+  }
+  std::uint64_t reports = 0;
+  const auto round = [&] {
+    service.TriggerTick();
+    for (int i = 0; i < kSessions; ++i) {
+      AnswerAssignment(clients[static_cast<std::size_t>(i)].get(),
+                       static_cast<FlowId>(100 + i));
+    }
+    reports += kSessions;
+    ASSERT_TRUE(WaitFor([&] { return service.stats_received() == reports; }));
+  };
+  round();  // warm-up
+  if (HasFatalFailure()) return;
+
+  const MetricsSnapshot before = service.SnapshotMetrics();
+  for (int tick = 0; tick < kTicks; ++tick) {
+    round();
+    if (HasFatalFailure()) return;
+  }
+  const MetricsSnapshot after = service.SnapshotMetrics();
+  EXPECT_EQ(ExportedCounter(after, "svc.oneapi.epoll_ctl"),
+            ExportedCounter(before, "svc.oneapi.epoll_ctl"));
+  EXPECT_EQ(ExportedCounter(after, "svc.oneapi.writes") -
+                ExportedCounter(before, "svc.oneapi.writes"),
+            static_cast<std::uint64_t>(kTicks * kSessions));
+  EXPECT_EQ(ExportedCounter(after, "svc.oneapi.assignments") -
+                ExportedCounter(before, "svc.oneapi.assignments"),
+            static_cast<std::uint64_t>(kTicks * kSessions));
+  // Stage histograms exist and read 0 under deterministic_timing.
+  for (const char* stage : {"svc.oneapi.tick.gather_us",
+                            "svc.oneapi.tick.fanout_us",
+                            "svc.oneapi.tick.publish_us"}) {
+    const auto it = after.histograms.find(stage);
+    ASSERT_NE(it, after.histograms.end()) << stage;
+    EXPECT_EQ(it->second.count(), static_cast<std::uint64_t>(kTicks + 1))
+        << stage;
+    EXPECT_EQ(it->second.sum(), 0.0) << stage;
+  }
+  service.Stop();
+}
+
+TEST(OneApiService, FdExhaustionPausesListenerUntilAnFdFrees) {
+  // Out of fds, accept4 fails with EMFILE while the connection stays
+  // queued, so a level-triggered listener fires again at once. The
+  // service must pause it (counted) instead of spinning a core, and
+  // welcome the queued session once one of its connections closes.
+  OneApiServiceOptions options;
+  options.bai_ms = 0;
+  OneApiService service(options);
+  ASSERT_TRUE(service.Start());
+
+  TestClient first;
+  ASSERT_TRUE(first.Connect(service.port()));
+  ASSERT_TRUE(first.SendFrame(FrameType::kClientInfo,
+                              EncodeClientInfo(BasicInfo(1))));
+  ASSERT_TRUE(first.ReadFrame().has_value());  // welcome
+
+  TestClient second;
+  {
+    // Room for exactly one more fd below the limit: the second client's
+    // socket takes it, so the service's accept finds none.
+    const int free_fd = LowestFreeFd();
+    ASSERT_GE(free_fd, 0);
+    FdLimit limit(static_cast<rlim_t>(free_fd) + 1);
+    ASSERT_TRUE(limit.ok());
+    ASSERT_TRUE(second.Connect(service.port()));
+    ASSERT_TRUE(second.SendFrame(FrameType::kClientInfo,
+                                 EncodeClientInfo(BasicInfo(2))));
+    ASSERT_TRUE(WaitFor([&] {
+      const MetricsSnapshot snapshot = service.SnapshotMetrics();
+      const auto it = snapshot.counters.find("svc.oneapi.accept_fd_exhausted");
+      return it != snapshot.counters.end() && it->second >= 1;
+    })) << "accept never reported fd exhaustion";
+    // Paused, the loop stays idle however long the fds stay short.
+    const std::uint64_t dispatches = service.loop_dispatches();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_LE(service.loop_dispatches() - dispatches, 4u);
+    EXPECT_EQ(service.connections_accepted(), 1u);
+
+    // Closing the first session frees its server-side fd; the listener
+    // re-arms and the queued session is accepted and welcomed.
+    first.Close();
+    const auto welcome = second.ReadFrame();
+    ASSERT_TRUE(welcome.has_value());
+    EXPECT_EQ(welcome->type, FrameType::kWelcome);
+  }
+  EXPECT_EQ(service.connections_accepted(), 2u);
+  EXPECT_TRUE(WaitFor([&] { return service.sessions() == 1u; }));
   service.Stop();
 }
 

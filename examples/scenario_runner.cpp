@@ -79,7 +79,7 @@ Example:
 
 Experiment keys:
   scheme=NAME        flare | flare-relaxed | festive | google | avis |
-                     flare-network-only | panda | mpc | bba  (flare)
+                     flare-network-only  (flare)
   channel=NAME       static-itbs | triangle | placed | mobile (static-itbs)
   duration_s=SECS    run length (preset default)
   seed=N             RNG seed; runs>1 uses seed, seed+1, ... (1)
@@ -199,9 +199,6 @@ std::optional<Scheme> ParseScheme(const std::string& name) {
   if (name == "google") return Scheme::kGoogle;
   if (name == "avis") return Scheme::kAvis;
   if (name == "flare-network-only") return Scheme::kFlareNetworkOnly;
-  if (name == "panda") return Scheme::kPanda;
-  if (name == "mpc") return Scheme::kMpc;
-  if (name == "bba") return Scheme::kBba;
   return std::nullopt;
 }
 

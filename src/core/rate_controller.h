@@ -26,7 +26,11 @@ enum class SolverMode {
   /// Greedy single-rung ascent (SolveGreedy). The default for the paper
   /// figures, though not exact: on Fig 6/7-shaped problems it fell below
   /// the (3)-(4) optimum on 14.5% of instances, by up to 2.1% (see
-  /// optimizer.h).
+  /// optimizer.h). It stays the default because the exact sweep changes
+  /// rungs more often: with kBatchedSweep as the Fig 6/7 default,
+  /// perfbench mobile_cell qoe_changes rose from 4.20 to 5.80 (seed 1),
+  /// 4.29 to 5.55 (seed 2, +30%) and 4.29 to 5.96 (seed 3, +39%), beyond
+  /// the benchmark's 15% bound, while qoe_bitrate_kbps fell 0.1-2.3%.
   kGreedyDiscrete,
   kContinuousRelaxation,
   /// Concave-envelope sweep (BatchSolver): exact on those problems,

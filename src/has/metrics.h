@@ -24,8 +24,7 @@ struct ClientMetrics {
 /// Weights of the composite QoE objective
 ///   (1/K) * sum_k [ q(R_k) - lambda |q(R_k) - q(R_{k-1})| ]
 ///          - mu * rebuffer_s / playtime,
-/// with q = bitrate in Mbps — the linear QoE model of Yin et al. that the
-/// MPC baseline also optimizes internally.
+/// with q = bitrate in Mbps — the linear QoE model of Yin et al.
 struct QoeWeights {
   double lambda_switch = 1.0;
   double mu_rebuffer = 8.0;

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <sstream>
-
-#include "util/csv.h"
 
 namespace flare {
 
@@ -48,13 +44,6 @@ int Mpd::HighestIndexBelow(double bps) const {
   return best;
 }
 
-int Mpd::IndexOfBitrate(double bps) const {
-  for (const Representation& r : representations) {
-    if (std::abs(r.bitrate_bps - bps) < 0.5) return r.index;
-  }
-  return -1;
-}
-
 bool Mpd::Valid() const {
   if (representations.empty() || segment_duration_s <= 0.0) return false;
   double prev = 0.0;
@@ -80,88 +69,6 @@ Mpd MakeMpd(const std::vector<double>& ladder_kbps,
     mpd.representations.push_back(
         Representation{static_cast<int>(i), sorted[i] * 1000.0});
   }
-  return mpd;
-}
-
-std::string SerializeMpd(const Mpd& mpd) {
-  std::ostringstream out;
-  out << "<MPD title=\"" << mpd.title << "\" segmentDuration=\""
-      << FormatNumber(mpd.segment_duration_s) << "\" mediaDuration=\""
-      << FormatNumber(mpd.media_duration_s) << "\" vbrSigma=\""
-      << FormatNumber(mpd.vbr_sigma) << "\">\n";
-  for (const Representation& r : mpd.representations) {
-    out << "  <Representation id=\"" << r.index << "\" bandwidth=\""
-        << FormatNumber(r.bitrate_bps) << "\"/>\n";
-  }
-  out << "</MPD>\n";
-  return out.str();
-}
-
-namespace {
-
-/// Extract attribute `name="value"` from `tag`; nullopt if absent.
-std::optional<std::string> Attribute(const std::string& tag,
-                                     const std::string& name) {
-  const std::string needle = name + "=\"";
-  const auto start = tag.find(needle);
-  if (start == std::string::npos) return std::nullopt;
-  const auto value_start = start + needle.size();
-  const auto end = tag.find('"', value_start);
-  if (end == std::string::npos) return std::nullopt;
-  return tag.substr(value_start, end - value_start);
-}
-
-std::optional<double> NumberAttribute(const std::string& tag,
-                                      const std::string& name) {
-  const auto text = Attribute(tag, name);
-  if (!text) return std::nullopt;
-  char* end = nullptr;
-  const double value = std::strtod(text->c_str(), &end);
-  if (end == text->c_str()) return std::nullopt;
-  return value;
-}
-
-}  // namespace
-
-std::optional<Mpd> ParseMpd(const std::string& xml) {
-  const auto mpd_open = xml.find("<MPD");
-  if (mpd_open == std::string::npos) return std::nullopt;
-  const auto mpd_tag_end = xml.find('>', mpd_open);
-  if (mpd_tag_end == std::string::npos) return std::nullopt;
-  const std::string mpd_tag = xml.substr(mpd_open, mpd_tag_end - mpd_open);
-
-  Mpd mpd;
-  mpd.title = Attribute(mpd_tag, "title").value_or("");
-  const auto seg = NumberAttribute(mpd_tag, "segmentDuration");
-  if (!seg) return std::nullopt;
-  mpd.segment_duration_s = *seg;
-  mpd.media_duration_s =
-      NumberAttribute(mpd_tag, "mediaDuration").value_or(0.0);
-  mpd.vbr_sigma = NumberAttribute(mpd_tag, "vbrSigma").value_or(0.0);
-
-  std::size_t cursor = mpd_tag_end;
-  while (true) {
-    const auto rep_open = xml.find("<Representation", cursor);
-    if (rep_open == std::string::npos) break;
-    const auto rep_end = xml.find('>', rep_open);
-    if (rep_end == std::string::npos) return std::nullopt;
-    const std::string rep_tag = xml.substr(rep_open, rep_end - rep_open);
-    const auto bandwidth = NumberAttribute(rep_tag, "bandwidth");
-    if (!bandwidth) return std::nullopt;
-    mpd.representations.push_back(Representation{
-        static_cast<int>(mpd.representations.size()), *bandwidth});
-    cursor = rep_end;
-  }
-
-  // Normalize: sort ascending and re-index, then validate.
-  std::sort(mpd.representations.begin(), mpd.representations.end(),
-            [](const Representation& a, const Representation& b) {
-              return a.bitrate_bps < b.bitrate_bps;
-            });
-  for (std::size_t i = 0; i < mpd.representations.size(); ++i) {
-    mpd.representations[i].index = static_cast<int>(i);
-  }
-  if (!mpd.Valid()) return std::nullopt;
   return mpd;
 }
 

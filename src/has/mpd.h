@@ -2,13 +2,12 @@
 //
 // HAS divides a video into fixed-duration segments, each encoded at every
 // rung of a bitrate ladder; the MPD advertises the ladder and timing. We
-// model the fields the rate-adaptation path needs and provide a simplified
-// DASH-style XML serialization + parser (the FLARE plugin parses the MPD to
-// learn the available bitrates it forwards to the OneAPI server).
+// model the fields the rate-adaptation path needs (the FLARE plugin reads
+// the ladder from it and forwards the available bitrates to the OneAPI
+// server).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,8 +41,6 @@ struct Mpd {
   /// Highest index whose bitrate is <= `bps`; -1 if even the lowest rung
   /// exceeds it (callers typically clamp to 0).
   int HighestIndexBelow(double bps) const;
-  /// Index of the exact bitrate, or -1.
-  int IndexOfBitrate(double bps) const;
   bool Valid() const;  // non-empty, ascending, positive rates/duration
 };
 
@@ -51,13 +48,6 @@ struct Mpd {
 Mpd MakeMpd(const std::vector<double>& ladder_kbps,
             double segment_duration_s, double media_duration_s = 0.0,
             const std::string& title = "video");
-
-/// Simplified DASH-flavoured XML.
-std::string SerializeMpd(const Mpd& mpd);
-
-/// Parse what SerializeMpd produces (plus whitespace/attribute-order
-/// tolerance). Returns nullopt on malformed input.
-std::optional<Mpd> ParseMpd(const std::string& xml);
 
 // Ladders used in the paper.
 /// Testbed encoding (Section IV-A), Kbps.

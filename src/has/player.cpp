@@ -107,14 +107,6 @@ void VideoPlayer::OnSegment(double duration_s, double bitrate_bps,
   }
 }
 
-int VideoPlayer::switch_count() const {
-  int switches = 0;
-  for (std::size_t i = 1; i < segment_bitrates_.size(); ++i) {
-    if (segment_bitrates_[i] != segment_bitrates_[i - 1]) ++switches;
-  }
-  return switches;
-}
-
 void VideoPlayer::SetSpanTracer(SpanTracer* tracer, int client) {
   span_trace_ = tracer;
   span_client_ = client;

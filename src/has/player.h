@@ -55,9 +55,6 @@ class VideoPlayer {
     return segment_bitrates_;
   }
 
-  /// Bitrate changes between consecutive downloaded segments.
-  int switch_count() const;
-
   /// Attach metrics (null = detach): stall events, rung switches, and a
   /// buffer-occupancy histogram sampled at each segment arrival. Shared
   /// across players — counters aggregate cell-wide.

@@ -119,21 +119,6 @@ const FlowState& Cell::flow(FlowId id) const { return Entry(id).state; }
 
 bool Cell::HasFlow(FlowId id) const { return flows_.count(id) > 0; }
 
-std::vector<FlowId> Cell::Flows() const {
-  std::vector<FlowId> out;
-  out.reserve(flows_.size());
-  for (const auto& [id, entry] : flows_) out.push_back(id);
-  return out;
-}
-
-std::vector<FlowId> Cell::FlowsOfType(FlowType type) const {
-  std::vector<FlowId> out;
-  for (const auto& [id, entry] : flows_) {
-    if (entry.state.type == type) out.push_back(id);
-  }
-  return out;
-}
-
 int Cell::UeItbs(UeId ue) const {
   if (ue >= ues_.size() || ues_[ue].channel == nullptr) {
     throw std::out_of_range("Cell::UeItbs: bad or released UE");

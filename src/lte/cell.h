@@ -103,8 +103,6 @@ class Cell {
   // --- Introspection ------------------------------------------------------
   const FlowState& flow(FlowId id) const;
   bool HasFlow(FlowId id) const;
-  std::vector<FlowId> Flows() const;
-  std::vector<FlowId> FlowsOfType(FlowType type) const;
   int num_rbs() const { return config_.num_rbs; }
   Simulator& sim() { return sim_; }
 

@@ -3,7 +3,7 @@
 // here).
 //
 // Responsibilities:
-//  * On session start, parse the MPD and report the available bitrates to
+//  * On session start, read the MPD and report the available bitrates to
 //    the OneAPI server, stripped of anything identifying the video
 //    (BuildClientInfo sends bitrates only, plus whatever the client opts
 //    in to: a rung cap from device limits or data-cost preferences).
@@ -56,7 +56,7 @@ class FlarePlugin final : public AbrAlgorithm {
   /// Clickstream state (only meaningful if the client shares it).
   void SetSkimming(bool skimming) { skimming_ = skimming; }
 
-  /// Client info for the OneAPI server, built from the (parsed) MPD with
+  /// Client info for the OneAPI server, built from the MPD with
   /// identifying metadata removed.
   ClientInfo BuildClientInfo(const Mpd& mpd) const;
 

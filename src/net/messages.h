@@ -11,13 +11,29 @@
 // Decode* returns nullopt on malformed input rather than guessing.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
-#include "lte/stats_reporter.h"
+#include "lte/types.h"
 #include "net/flare_plugin.h"
 
 namespace flare {
+
+/// One flow's RB utilization and throughput over a reporting period, as
+/// the eNodeB Communication Module sends it to the OneAPI server.
+struct FlowStatsReport {
+  FlowId flow = kInvalidFlow;
+  FlowType type = FlowType::kData;
+  /// Bytes transmitted over the reporting period.
+  std::uint64_t tx_bytes = 0;
+  /// RBs consumed over the reporting period.
+  std::uint64_t rbs = 0;
+  /// Achieved throughput over the period, bits/s.
+  double throughput_bps = 0.0;
+  /// Fraction of the cell's RBs this flow consumed over the period.
+  double rb_utilization = 0.0;
+};
 
 /// Server -> plugin/PCEF bitrate decision for one flow.
 struct RateAssignmentMsg {

@@ -31,12 +31,4 @@ int Pcrf::CountFlowsAllCells(FlowType type) const {
   return n;
 }
 
-std::vector<FlowId> Pcrf::FlowsOfType(FlowType type, CellTag cell) const {
-  std::vector<FlowId> out;
-  for (const auto& [key, t] : flows_) {
-    if (key.first == cell && t == type) out.push_back(key.second);
-  }
-  return out;
-}
-
 }  // namespace flare

@@ -11,7 +11,6 @@
 #include <functional>
 #include <map>
 #include <utility>
-#include <vector>
 
 #include "lte/types.h"
 
@@ -37,7 +36,6 @@ class Pcrf {
   /// Flows of `type` across the whole core.
   int CountFlowsAllCells(FlowType type) const;
 
-  std::vector<FlowId> FlowsOfType(FlowType type, CellTag cell = 0) const;
   bool Knows(FlowId id, CellTag cell = 0) const {
     return flows_.count({cell, id}) > 0;
   }

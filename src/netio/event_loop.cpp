@@ -29,7 +29,7 @@ void EpollLoop::Control(int op, int fd, std::uint32_t events) {
   epoll_event ev{};
   ev.events = events;  // kReadable/kWritable/kError mirror EPOLL* values
   ev.data.fd = fd;
-  epoll_ctl(epoll_fd_, op, fd, op == EPOLL_CTL_DEL ? nullptr : &ev);
+  epoll_ctl(epoll_fd_, op, fd, &ev);
   epoll_ctl_calls_.store(epoll_ctl_calls_.load(std::memory_order_relaxed) + 1,
                          std::memory_order_relaxed);
 }
@@ -42,6 +42,7 @@ void EpollLoop::Watch(int fd, std::uint32_t events, IoCallback callback) {
   Entry& entry = watches_[static_cast<std::size_t>(fd)];
   if (entry.callback == nullptr) {
     Control(EPOLL_CTL_ADD, fd, events);
+    entry.added_round = round_;
   } else {
     if (entry.events != events) Control(EPOLL_CTL_MOD, fd, events);
     retired_.push_back(std::move(entry.callback));
@@ -71,7 +72,6 @@ bool EpollLoop::SetInterest(int fd, std::uint32_t events) {
 void EpollLoop::Unwatch(int fd) {
   Entry* entry = Find(fd);
   if (entry == nullptr) return;
-  Control(EPOLL_CTL_DEL, fd, 0);
   retired_.push_back(std::move(entry->callback));
   entry->events = 0;
 }
@@ -122,6 +122,7 @@ void EpollLoop::Run() {
       if (errno == EINTR) continue;
       return;
     }
+    ++round_;
     for (int i = 0; i < n; ++i) {
       const int fd = ready[i].data.fd;
       if (fd == wake_fd_) {
@@ -129,10 +130,11 @@ void EpollLoop::Run() {
         continue;
       }
       // Look the callback up fresh: an earlier callback this round may
-      // have unwatched (and closed) this fd. One that unwatches or
-      // replaces itself is parked in retired_ until the round ends.
+      // have unwatched and closed this fd, and maybe watched a new fd
+      // under the same number. One that unwatches or replaces itself is
+      // parked in retired_ until the round ends.
       const Entry* entry = Find(fd);
-      if (entry == nullptr) continue;
+      if (entry == nullptr || entry->added_round == round_) continue;
       dispatches_.store(dispatches_.load(std::memory_order_relaxed) + 1,
                         std::memory_order_relaxed);
       // Through a raw pointer: the callback may grow watches_.

@@ -10,9 +10,12 @@
 // only when the kernel's view actually changes (a new fd, or a mask that
 // differs from the registered one), so a service that recomputes its
 // interest after every read or write pays no syscall in the steady state.
-// epoll_ctl_calls() counts every epoll_ctl the loop has made for its
-// watches, and dispatches() every IO callback it has run; both are safe
-// to read from any thread.
+// Unwatch() makes none either: its caller closes the fd before the loop
+// next waits, and closing an fd that no other descriptor shares removes
+// it from the epoll set. A connection therefore costs one epoll_ctl (its
+// ADD) over its whole life. epoll_ctl_calls() counts every epoll_ctl the
+// loop has made for its watches, and dispatches() every IO callback it has
+// run; both are safe to read from any thread.
 //
 // Threading contract: Watch/SetInterest/Unwatch/Run are loop-thread-only
 // (call Watch before Run for the initial set, or from a Post()ed task / IO
@@ -56,8 +59,12 @@ class EpollLoop {
   /// pauses the fd (the kernel still reports errors and hangups). False
   /// for an fd that is not watched.
   bool SetInterest(int fd, std::uint32_t events);
-  /// Drop the watch; safe for fds that were never watched. Does not
-  /// close the fd — ownership stays with the caller.
+  /// Drop the watch of an fd the caller closes before the loop next
+  /// waits; safe for fds that were never watched. Makes no epoll_ctl: the
+  /// close removes the fd from the epoll set, which holds because the fd
+  /// is not shared (no dup, and CLOEXEC across fork). An event for the fd
+  /// already fetched in this dispatch round is dropped, also when a new
+  /// watch reuses the fd number before the round ends.
   void Unwatch(int fd);
 
   /// Run `task` on the loop thread at the next wakeup. Thread-safe.
@@ -70,7 +77,7 @@ class EpollLoop {
   /// Thread-safe and idempotent.
   void Stop();
 
-  /// epoll_ctl calls made for watches (ADD, MOD and DEL). Thread-safe.
+  /// epoll_ctl calls made for watches (ADD and MOD). Thread-safe.
   std::uint64_t epoll_ctl_calls() const {
     return epoll_ctl_calls_.load(std::memory_order_relaxed);
   }
@@ -85,6 +92,10 @@ class EpollLoop {
   struct Entry {
     std::uint32_t events = 0;
     std::unique_ptr<IoCallback> callback;  // null = not watched
+    /// Dispatch round in which the fd was added. Events fetched in that
+    /// round predate the watch (they belong to a closed fd that had the
+    /// same number), so they are not dispatched.
+    std::uint64_t added_round = 0;
   };
 
   /// The watched entry for `fd`, or null.
@@ -100,6 +111,8 @@ class EpollLoop {
   /// Callbacks unwatched or replaced during a dispatch round; destroyed
   /// after it, so a callback can drop its own watch while running.
   std::vector<std::unique_ptr<IoCallback>> retired_;
+  /// epoll_wait calls so far; events of one wait form one round.
+  std::uint64_t round_ = 0;
 
   // Written only by the loop thread (plain load + store); read anywhere.
   std::atomic<std::uint64_t> epoll_ctl_calls_{0};

@@ -23,12 +23,6 @@ const char* SchemeName(Scheme scheme) {
       return "AVIS";
     case Scheme::kFlareNetworkOnly:
       return "FLARE-network-only";
-    case Scheme::kPanda:
-      return "PANDA";
-    case Scheme::kMpc:
-      return "MPC";
-    case Scheme::kBba:
-      return "BBA";
   }
   return "?";
 }

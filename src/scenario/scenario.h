@@ -13,9 +13,6 @@
 #include "abr/avis.h"
 #include "abr/festive.h"
 #include "abr/google.h"
-#include "abr/bba.h"
-#include "abr/mpc.h"
-#include "abr/panda.h"
 #include "churn/session_churn.h"
 #include "core/rate_controller.h"
 #include "has/metrics.h"
@@ -37,10 +34,6 @@ enum class Scheme {
   /// the client, which runs a greedy AVIS-style adaptation instead —
   /// isolates the value of FLARE's client-side enforcement.
   kFlareNetworkOnly,
-  // Extended baselines from the paper's related-work section:
-  kPanda,  // Li et al., probe-and-adapt [10]
-  kMpc,    // Yin et al., model predictive control [11]
-  kBba,    // Huang et al., buffer-based adaptation
 };
 
 const char* SchemeName(Scheme scheme);
@@ -119,9 +112,6 @@ struct ScenarioConfig {
   GoogleAbrConfig google;
   AvisConfig avis;
   OneApiConfig oneapi;
-  PandaConfig panda;
-  MpcConfig mpc;
-  BbaConfig bba;
 
   /// Session churn (arrivals/departures mid-run) + admission control.
   /// The n_video/n_data/n_conventional populations above stay as a static

@@ -371,12 +371,6 @@ std::unique_ptr<AbrAlgorithm> ScenarioWorld::MakeVideoAbr(
       *plugin_out = orphan_out->get();
       return std::make_unique<AvisClientAbr>();
     }
-    case Scheme::kPanda:
-      return std::make_unique<PandaAbr>(config_.panda);
-    case Scheme::kMpc:
-      return std::make_unique<MpcAbr>(config_.mpc);
-    case Scheme::kBba:
-      return std::make_unique<BbaAbr>(config_.bba);
   }
   return std::make_unique<AvisClientAbr>();
 }

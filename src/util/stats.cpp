@@ -66,14 +66,6 @@ double NearestRankQuantile(const std::vector<double>& sorted, double q) {
   return sorted[NearestRank(sorted.size(), q) - 1];
 }
 
-double Cdf::FractionBelow(double x) const {
-  if (samples_.empty()) return 0.0;
-  EnsureSorted();
-  const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-  return static_cast<double>(it - samples_.begin()) /
-         static_cast<double>(samples_.size());
-}
-
 double Cdf::Mean() const {
   if (samples_.empty()) return 0.0;
   double sum = 0.0;

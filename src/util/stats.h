@@ -43,9 +43,6 @@ class Cdf {
   /// statistics). Returns 0 for an empty CDF.
   double Quantile(double q) const;
 
-  /// Fraction of samples <= x.
-  double FractionBelow(double x) const;
-
   double Mean() const;
 
   /// Evaluation points for printing a CDF curve: `points` evenly spaced

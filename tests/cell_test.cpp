@@ -16,7 +16,6 @@
 #include "lte/pf_scheduler.h"
 #include "lte/gbr_scheduler.h"
 #include "lte/pss_scheduler.h"
-#include "lte/stats_reporter.h"
 #include "lte/tbs_table.h"
 #include "sim/simulator.h"
 
@@ -251,43 +250,6 @@ TEST(Cell, UnknownFlowThrows) {
   EXPECT_THROW(f.cell.flow(999), std::out_of_range);
   EXPECT_THROW(f.cell.Enqueue(999, 10), std::out_of_range);
   EXPECT_THROW(f.cell.SetGbr(999, 1.0), std::out_of_range);
-}
-
-TEST(Cell, FlowsOfTypeFilters) {
-  CellFixture f(std::make_unique<PfScheduler>());
-  const UeId ue = f.cell.AddUe(std::make_unique<StaticItbsChannel>(7));
-  f.cell.AddFlow(ue, FlowType::kVideo);
-  f.cell.AddFlow(ue, FlowType::kData);
-  f.cell.AddFlow(ue, FlowType::kVideo);
-  EXPECT_EQ(f.cell.FlowsOfType(FlowType::kVideo).size(), 2u);
-  EXPECT_EQ(f.cell.FlowsOfType(FlowType::kData).size(), 1u);
-  EXPECT_EQ(f.cell.Flows().size(), 3u);
-}
-
-TEST(StatsReporter, PeriodicReportsCarryThroughput) {
-  CellConfig config;
-  config.queue_limit_bytes = 10'000'000;  // enough backlog for the run
-  CellFixture f(std::make_unique<PfScheduler>(), config);
-  const UeId ue = f.cell.AddUe(std::make_unique<StaticItbsChannel>(7));
-  const FlowId flow = f.cell.AddFlow(ue, FlowType::kVideo);
-  f.cell.Enqueue(flow, 10'000'000);
-
-  std::vector<std::vector<FlowStatsReport>> reports;
-  StatsReporter reporter(f.cell, FromSeconds(0.5),
-                         [&](SimTime, const std::vector<FlowStatsReport>& r) {
-                           reports.push_back(r);
-                         });
-  f.cell.Start();
-  f.sim.RunUntil(FromSeconds(2.0));
-
-  ASSERT_EQ(reports.size(), 4u);
-  for (const auto& batch : reports) {
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0].flow, flow);
-    EXPECT_EQ(batch[0].type, FlowType::kVideo);
-    EXPECT_NEAR(batch[0].throughput_bps, 5.2e6, 0.1e6);
-    EXPECT_NEAR(batch[0].rb_utilization, 1.0, 0.05);
-  }
 }
 
 TEST(Cell, BlerScalesThroughputAndTriggersHarq) {

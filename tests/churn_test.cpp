@@ -13,7 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "abr/bba.h"
+#include "abr/google.h"
 #include "churn/admission.h"
 #include "churn/session_churn.h"
 #include "core/optimizer.h"
@@ -492,7 +492,7 @@ TEST(TeardownRegression, VideoSessionSafeToDestroyMidDownload) {
   auto http = std::make_unique<HttpClient>(sim, tcp);
   const Mpd mpd = MakeMpd(TestbedLadderKbps(), 2.0);
   auto session = std::make_unique<VideoSession>(
-      sim, *http, mpd, std::make_unique<BbaAbr>(), VideoSessionConfig{});
+      sim, *http, mpd, std::make_unique<GoogleAbr>(), VideoSessionConfig{});
 
   cell.Start();
   session->Start(FromSeconds(0.1));

@@ -1,9 +1,12 @@
 // Tests for the netio event loop and listener (src/netio): interest
 // changes cost an epoll_ctl only when the mask really changes and keep
-// the fd's callback, a callback may drop or replace its own watch, and a
-// listener out of fds says so instead of reporting "nothing pending".
+// the fd's callback, dropping a watch before the close costs none, a
+// callback may drop or replace its own watch, a closed fd's stale event
+// is never dispatched, and a listener out of fds says so instead of
+// reporting "nothing pending".
 #include "netio/event_loop.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -109,11 +112,91 @@ TEST(EpollLoop, EpollCtlOnlyWhenTheMaskChanges) {
   EXPECT_FALSE(loop.SetInterest(pair.fds[1], EpollLoop::kReadable));
   EXPECT_FALSE(loop.SetInterest(-1, EpollLoop::kReadable));
   EXPECT_EQ(loop.epoll_ctl_calls(), 3u);
+  // Unwatch leaves the epoll set to the caller's close: no DEL.
   loop.Unwatch(fd);
-  EXPECT_EQ(loop.epoll_ctl_calls(), 4u);  // DEL
+  EXPECT_EQ(loop.epoll_ctl_calls(), 3u);
   loop.Unwatch(fd);  // already gone: no-op
-  EXPECT_EQ(loop.epoll_ctl_calls(), 4u);
+  EXPECT_EQ(loop.epoll_ctl_calls(), 3u);
   EXPECT_FALSE(loop.SetInterest(fd, EpollLoop::kReadable));
+}
+
+TEST(EpollLoop, AcceptedThenClosedConnectionCostsOneEpollCtl) {
+  EpollLoop loop;
+  TcpListener listener;
+  ASSERT_TRUE(listener.Listen("127.0.0.1", 0));
+  std::atomic<int> closed{0};
+  // The services' connection lifecycle: watch on accept, unwatch and
+  // close on EOF.
+  loop.Watch(listener.fd(), EpollLoop::kReadable, [&](std::uint32_t) {
+    int fd = -1;
+    while (listener.Accept(&fd) == AcceptStatus::kAccepted) {
+      loop.Watch(fd, EpollLoop::kReadable | EpollLoop::kError,
+                 [&loop, &closed, fd](std::uint32_t) {
+                   char buf[64];
+                   if (recv(fd, buf, sizeof(buf), 0) > 0) return;
+                   loop.Unwatch(fd);
+                   close(fd);
+                   closed.fetch_add(1);
+                 });
+    }
+  });
+  LoopThread runner(&loop);
+  constexpr int kConnections = 20;
+  for (int i = 0; i < kConnections; ++i) {
+    const int client =
+        BlockingConnect("127.0.0.1", listener.bound_port(), 2000);
+    ASSERT_GE(client, 0);
+    close(client);
+  }
+  ASSERT_TRUE(WaitFor([&] { return closed.load() == kConnections; }));
+  runner.Sync([] {});
+  // One ADD for the listener and one per connection; no DEL.
+  EXPECT_EQ(loop.epoll_ctl_calls(), 1u + kConnections);
+}
+
+TEST(EpollLoop, StaleEventOfAClosedFdIsNeverDispatched) {
+  EpollLoop loop;
+  SocketPair first;
+  SocketPair second;
+  // Both fds are readable, so one epoll_wait returns both. Whichever
+  // callback runs first closes the other fd and watches a fresh, idle
+  // socket under the same fd number. The event already fetched for the
+  // closed fd must not reach the new watch.
+  std::atomic<int> calls{0};
+  std::atomic<int> stale{0};
+  int fresh[2] = {-1, -1};
+  const auto make = [&](int self, SocketPair* other) {
+    return [&, self, other](std::uint32_t) {
+      DrainSocket(self);
+      if (calls.fetch_add(1) > 0) return;
+      // Stop after this round whatever the checks below find.
+      loop.Post([&] { loop.Stop(); });
+      ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fresh),
+                0);
+      const int reused = other->fds[0];
+      loop.Unwatch(reused);
+      close(reused);
+      other->fds[0] = -1;
+      // Move the idle end onto the closed fd's number.
+      ASSERT_EQ(fcntl(fresh[0], F_DUPFD_CLOEXEC, reused), reused);
+      close(fresh[0]);
+      fresh[0] = reused;
+      loop.Watch(reused, EpollLoop::kReadable,
+                 [&](std::uint32_t) { stale.fetch_add(1); });
+    };
+  };
+  loop.Watch(first.fds[0], EpollLoop::kReadable, make(first.fds[0], &second));
+  loop.Watch(second.fds[0], EpollLoop::kReadable,
+             make(second.fds[0], &first));
+  SendByte(first.fds[1]);
+  SendByte(second.fds[1]);
+  loop.Run();  // one round: the first callback's posted Stop ends it
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(stale.load(), 0);
+  EXPECT_EQ(loop.dispatches(), 1u);
+  for (int fd : fresh) {
+    if (fd >= 0) close(fd);
+  }
 }
 
 TEST(EpollLoop, CallbackSurvivesInterestChanges) {
@@ -157,22 +240,24 @@ TEST(EpollLoop, CallbackMayUnwatchItself) {
   SocketPair first;
   SocketPair second;
   std::atomic<int> calls{0};
-  // Each callback drops both watches, then keeps using its own captured
-  // state: the running std::function must outlive its Unwatch. Whichever
-  // fd dispatches first, the other is never dispatched after it is
-  // unwatched within the same round.
-  const auto make = [&](int self, int other) {
+  // Each callback drops and closes both watched fds, then keeps using its
+  // own captured state: the running std::function must outlive its
+  // Unwatch. Whichever fd dispatches first, the other is never dispatched
+  // after it is unwatched within the same round.
+  const auto make = [&](int* self, int* other) {
     return [&loop, &calls, self, other](std::uint32_t) {
-      loop.Unwatch(self);
-      loop.Unwatch(other);
-      DrainSocket(self);
+      for (int* fd : {self, other}) {
+        loop.Unwatch(*fd);
+        close(*fd);
+        *fd = -1;
+      }
       calls.fetch_add(1);
     };
   };
   loop.Watch(first.fds[0], EpollLoop::kReadable,
-             make(first.fds[0], second.fds[0]));
+             make(&first.fds[0], &second.fds[0]));
   loop.Watch(second.fds[0], EpollLoop::kReadable,
-             make(second.fds[0], first.fds[0]));
+             make(&second.fds[0], &first.fds[0]));
   SendByte(first.fds[1]);
   SendByte(second.fds[1]);
   LoopThread runner(&loop);

@@ -87,8 +87,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(Scheme::kFlare, Scheme::kFlareRelaxed,
                           Scheme::kFestive, Scheme::kGoogle, Scheme::kAvis,
-                          Scheme::kFlareNetworkOnly, Scheme::kPanda,
-                          Scheme::kMpc, Scheme::kBba),
+                          Scheme::kFlareNetworkOnly),
         ::testing::Values(ChannelKind::kStaticItbs,
                           ChannelKind::kItbsTriangle,
                           ChannelKind::kPlacedStatic, ChannelKind::kMobile),
@@ -128,7 +127,7 @@ TEST_P(ScenarioDeterminism, RunsAreReproducible) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ScenarioDeterminism,
     ::testing::Combine(::testing::Values(Scheme::kFlare, Scheme::kFestive,
-                                         Scheme::kAvis, Scheme::kMpc),
+                                         Scheme::kAvis),
                        ::testing::Values(ChannelKind::kStaticItbs,
                                          ChannelKind::kMobile)));
 

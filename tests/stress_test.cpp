@@ -1,19 +1,15 @@
 // Stress and kitchen-sink tests: fuzzed scheduler inputs, large optimizer
-// instances, and feature-combination scenarios (VBR + BLER + live +
-// conventional players at once).
+// instances, and feature-combination scenarios (VBR + BLER + conventional
+// players at once).
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "core/optimizer.h"
-#include "has/uplink_session.h"
 #include "lte/gbr_scheduler.h"
 #include "lte/pf_scheduler.h"
 #include "lte/pss_scheduler.h"
-#include "net/flare_plugin.h"
-#include "net/oneapi_server.h"
 #include "scenario/scenario.h"
-#include "transport/transport_host.h"
 #include "util/rng.h"
 
 namespace flare {
@@ -135,61 +131,6 @@ TEST(KitchenSink, QoeOrderingFlareVsAvisMobile) {
   for (const ClientMetrics& m : flare.video) flare_qoe += m.qoe;
   for (const ClientMetrics& m : avis.video) avis_qoe += m.qoe;
   EXPECT_GT(flare_qoe, avis_qoe);
-}
-
-TEST(KitchenSink, LiveUplinkAndDownlinkShareOneCell) {
-  // A broadcaster uploads live while two viewers stream down — all three
-  // FLARE-managed in one cell (uplink/downlink share the modelled
-  // resource; the point is the control plane handles both kinds).
-  Simulator sim;
-  Cell cell(sim, std::make_unique<TwoPhaseGbrScheduler>(), CellConfig{},
-            Rng(1));
-  TransportHost host(sim, cell);
-  Pcrf pcrf;
-  Pcef pcef(sim, cell, 10 * kMillisecond);
-  OneApiConfig oneapi_config;
-  oneapi_config.bai = FromSeconds(1.0);
-  oneapi_config.params.delta = 2;
-  OneApiServer server(sim, cell, pcrf, pcef, oneapi_config);
-  const Mpd mpd = MakeMpd(SimulationLadderKbps(), 2.0);
-
-  const UeId up_ue = cell.AddUe(std::make_unique<StaticItbsChannel>(9));
-  TcpFlow& up_flow = host.CreateFlow(up_ue, FlowType::kVideo);
-  auto up_plugin = std::make_unique<FlarePlugin>(up_flow.id());
-  FlarePlugin* up_ptr = up_plugin.get();
-  UplinkBroadcastSession broadcast(sim, up_flow, mpd,
-                                   std::move(up_plugin),
-                                   UplinkSessionConfig{});
-  server.ConnectVideoClient(up_ptr, mpd);
-
-  std::vector<std::unique_ptr<HttpClient>> https;
-  std::vector<std::unique_ptr<VideoSession>> viewers;
-  std::vector<std::unique_ptr<FlarePlugin>> keep;
-  for (int i = 0; i < 2; ++i) {
-    const UeId ue = cell.AddUe(std::make_unique<StaticItbsChannel>(9));
-    TcpFlow& flow = host.CreateFlow(ue, FlowType::kVideo);
-    https.push_back(std::make_unique<HttpClient>(sim, flow));
-    auto plugin = std::make_unique<FlarePlugin>(flow.id());
-    FlarePlugin* ptr = plugin.get();
-    viewers.push_back(std::make_unique<VideoSession>(
-        sim, *https.back(), mpd, std::move(plugin),
-        VideoSessionConfig{}));
-    server.ConnectVideoClient(ptr, mpd);
-    viewers.back()->Start(FromSeconds(0.5 * i));
-  }
-
-  server.Start();
-  broadcast.Start(0);
-  cell.Start();
-  sim.RunUntil(FromSeconds(120.0));
-
-  EXPECT_GT(broadcast.segments_uploaded(), 40);
-  EXPECT_LE(broadcast.backlog(), 3);
-  for (const auto& viewer : viewers) {
-    EXPECT_GT(viewer->segments_completed(), 30);
-    viewer->player().AdvanceTo(sim.Now());
-    EXPECT_LT(viewer->player().rebuffer_time_s(), 10.0);
-  }
 }
 
 }  // namespace

@@ -48,14 +48,6 @@ TEST(Cdf, QuantilesInterpolate) {
   EXPECT_NEAR(cdf.Quantile(0.5), 50.5, 1e-9);
 }
 
-TEST(Cdf, FractionBelow) {
-  Cdf cdf;
-  cdf.AddAll({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(cdf.FractionBelow(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(cdf.FractionBelow(2.0), 0.5);
-  EXPECT_DOUBLE_EQ(cdf.FractionBelow(10.0), 1.0);
-}
-
 TEST(Cdf, CurveIsMonotone) {
   Cdf cdf;
   for (int i = 0; i < 50; ++i) cdf.Add(std::sin(i) * 10.0);

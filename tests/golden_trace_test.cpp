@@ -16,7 +16,12 @@
 
 #include "golden_util.h"
 #include "obs/bai_trace.h"
+#include "obs/flight_recorder.h"
+#include "obs/qoe_analytics.h"
+#include "obs/span_trace.h"
 #include "scenario/scenario.h"
+#include "util/csv.h"
+#include "util/json.h"
 
 namespace flare {
 namespace {
@@ -93,13 +98,9 @@ TEST(GoldenTrace, SimMobileFlareDataBler) {
   CheckAgainstGolden("fig7_mobile_flare_data_bler.csv", TraceCsv(config));
 }
 
-// The testbed cell under session churn with utility-drop admission, on
-// the default solver wiring for churned FLARE cells. The objective floor
-// sits where admission verdicts are mixed: the cell admits arrivals while
-// its solved objective stays above the floor and blocks them at the load
-// peaks, so both the per-BAI solves and the connect-time admission solves
-// are on the record (a blocked arrival never appears in the trace).
-TEST(GoldenTrace, TestbedChurnFlare) {
+/// The churned testbed cell of TestbedChurnFlare: utility-drop admission
+/// with a floor that both admits and blocks arrivals.
+ScenarioConfig ChurnFlareConfig() {
   ScenarioConfig config = TestbedPreset(Scheme::kFlare);
   config.duration_s = 40.0;
   config.seed = 1;
@@ -109,12 +110,75 @@ TEST(GoldenTrace, TestbedChurnFlare) {
   config.churn.mean_hold_s = 30.0;
   config.churn.admission.policy = AdmissionPolicy::kUtilityDrop;
   config.churn.admission.objective_floor = -0.3;
+  return config;
+}
+
+// The testbed cell under session churn with utility-drop admission, on
+// the default solver wiring for churned FLARE cells. The objective floor
+// sits where admission verdicts are mixed: the cell admits arrivals while
+// its solved objective stays above the floor and blocks them at the load
+// peaks, so both the per-BAI solves and the connect-time admission solves
+// are on the record (a blocked arrival never appears in the trace).
+TEST(GoldenTrace, TestbedChurnFlare) {
   ScenarioResult result;
-  const std::string csv = TraceCsv(config, &result);
+  const std::string csv = TraceCsv(ChurnFlareConfig(), &result);
   EXPECT_GT(result.sessions_blocked, 0u);
   EXPECT_GT(result.sessions_arrived, result.sessions_blocked);
   EXPECT_FALSE(result.churned.empty());  // admitted video arrivals
   CheckAgainstGolden("testbed_churn_flare.csv", csv);
+}
+
+// The decision sinks other than the BAI trace, on the same churned cell:
+// the OneAPI span and instants (BAI spans, rung changes, GBR pushes,
+// admission rejects), every flight-recorder event, and the QoE engine's
+// rung-change causes and admission counts. Together with
+// testbed_churn_flare.csv this pins every byte the server's admission and
+// BAI decisions write into the four sinks.
+TEST(GoldenTrace, TestbedChurnFlareDecisionSinks) {
+  ScenarioConfig config = ChurnFlareConfig();
+  config.oneapi.deterministic_timing = true;
+  SpanTracer spans;
+  // Large enough that the ring never wraps in this run.
+  FlightRecorder flight(1 << 16);
+  QoeAnalytics qoe;
+  config.span_trace = &spans;
+  config.flight = &flight;
+  config.qoe = &qoe;
+  const ScenarioResult result = RunScenario(config);
+  ASSERT_GT(result.sessions_blocked, 0u);
+  ASSERT_GT(result.sessions_arrived, result.sessions_blocked);
+  ASSERT_EQ(flight.dropped(), 0u);
+
+  std::ostringstream out;
+  out << "# span events: ph,ts_us,cat,name,args\n";
+  for (const TraceEvent& e : spans.events()) {
+    const std::string cat = e.cat;
+    const std::string name = e.name;
+    if (cat != "oneapi" && cat != "decision" && name != "admission_reject") {
+      continue;
+    }
+    out << e.ph << ',' << FormatNumber(e.ts_us) << ',' << cat << ','
+        << name << ',' << e.args << '\n';
+  }
+  out << "# flight events: t_s,cell,seq,kind,flow,client,value,args\n";
+  for (const FlightEvent& e : flight.RecentEvents()) {
+    out << FormatNumber(e.t_s) << ',' << e.cell << ',' << e.seq << ','
+        << e.kind << ',' << e.flow << ',' << e.client << ','
+        << FormatNumber(e.value) << ',' << e.args << '\n';
+  }
+  out << "# qoe: admitted,blocked\n"
+      << qoe.admitted() << ',' << qoe.blocked() << '\n';
+  out << "# qoe rung_change_causes: cause,count\n";
+  std::ostringstream qoe_json;
+  qoe.WriteJson(qoe_json);
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(qoe_json.str(), &doc));
+  const JsonValue* causes = doc.FindPath({"summary", "rung_change_causes"});
+  ASSERT_NE(causes, nullptr);
+  for (const auto& [cause, count] : causes->members()) {
+    out << cause << ',' << FormatNumber(count.AsNumber()) << '\n';
+  }
+  CheckAgainstGolden("testbed_churn_flare_decision_sinks.txt", out.str());
 }
 
 }  // namespace

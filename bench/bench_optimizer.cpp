@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,8 +15,11 @@
 #include "core/optimizer.h"
 #include "core/rate_controller.h"
 #include "has/mpd.h"
+#include "net/bai_engine.h"
+#include "obs/bai_trace.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/qoe_analytics.h"
 #include "obs/span_trace.h"
 #include "obs/telemetry_publisher.h"
 #include "scenario/experiment.h"
@@ -169,30 +173,37 @@ void BM_ObsHandlesEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsHandlesEnabled);
 
-// A representative instrumented hot path — one SpanScope, one instant, one
+// A representative instrumented hot path — one SpanScope, one decision
+// rendered through DecisionSinks (a held rung: one gbr_push instant), one
 // counter bump and one histogram observation per iteration — with every
 // observer disabled (Arg 0) vs live (Arg 1). The disabled run must be
 // indistinguishable from uninstrumented code: each site is one null check.
 void BM_ObsOverhead(benchmark::State& state) {
   const bool enabled = state.range(0) != 0;
   SpanTracer tracer;
-  double fake_now_us = 0.0;
-  tracer.SetClock([&fake_now_us] { return fake_now_us; });
-  SpanTracer* spans = enabled ? &tracer : nullptr;
+  SimTime fake_now_us = 0;
+  tracer.SetClock([&fake_now_us] { return static_cast<double>(fake_now_us); });
+  std::optional<DecisionSinks> decisions;
+  if (enabled) decisions = DecisionSinks{.spans = &tracer};
   MetricsRegistry registry;
   CounterHandle ticks =
       MakeCounterHandle(enabled ? &registry : nullptr, "bench.ticks");
   HistogramHandle latency =
       MakeHistogramHandle(enabled ? &registry : nullptr, "bench.latency_ms");
+  const DecisionEvent held{.flow = 7,
+                           .previous_level = 2,
+                           .enforced_level = 2,
+                           .rate_bps = 1e6,
+                           .gbr_bps = 1.1e6,
+                           .cause = "hold"};
   for (auto _ : state) {
-    fake_now_us += 1000.0;
+    fake_now_us += 1000;
     {
-      SpanScope span(spans, kLaneControl, "bench", "work");
+      SpanScope span(decisions ? decisions->spans : nullptr, kLaneControl,
+                     "bench", "work");
       benchmark::DoNotOptimize(fake_now_us);
     }
-    if (spans != nullptr) {
-      spans->Instant(kLaneControl, "bench", "tick", fake_now_us);
-    }
+    if (decisions) decisions->Render(fake_now_us, held);
     ticks.Add();
     latency.Observe(0.5);
     benchmark::ClobberMemory();
@@ -300,37 +311,61 @@ void BM_RequestTraceOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_RequestTraceOverhead)->Arg(0)->Arg(1);
 
-// DecideBai through the OneAPI-style wrapper with metrics attached vs not:
-// the "no measurable slowdown when disabled" acceptance check.
+// One BAI through the OneAPI engine — gather, DecideBai, one decision
+// event per flow — with metrics and all four decision sinks attached vs
+// not: the "no measurable slowdown when disabled" acceptance check.
 void BM_DecideBaiWithObs(benchmark::State& state) {
   const bool enabled = state.range(0) != 0;
   const int n = 32;
   FlareParams params;
   params.solver = SolverMode::kContinuousRelaxation;
-  FlareRateController controller(params);
-  std::vector<double> ladder;
-  for (double kbps : DenseLadderKbps()) ladder.push_back(kbps * 1000.0);
+  BaiEngine engine(params, /*efficiency_smoothing=*/0.1,
+                   /*gbr_headroom=*/1.1);
+  ClientInfo info;
+  for (double kbps : DenseLadderKbps()) {
+    info.ladder_bps.push_back(kbps * 1000.0);
+  }
   Rng rng(5);
-  std::vector<FlowObservation> observations;
+  std::vector<double> bits_per_rb;
   for (int i = 0; i < n; ++i) {
-    controller.AddFlow(static_cast<FlowId>(i + 1), ladder);
-    FlowObservation obs;
-    obs.id = static_cast<FlowId>(i + 1);
-    obs.bits_per_rb = rng.Uniform(100.0, 600.0);
-    observations.push_back(obs);
+    info.flow = static_cast<FlowId>(i + 1);
+    engine.Connect(info, 1.0, 0, 0.0);
+    bits_per_rb.push_back(rng.Uniform(100.0, 600.0));
   }
   MetricsRegistry registry;
   CounterHandle bais =
       MakeCounterHandle(enabled ? &registry : nullptr, "bench.bais");
   HistogramHandle solve_ms =
       MakeHistogramHandle(enabled ? &registry : nullptr, "bench.solve_ms");
+  BaiTraceSink trace;
+  SpanTracer spans;
+  QoeAnalytics qoe;
+  FlightRecorder flight;
+  std::optional<DecisionSinks> decisions;
+  if (enabled) {
+    decisions = DecisionSinks{
+        .bai_trace = &trace, .spans = &spans, .qoe = &qoe, .flight = &flight};
+  }
+  SimTime now = 0;
   for (auto _ : state) {
-    const BaiDecision decision =
-        controller.DecideBai(observations, 2, 3'125.0 * n);
+    now += kSecond;
+    engine.Gather([&bits_per_rb](FlowId id, double) -> std::optional<double> {
+      return bits_per_rb[id - 1];
+    });
+    const BaiDecision decision = engine.Decide(2, 3'125.0 * n);
+    const double ms = static_cast<double>(decision.solve_time.count()) / 1e6;
     bais.Add();
-    solve_ms.Observe(
-        static_cast<double>(decision.solve_time.count()) / 1e6);
+    solve_ms.Observe(ms);
+    if (decisions) {
+      for (const RateAssignment& a : decision.assignments) {
+        decisions->Render(now, engine.Event(decision, a, ms));
+      }
+    }
     benchmark::DoNotOptimize(decision);
+    // Bound the enabled run's memory; the resets are outside the
+    // disabled path.
+    if (enabled && trace.bai_rows().size() > 65536) trace = BaiTraceSink();
+    if (enabled && spans.size() > 65536) spans.Clear();
   }
 }
 BENCHMARK(BM_DecideBaiWithObs)->Arg(0)->Arg(1);

@@ -81,11 +81,6 @@ void BaiEngine::Remove(FlowId id) {
   if (admission_ != nullptr) admission_->OnDeparted(id);
 }
 
-const BaiEngine::Flow* BaiEngine::Find(FlowId id) const {
-  const auto it = flows_.find(id);
-  return it == flows_.end() ? nullptr : &it->second;
-}
-
 bool BaiEngine::Gather(const SampleFn& sample) {
   observations_.clear();
   for (auto& [id, flow] : flows_) {
@@ -125,6 +120,21 @@ RateAssignmentMsg BaiEngine::Message(const RateAssignment& assignment) const {
   msg.rate_bps = assignment.rate_bps;
   msg.gbr_bps = assignment.rate_bps * gbr_headroom_;
   return msg;
+}
+
+DecisionEvent BaiEngine::Event(const BaiDecision& decision,
+                               const RateAssignment& a,
+                               double solve_time_ms) const {
+  const Flow& flow = flows_.find(a.id)->second;
+  return {.flow = a.id, .observed_bits_per_rb = flow.sample_bits_per_rb,
+          .smoothed_bits_per_rb = flow.smoothed_bits_per_rb,
+          .recommended_level = a.recommended_level,
+          .hysteresis_up = a.consecutive_up, .previous_level = a.previous_level,
+          .enforced_level = a.level, .rate_bps = a.rate_bps,
+          .gbr_bps = a.rate_bps * gbr_headroom_,
+          .video_fraction = decision.video_fraction,
+          .solve_time_ms = solve_time_ms, .feasible = decision.feasible,
+          .cause = DecisionCauseName(a.cause)};
 }
 
 }  // namespace flare

@@ -21,7 +21,8 @@
 //    smooths it, refreshes the admission estimate and builds the
 //    FlowObservation (skimming caps the flow at rung 0).
 //  * Decide runs DecideBai over the gathered observations; Message turns
-//    one assignment into the wire message, gbr = rate * gbr_headroom.
+//    one assignment into the wire message, gbr = rate * gbr_headroom, and
+//    Event into its decision record (obs/bai_trace.h).
 #pragma once
 
 #include <functional>
@@ -33,6 +34,7 @@
 #include "core/rate_controller.h"
 #include "net/flare_plugin.h"
 #include "net/messages.h"
+#include "obs/bai_trace.h"
 
 namespace flare {
 
@@ -83,13 +85,17 @@ class BaiEngine {
   const char* Refresh(FlowId id, const ClientInfo& update);
   void Remove(FlowId id);
 
-  const Flow* Find(FlowId id) const;
-
   /// False when no flow was observed: there is nothing to decide.
   bool Gather(const SampleFn& sample);
   /// Algorithm 1 over the flows of the last Gather.
   BaiDecision Decide(int n_data_flows, double rb_rate);
   RateAssignmentMsg Message(const RateAssignment& assignment) const;
+  /// The record of `assignment`, one of the last Decide's `decision`,
+  /// with the solve time the caller reports; the renderer stamps time
+  /// and cell.
+  DecisionEvent Event(const BaiDecision& decision,
+                      const RateAssignment& assignment,
+                      double solve_time_ms) const;
 
  private:
   double smoothing_;

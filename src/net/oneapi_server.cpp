@@ -5,7 +5,6 @@
 
 #include "lte/tbs_table.h"
 #include "net/messages.h"
-#include "util/csv.h"
 #include "util/logging.h"
 
 namespace flare {
@@ -54,22 +53,15 @@ void OneApiServer::ConnectVideoClient(FlarePlugin* plugin, const Mpd& mpd) {
       if (admission_callback_) admission_callback_(id, false);
       return;
     }
+    if (admission != nullptr && decisions_) {
+      decisions_->Render(
+          sim_.Now(),
+          AdmissionVerdict{id, verdict.decision.admit,
+                           AdmissionPolicyName(admission->config().policy),
+                           verdict.decision.value});
+    }
     if (!verdict.decision.admit) {
-      const char* policy = AdmissionPolicyName(admission->config().policy);
-      const double value = verdict.decision.value;
       admission_rejects_metric_.Add();
-      if (flight_ != nullptr) {
-        flight_->Record(ToSeconds(sim_.Now()), "admission_reject", id, -1,
-                        value,
-                        "{\"policy\":\"" + std::string(policy) + "\"}");
-      }
-      if (span_trace_ != nullptr) {
-        span_trace_->Instant(
-            kLaneControl, "churn", "admission_reject",
-            static_cast<double>(sim_.Now()),
-            "{\"flow\":" + std::to_string(id) + ",\"policy\":\"" +
-                policy + "\",\"value\":" + FormatNumber(value) + "}");
-      }
       if (admission_callback_) admission_callback_(id, false);
       return;
     }
@@ -77,9 +69,6 @@ void OneApiServer::ConnectVideoClient(FlarePlugin* plugin, const Mpd& mpd) {
     plugins_[id] = plugin;
     // Reset the trace window so the first BAI measures a clean interval.
     if (cell_.HasFlow(id)) cell_.TakeWindow(id);
-    if (admission != nullptr && flight_ != nullptr) {
-      flight_->Record(ToSeconds(sim_.Now()), "admission_admit", id);
-    }
     if (admission_callback_) admission_callback_(id, true);
   });
 }
@@ -111,12 +100,13 @@ void OneApiServer::DisconnectVideoClient(FlowId id) {
 }
 
 void OneApiServer::SetObservers(MetricsRegistry* registry,
-                                BaiTraceSink* sink, SpanTracer* spans,
-                                RunHealthMonitor* health) {
-  trace_sink_ = sink;
-  span_trace_ = spans;
+                                RunHealthMonitor* health,
+                                DecisionSinks decisions) {
   health_ = health;
-  engine_.controller().SetSpanTracer(spans);
+  decisions.cell = static_cast<int>(config_.cell_tag);
+  decisions_.reset();
+  if (decisions.any()) decisions_ = decisions;
+  engine_.controller().SetSpanTracer(decisions.spans);
   bais_metric_ = MakeCounterHandle(registry, "oneapi.bais");
   assignments_metric_ = MakeCounterHandle(registry, "oneapi.assignments");
   admission_rejects_metric_ =
@@ -126,11 +116,6 @@ void OneApiServer::SetObservers(MetricsRegistry* registry,
       MakeGaugeHandle(registry, "oneapi.video_fraction");
 }
 
-void OneApiServer::SetAnalytics(QoeAnalytics* qoe, FlightRecorder* flight) {
-  qoe_ = qoe;
-  flight_ = flight;
-}
-
 void OneApiServer::Start() {
   if (started_) return;
   started_ = true;
@@ -138,7 +123,8 @@ void OneApiServer::Start() {
 }
 
 void OneApiServer::RunBai() {
-  SpanScope bai_span(span_trace_, kLaneControl, "oneapi", "bai");
+  SpanScope bai_span(decisions_ ? decisions_->spans : nullptr, kLaneControl,
+                     "oneapi", "bai");
   // --- Gather the RB/rate trace windows: e_u = 8 * b_u / n_u. A flow
   // whose bearer is already gone (teardown not yet reported) sits out.
   const bool observed =
@@ -173,10 +159,9 @@ void OneApiServer::RunBai() {
     health_->OnSolverResult(ToSeconds(sim_.Now()), decision.feasible);
   }
   if (bai_span.enabled()) {
-    bai_span.set_args(
-        "{\"flows\":" + std::to_string(decision.assignments.size()) +
-        ",\"video_fraction\":" + FormatNumber(decision.video_fraction) +
-        ",\"feasible\":" + (decision.feasible ? "true" : "false") + "}");
+    bai_span.set_args(BaiSpanArgs(decision.assignments.size(),
+                                  decision.video_fraction,
+                                  decision.feasible));
   }
 
   // --- Enforce: GBR via PCEF at the eNodeB, rung via the UE plugin. The
@@ -185,56 +170,8 @@ void OneApiServer::RunBai() {
     const RateAssignmentMsg msg = engine_.Message(a);
     pcef_.EnforceGbr(msg.flow, msg.gbr_bps);
     assignments_metric_.Add();
-    if (a.level != a.previous_level) {
-      if (qoe_ != nullptr) qoe_->OnRungChange(DecisionCauseName(a.cause));
-      if (flight_ != nullptr) {
-        flight_->Record(ToSeconds(sim_.Now()), "rung_change", a.id, -1,
-                        static_cast<double>(a.level),
-                        "{\"from\":" + std::to_string(a.previous_level) +
-                            ",\"to\":" + std::to_string(a.level) +
-                            ",\"cause\":\"" + DecisionCauseName(a.cause) +
-                            "\"}");
-      }
-    }
-    if (flight_ != nullptr) {
-      flight_->Record(ToSeconds(sim_.Now()), "gbr_push", a.id, -1,
-                      msg.gbr_bps);
-    }
-    if (span_trace_ != nullptr) {
-      const double ts_us = static_cast<double>(sim_.Now());
-      // Decision timeline: every enforced rung change is an instant with
-      // its Algorithm 1 cause; the GBR push marks the PCEF enforcement.
-      if (a.level != a.previous_level) {
-        span_trace_->Instant(
-            kLaneControl, "decision", "rung_change", ts_us,
-            "{\"flow\":" + std::to_string(a.id) +
-                ",\"from\":" + std::to_string(a.previous_level) +
-                ",\"to\":" + std::to_string(a.level) + ",\"cause\":\"" +
-                DecisionCauseName(a.cause) + "\"}");
-      }
-      span_trace_->Instant(
-          kLaneControl, "oneapi", "gbr_push", ts_us,
-          "{\"flow\":" + std::to_string(a.id) +
-              ",\"gbr_kbps\":" + FormatNumber(msg.gbr_bps / 1000.0) + "}");
-    }
-    if (trace_sink_ != nullptr) {
-      const BaiEngine::Flow& flow = *engine_.Find(a.id);
-      BaiTraceRow row;
-      row.t_s = ToSeconds(sim_.Now());
-      row.cell = static_cast<int>(config_.cell_tag);
-      row.flow = a.id;
-      row.observed_bits_per_rb = flow.sample_bits_per_rb;
-      row.smoothed_bits_per_rb = flow.smoothed_bits_per_rb;
-      row.recommended_level = a.recommended_level;
-      row.hysteresis_up = a.consecutive_up;
-      row.enforced_level = a.level;
-      row.rate_bps = a.rate_bps;
-      row.gbr_bps = msg.gbr_bps;
-      row.video_fraction = decision.video_fraction;
-      row.solve_time_ms = solve_ms;
-      row.feasible = decision.feasible;
-      row.cause = DecisionCauseName(a.cause);
-      trace_sink_->RecordBai(row);
+    if (decisions_) {
+      decisions_->Render(sim_.Now(), engine_.Event(decision, a, solve_ms));
     }
     const std::string wire = EncodeRateAssignment(msg);
     // Resolve the plugin at delivery time, not capture time: the client

@@ -10,16 +10,18 @@
 // control plane with configurable latency.
 //
 // The control loop itself (validation, admission, smoothing, Algorithm 1,
-// the GBR rule) is the shared BaiEngine (net/bai_engine.h); this adapter
-// is the simulator transport around it. One server manages one cell; a
-// multi-cell deployment runs one server per cell over a shared PCRF, each
-// with its own PCEF and `cell_tag`, since "the bitrates are calculated
-// independently for each network cell" (Section II-A).
+// the GBR rule) is the shared BaiEngine (net/bai_engine.h). This adapter
+// keeps transport, metrics and health; each decision's record goes to
+// DecisionSinks (obs/bai_trace.h), which renders it into every sink. One
+// server manages one cell; a multi-cell deployment runs one server per
+// cell over a shared PCRF, each with its own PCEF and `cell_tag`, since
+// "the bitrates are calculated independently for each network cell".
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "churn/admission.h"
@@ -30,10 +32,7 @@
 #include "net/pcef.h"
 #include "net/pcrf.h"
 #include "obs/bai_trace.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/qoe_analytics.h"
-#include "obs/span_trace.h"
 #include "obs/watchdog.h"
 #include "sim/simulator.h"
 
@@ -102,7 +101,7 @@ class OneApiServer {
 
   /// Whether `id` has a *landed* registration (an in-flight
   /// ConnectVideoClient still inside the uplink latency does not count).
-  bool HasClient(FlowId id) const { return engine_.Find(id) != nullptr; }
+  bool HasClient(FlowId id) const { return controller().HasFlow(id); }
 
   /// Connect attempts still inside the uplink-latency window. Bounded by
   /// the in-flight count — landed and disconnected flows leave no
@@ -113,8 +112,8 @@ class OneApiServer {
   /// every landing ConnectVideoClient is first offered to it with the
   /// candidate pinned at the lowest rung and a channel-based bits-per-RB
   /// estimate; a rejection drops the registration entirely (no
-  /// controller/PCRF/client state) and emits an `admission_reject`
-  /// instant. Each BAI refreshes the controller's per-flow estimates.
+  /// controller/PCRF/client state). Each BAI refreshes the controller's
+  /// per-flow estimates.
   void SetAdmissionController(AdmissionController* admission) {
     engine_.SetAdmission(admission);
   }
@@ -142,19 +141,12 @@ class OneApiServer {
   }
 
   /// Attach observability (any pointer may be null): the registry gets
-  /// BAI counters and the solve-time histogram; the sink gets one
-  /// BaiTraceRow per video flow per BAI; the span tracer gets BAI/solver
-  /// spans, rung-change and GBR-push instants; the health monitor is fed
-  /// each BAI's solver feasibility.
-  void SetObservers(MetricsRegistry* registry, BaiTraceSink* sink,
-                    SpanTracer* spans = nullptr,
-                    RunHealthMonitor* health = nullptr);
-
-  /// Attach the QoE/flight-recorder tier (either may be null): `qoe`
-  /// counts enforced rung changes by DecisionCause; `flight` records
-  /// rung_change / gbr_push / admission events. Separate from
-  /// SetObservers because only the scenario world wires this tier.
-  void SetAnalytics(QoeAnalytics* qoe, FlightRecorder* flight);
+  /// BAI counters and the solve-time histogram; the health monitor is fed
+  /// each BAI's solver feasibility; `decisions` gets every flow's BAI
+  /// decision and, with admission attached, every verdict, stamped with
+  /// this server's cell. Its span tracer also gets BAI and solver spans.
+  void SetObservers(MetricsRegistry* registry, RunHealthMonitor* health,
+                    DecisionSinks decisions);
 
  private:
   /// Channel-based bits-per-RB at the UE's current MCS, for connects and
@@ -183,11 +175,8 @@ class OneApiServer {
   std::vector<double> video_fractions_;
   bool started_ = false;
 
-  BaiTraceSink* trace_sink_ = nullptr;
-  SpanTracer* span_trace_ = nullptr;
   RunHealthMonitor* health_ = nullptr;
-  QoeAnalytics* qoe_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
+  std::optional<DecisionSinks> decisions_;  // empty: no sink attached
   CounterHandle bais_metric_;
   CounterHandle assignments_metric_;
   CounterHandle admission_rejects_metric_;

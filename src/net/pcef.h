@@ -22,12 +22,6 @@ class Pcef {
     });
   }
 
-  void EnforceMbr(FlowId id, double mbr_bps) {
-    sim_.After(latency_, [this, id, mbr_bps] {
-      if (cell_.HasFlow(id)) cell_.SetMbr(id, mbr_bps);
-    });
-  }
-
  private:
   Simulator& sim_;
   Cell& cell_;

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <ostream>
 
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/qoe_analytics.h"
 #include "obs/span_trace.h"
@@ -11,6 +12,62 @@
 #include "util/csv.h"
 
 namespace flare {
+
+void DecisionSinks::Render(SimTime at, DecisionEvent event) const {
+  event.t_s = ToSeconds(at);
+  event.cell = cell;
+  const bool changed = event.enforced_level != event.previous_level;
+  // `"from":..,"to":..,"cause":".."}`: the change's flight and span args.
+  std::string change;
+  if (changed && (flight != nullptr || spans != nullptr)) {
+    change = "\"from\":" + std::to_string(event.previous_level) + ",\"to\":" +
+             std::to_string(event.enforced_level) + ",\"cause\":\"" +
+             event.cause + "\"}";
+  }
+  if (changed && qoe != nullptr) qoe->OnRungChange(event.cause);
+  if (flight != nullptr) {
+    if (changed) {
+      flight->Record(event.t_s, "rung_change", event.flow, -1,
+                     event.enforced_level, "{" + change);
+    }
+    flight->Record(event.t_s, "gbr_push", event.flow, -1, event.gbr_bps);
+  }
+  if (spans != nullptr) {
+    const std::string flow = "{\"flow\":" + std::to_string(event.flow) + ",";
+    const double ts_us = static_cast<double>(at);
+    if (changed) {
+      spans->Instant(kLaneControl, "decision", "rung_change", ts_us,
+                     flow + change);
+    }
+    spans->Instant(kLaneControl, "oneapi", "gbr_push", ts_us,
+                   flow + "\"gbr_kbps\":" +
+                       FormatNumber(event.gbr_bps / 1000.0) + "}");
+  }
+  if (bai_trace != nullptr) bai_trace->RecordBai(event);
+}
+
+void DecisionSinks::Render(SimTime at, const AdmissionVerdict& v) const {
+  const std::string policy = std::string("\"policy\":\"") + v.policy + "\"";
+  if (flight != nullptr && v.admitted) {
+    flight->Record(ToSeconds(at), "admission_admit", v.flow);
+  } else if (flight != nullptr) {
+    flight->Record(ToSeconds(at), "admission_reject", v.flow, -1, v.value,
+                   "{" + policy + "}");
+  }
+  if (spans != nullptr && !v.admitted) {
+    spans->Instant(kLaneControl, "churn", "admission_reject",
+                   static_cast<double>(at),
+                   "{\"flow\":" + std::to_string(v.flow) + "," + policy +
+                       ",\"value\":" + FormatNumber(v.value) + "}");
+  }
+}
+
+std::string BaiSpanArgs(std::size_t flows, double video_fraction,
+                        bool feasible) {
+  return "{\"flows\":" + std::to_string(flows) + ",\"video_fraction\":" +
+         FormatNumber(video_fraction) + ",\"feasible\":" +
+         (feasible ? "true" : "false") + "}";
+}
 
 BaiTraceSink::BaiTraceSink(SimTime tti_flush_period)
     : flush_period_(std::max<SimTime>(tti_flush_period, kTti)) {}

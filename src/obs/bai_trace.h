@@ -1,20 +1,28 @@
-// Structured per-BAI trace of the FLARE control loop.
+// The OneAPI server's decisions and the structured per-BAI trace.
 //
-// The sink records three row families:
-//  * one BaiTraceRow per video flow per BAI — the full decision context
-//    (observed and smoothed bits/RB, the solver's recommended rung, the
-//    hysteresis state, the enforced rung, the pushed GBR) plus the
-//    BAI-level video_fraction / solve time, so rate-adaptation behaviour
-//    can be audited flow-by-flow and interval-by-interval;
+// Each of the server's two decisions (Section II-A) is built once as a
+// typed record — an AdmissionVerdict at connect, a DecisionEvent per flow
+// per BAI (BaiEngine::Event) — and DecisionSinks::Render is the one place
+// that writes it into the sinks. A DecisionEvent becomes the BAI trace row
+// and a gbr_push span instant and flight event, plus, on a rung change, a
+// rung_change instant, flight event and QoE cause count. A verdict becomes
+// an admission_admit or admission_reject flight event, plus a reject's
+// admission_reject instant. QoE's admitted/blocked counts stay with the
+// scenario world, which counts churned arrivals only. Without sinks a
+// producer holds no DecisionSinks: the disabled path is one check.
+//
+// The BaiTraceSink records three row families:
+//  * one BaiTraceRow (a DecisionEvent) per video flow per BAI — the full
+//    decision context, so rate-adaptation behaviour can be audited
+//    flow-by-flow and interval-by-interval;
 //  * per-TTI scheduler aggregates (RBs per phase, GBR credit shortfall),
 //    folded into one TtiAggregateRow per flush period so a 600 s run emits
 //    hundreds of rows, not hundreds of thousands;
 //  * one PlayerSummary per video client at teardown (stalls, switches,
 //    QoE), closing the loop from network decisions to viewer experience.
-//
-// Like the metrics handles, a null sink pointer disables everything; the
-// producers (OneApiServer, Cell, scenario runner) check one pointer per
-// record site.
+// Like the metrics handles, a null sink pointer disables a sink; its
+// producers (DecisionSinks, Cell, the scenario world) check one pointer
+// per record site.
 #pragma once
 
 #include <cstdint>
@@ -27,39 +35,71 @@
 
 namespace flare {
 
+class BaiTraceSink;
+class FlightRecorder;
 class MetricsRegistry;
 class QoeAnalytics;
 class RunHealthMonitor;
+class SpanTracer;
 
-/// One row per video flow per BAI.
-struct BaiTraceRow {
+/// One flow's decision at one BAI. `t_s` and `cell` are the renderer's
+/// stamp (cell 0 in single-cell runs). e_u is this BAI's raw sample (the
+/// nominal fallback for an idle flow) and the EWMA-smoothed estimate fed
+/// to the optimizer. The BAI-level context repeats on each of the BAI's
+/// events.
+struct DecisionEvent {
   double t_s = 0.0;
-  /// Cell (event domain) the row came from; 0 in single-cell runs.
   int cell = 0;
   FlowId flow = kInvalidFlow;
-  /// Raw e_u sample from this BAI's RB & Rate Trace window (or the nominal
-  /// fallback when the flow was idle).
   double observed_bits_per_rb = 0.0;
-  /// EWMA-smoothed estimate actually fed to the optimizer.
   double smoothed_bits_per_rb = 0.0;
   /// Solver recommendation L* before Algorithm 1's hysteresis.
   int recommended_level = 0;
   /// Consecutive-up counter after this BAI (0 unless an increase is
   /// pending adoption).
   int hysteresis_up = 0;
+  /// Rung enforced by the flow's previous BAI (-1 on its first).
+  int previous_level = -1;
   /// Rung enforced on client and scheduler after the stability rule.
   int enforced_level = 0;
   double rate_bps = 0.0;
   double gbr_bps = 0.0;
-  /// BAI-level context, repeated on each of the interval's rows.
   double video_fraction = 0.0;
   double solve_time_ms = 0.0;
   bool feasible = true;
-  /// Stability-rule branch that produced enforced_level (DecisionCauseName
-  /// string: "init", "hold", "solver-up", "hysteresis-adopted",
-  /// "stability-cap", "capacity-down", "infeasible-fallback").
-  std::string cause;
+  /// Stability-rule branch that produced enforced_level, a static
+  /// DecisionCauseName() string: "init", "hold", "solver-up",
+  /// "hysteresis-adopted", "stability-cap", "capacity-down", ...
+  const char* cause = "";
 };
+
+/// A connect's admission verdict; `policy` is a static
+/// AdmissionPolicyName() string and `value` its diagnostic.
+struct AdmissionVerdict {
+  FlowId flow = kInvalidFlow;
+  bool admitted = true;
+  const char* policy = "";
+  double value = 0.0;
+};
+
+/// The four decision sinks (any may be null) and the one renderer.
+struct DecisionSinks {
+  BaiTraceSink* bai_trace = nullptr;
+  SpanTracer* spans = nullptr;
+  QoeAnalytics* qoe = nullptr;
+  FlightRecorder* flight = nullptr;
+  int cell = 0;  // stamped on every DecisionEvent
+
+  bool any() const { return bai_trace || spans || qoe || flight; }
+  void Render(SimTime at, DecisionEvent event) const;
+  void Render(SimTime at, const AdmissionVerdict& verdict) const;
+};
+
+/// Args of the server's `oneapi`/`bai` span.
+std::string BaiSpanArgs(std::size_t flows, double video_fraction,
+                        bool feasible);
+
+using BaiTraceRow = DecisionEvent;  // one row per video flow per BAI
 
 /// Scheduler aggregates over one flush period (default 1 s).
 struct TtiAggregateRow {

@@ -3,8 +3,9 @@
 //
 // The span trace answers "what happened over the whole run" at the cost of
 // unbounded memory; the flight recorder answers "what happened *just
-// before* the alarm" at fixed cost. Producers (rate controller via the
-// OneAPI server, admission control, player stall edges, watchdogs) record
+// before* the alarm" at fixed cost. Producers (DecisionSinks for the
+// OneAPI server's rung changes, GBR pushes and admission verdicts, player
+// stall edges, watchdogs, the daemon's slow-request exemplars) record
 // the last `capacity` events per event domain; when a RunHealthMonitor
 // alarm fires the ring is latched into a snapshot, and the scenario runner
 // dumps everything as JSON on `fail_on_unhealthy=` aborts or on a fatal

@@ -4,11 +4,11 @@
 #include <bit>
 #include <charconv>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <ostream>
 #include <utility>
 
+#include "obs/span_trace.h"  // JsonQuote
 #include "util/csv.h"
 #include "util/stats.h"
 
@@ -146,19 +146,6 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other,
   }
 }
 
-namespace {
-
-void WriteJsonString(std::ostream& out, const std::string& text) {
-  out << '"';
-  for (char c : text) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
-}  // namespace
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
   snap.AbsorbFrom(*this);
@@ -184,7 +171,7 @@ void MetricsSnapshot::WriteJson(std::ostream& out) const {
   for (const auto& [name, value] : counters) {
     out << (first ? "\n    " : ",\n    ");
     first = false;
-    WriteJsonString(out, name);
+    out << JsonQuote(name);
     out << ": " << value;
   }
   out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
@@ -192,7 +179,7 @@ void MetricsSnapshot::WriteJson(std::ostream& out) const {
   for (const auto& [name, value] : gauges) {
     out << (first ? "\n    " : ",\n    ");
     first = false;
-    WriteJsonString(out, name);
+    out << JsonQuote(name);
     out << ": " << JsonNumber(value);
   }
   out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
@@ -200,7 +187,7 @@ void MetricsSnapshot::WriteJson(std::ostream& out) const {
   for (const auto& [name, histogram] : histograms) {
     out << (first ? "\n    " : ",\n    ");
     first = false;
-    WriteJsonString(out, name);
+    out << JsonQuote(name);
     // Empty histograms export null aggregates (Quantile is NaN, and a
     // bare `nan` token would make the whole document unparseable).
     const bool empty = histogram.count() == 0;
@@ -227,12 +214,6 @@ void MetricsRegistry::WriteJson(std::ostream& out) const {
   Snapshot().WriteJson(out);
 }
 
-bool MetricsRegistry::ExportJson(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out.is_open()) return false;
-  WriteJson(out);
-  return true;
-}
 
 CounterHandle MakeCounterHandle(MetricsRegistry* registry,
                                 const std::string& name) {

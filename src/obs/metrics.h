@@ -161,8 +161,6 @@ class MetricsRegistry {
   /// JSON object {"counters": {...}, "gauges": {...}, "histograms": {...}}.
   /// Renders via Snapshot() — one renderer for live and snapshotted data.
   void WriteJson(std::ostream& out) const;
-  /// Convenience file form; returns false if the file cannot be opened.
-  bool ExportJson(const std::string& path) const;
 
  private:
   std::map<std::string, Counter> counters_;

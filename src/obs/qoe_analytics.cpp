@@ -131,52 +131,74 @@ void QoeAnalytics::AbsorbShard(const QoeAnalytics& shard, int cell) {
     copy.cell = cell;
     sessions_[{cell, key.second}] = copy;
   }
-  for (const auto& [shard_cell, agg] : shard.cells_) {
-    (void)shard_cell;  // the shard recorded under its local tag
-    CellAggregates& mine = cells_[cell];
-    mine.admitted += agg.admitted;
-    mine.blocked += agg.blocked;
-    for (const auto& [cause, count] : agg.rung_change_causes) {
-      mine.rung_change_causes[cause] += count;
-    }
+  // The shard recorded its aggregates under its local tag.
+  for (const auto& entry : shard.cells_) cells_[cell].Add(entry.second);
+}
+
+void QoeAnalytics::CellAggregates::Add(const CellAggregates& other) {
+  admitted += other.admitted;
+  blocked += other.blocked;
+  for (const auto& [cause, count] : other.rung_change_causes) {
+    rung_change_causes[cause] += count;
   }
 }
 
-QoeLiveSummary QoeAnalytics::LiveSummary() const {
-  QoeLiveSummary live;
-  live.sessions = sessions_.size();
+QoeAnalytics::CellAggregates QoeAnalytics::Totals() const {
+  CellAggregates total;
+  for (const auto& entry : cells_) total.Add(entry.second);
+  return total;
+}
+
+std::vector<const QoeSessionStats*> QoeAnalytics::AllSessions() const {
+  std::vector<const QoeSessionStats*> all;
+  all.reserve(sessions_.size());
+  for (const auto& entry : sessions_) all.push_back(&entry.second);
+  return all;
+}
+
+QoeLiveSummary QoeAnalytics::Summarize(
+    const std::vector<const QoeSessionStats*>& sessions,
+    const CellAggregates& agg, std::vector<double>* dynamic_qoe) const {
+  // Fairness / averages are over sessions that played at least one
+  // segment; blocked-then-gone dynamic sessions only show up in the
+  // admitted/blocked counters.
+  QoeLiveSummary sum;
+  sum.sessions = sessions.size();
   std::vector<double> bitrates;
   double stall_s = 0.0;
   double playtime_s = 0.0;
   double qoe_sum = 0.0;
-  for (const auto& [key, s] : sessions_) {
-    live.stalls += s.stalls;
-    if (s.segments == 0) continue;
-    ++live.played;
-    bitrates.push_back(s.AvgBitrateBps());
-    live.switches += s.switches;
-    stall_s += s.stall_s;
-    playtime_s += s.played_s + s.stall_s;
-    qoe_sum += s.Qoe(weights_);
+  for (const QoeSessionStats* s : sessions) {
+    sum.stalls += s->stalls;
+    const bool dynamic = s->origin == QoeSessionOrigin::kDynamicVideo;
+    const double qoe = s->segments == 0 ? 0.0 : s->Qoe(weights_);
+    if (dynamic && dynamic_qoe != nullptr) dynamic_qoe->push_back(qoe);
+    if (s->segments == 0) continue;
+    ++sum.played;
+    bitrates.push_back(s->AvgBitrateBps());
+    sum.switches += s->switches;
+    stall_s += s->stall_s;
+    playtime_s += s->played_s + s->stall_s;
+    qoe_sum += qoe;
   }
-  // Mean over an empty vector is 0 but Jain of nothing stays the
-  // "perfectly fair" 1.0 default, matching the end-of-run summary.
-  if (!bitrates.empty()) {
-    double sum = 0.0;
-    for (double b : bitrates) sum += b;
-    live.avg_bitrate_bps = sum / static_cast<double>(bitrates.size());
-    live.jain_avg_bitrate = JainIndex(bitrates);
-    live.avg_qoe = qoe_sum / static_cast<double>(bitrates.size());
-  }
-  live.stall_ratio = playtime_s > 0.0 ? stall_s / playtime_s : 0.0;
-  live.admitted = admitted();
-  live.blocked = blocked();
-  const std::uint64_t arrivals = live.admitted + live.blocked;
-  live.blocking_probability =
-      arrivals > 0 ? static_cast<double>(live.blocked) /
+  sum.avg_bitrate_bps = Mean(bitrates);
+  // Jain of nothing stays the "perfectly fair" 1.0.
+  sum.jain_avg_bitrate = JainIndex(bitrates);
+  sum.avg_qoe =
+      sum.played > 0 ? qoe_sum / static_cast<double>(sum.played) : 0.0;
+  sum.stall_ratio = playtime_s > 0.0 ? stall_s / playtime_s : 0.0;
+  sum.admitted = agg.admitted;
+  sum.blocked = agg.blocked;
+  const std::uint64_t arrivals = sum.admitted + sum.blocked;
+  sum.blocking_probability =
+      arrivals > 0 ? static_cast<double>(sum.blocked) /
                          static_cast<double>(arrivals)
                    : 0.0;
-  return live;
+  return sum;
+}
+
+QoeLiveSummary QoeAnalytics::LiveSummary() const {
+  return Summarize(AllSessions(), Totals(), nullptr);
 }
 
 const QoeSessionStats* QoeAnalytics::FindSession(int cell, int session) const {
@@ -184,65 +206,30 @@ const QoeSessionStats* QoeAnalytics::FindSession(int cell, int session) const {
   return it == sessions_.end() ? nullptr : &it->second;
 }
 
-std::uint64_t QoeAnalytics::admitted() const {
-  std::uint64_t total = 0;
-  for (const auto& [cell, agg] : cells_) total += agg.admitted;
-  return total;
-}
+std::uint64_t QoeAnalytics::admitted() const { return Totals().admitted; }
 
-std::uint64_t QoeAnalytics::blocked() const {
-  std::uint64_t total = 0;
-  for (const auto& [cell, agg] : cells_) total += agg.blocked;
-  return total;
-}
+std::uint64_t QoeAnalytics::blocked() const { return Totals().blocked; }
 
 void QoeAnalytics::WriteAggregateJson(
     std::ostream& out, const std::vector<const QoeSessionStats*>& sessions,
     const CellAggregates& agg) const {
-  // Fairness / averages are over sessions that played at least one
-  // segment; blocked-then-gone dynamic sessions only show up in the
-  // admitted/blocked counters.
-  std::vector<double> bitrates;
   std::vector<double> dynamic_qoe;
-  double switches = 0.0;
-  double stall_s = 0.0;
-  double playtime_s = 0.0;
-  double qoe_sum = 0.0;
-  std::size_t played = 0;
-  for (const QoeSessionStats* s : sessions) {
-    if (s->segments == 0) {
-      if (s->origin == QoeSessionOrigin::kDynamicVideo) {
-        dynamic_qoe.push_back(0.0);
-      }
-      continue;
-    }
-    ++played;
-    bitrates.push_back(s->AvgBitrateBps());
-    switches += static_cast<double>(s->switches);
-    stall_s += s->stall_s;
-    playtime_s += s->played_s + s->stall_s;
-    const double qoe = s->Qoe(weights_);
-    qoe_sum += qoe;
-    if (s->origin == QoeSessionOrigin::kDynamicVideo) {
-      dynamic_qoe.push_back(qoe);
-    }
-  }
-  const double n = static_cast<double>(played);
-  out << "\"sessions\": " << sessions.size()
-      << ", \"played_sessions\": " << played
-      << ", \"avg_bitrate_bps\": " << JsonNumber(Mean(bitrates))
-      << ", \"jain_avg_bitrate\": " << JsonNumber(JainIndex(bitrates))
-      << ", \"avg_switches\": " << JsonNumber(played > 0 ? switches / n : 0.0)
-      << ", \"stall_ratio\": "
-      << JsonNumber(playtime_s > 0.0 ? stall_s / playtime_s : 0.0)
-      << ", \"avg_qoe\": " << JsonNumber(played > 0 ? qoe_sum / n : 0.0)
-      << ", \"avg_admitted_qoe\": " << JsonNumber(Mean(dynamic_qoe))
-      << ", \"admitted\": " << agg.admitted
-      << ", \"blocked\": " << agg.blocked << ", \"blocking_probability\": "
-      << JsonNumber(agg.admitted + agg.blocked > 0
-                        ? static_cast<double>(agg.blocked) /
-                              static_cast<double>(agg.admitted + agg.blocked)
+  const QoeLiveSummary sum = Summarize(sessions, agg, &dynamic_qoe);
+  const double played = static_cast<double>(sum.played);
+  out << "\"sessions\": " << sum.sessions
+      << ", \"played_sessions\": " << sum.played
+      << ", \"avg_bitrate_bps\": " << JsonNumber(sum.avg_bitrate_bps)
+      << ", \"jain_avg_bitrate\": " << JsonNumber(sum.jain_avg_bitrate)
+      << ", \"avg_switches\": "
+      << JsonNumber(sum.played > 0
+                        ? static_cast<double>(sum.switches) / played
                         : 0.0)
+      << ", \"stall_ratio\": " << JsonNumber(sum.stall_ratio)
+      << ", \"avg_qoe\": " << JsonNumber(sum.avg_qoe)
+      << ", \"avg_admitted_qoe\": " << JsonNumber(Mean(dynamic_qoe))
+      << ", \"admitted\": " << sum.admitted
+      << ", \"blocked\": " << sum.blocked << ", \"blocking_probability\": "
+      << JsonNumber(sum.blocking_probability)
       << ", \"rung_change_causes\": {";
   bool first = true;
   for (const auto& [cause, count] : agg.rung_change_causes) {
@@ -315,19 +302,8 @@ void QoeAnalytics::WriteJson(std::ostream& out) const {
   }
   out << "\n],\n";
 
-  std::vector<const QoeSessionStats*> all;
-  all.reserve(sessions_.size());
-  for (const auto& [key, s] : sessions_) all.push_back(&s);
-  CellAggregates total;
-  for (const auto& [cell, agg] : cells_) {
-    total.admitted += agg.admitted;
-    total.blocked += agg.blocked;
-    for (const auto& [cause, count] : agg.rung_change_causes) {
-      total.rung_change_causes[cause] += count;
-    }
-  }
   out << "\"summary\": {";
-  WriteAggregateJson(out, all, total);
+  WriteAggregateJson(out, AllSessions(), Totals());
   out << "}}";
 }
 

@@ -148,9 +148,18 @@ class QoeAnalytics {
     std::uint64_t blocked = 0;
     /// Enforced rung changes by DecisionCauseName(), ordered by name.
     std::map<std::string, std::uint64_t> rung_change_causes;
+
+    void Add(const CellAggregates& other);
   };
 
   QoeSessionStats* Session(int session);
+  CellAggregates Totals() const;
+  std::vector<const QoeSessionStats*> AllSessions() const;
+  /// Aggregates of `sessions` with `agg`'s admission counts; each dynamic
+  /// session's QoE (0 if it never played) goes to `dynamic_qoe` if given.
+  QoeLiveSummary Summarize(const std::vector<const QoeSessionStats*>& sessions,
+                           const CellAggregates& agg,
+                           std::vector<double>* dynamic_qoe) const;
   void WriteAggregateJson(std::ostream& out,
                           const std::vector<const QoeSessionStats*>& sessions,
                           const CellAggregates& agg) const;

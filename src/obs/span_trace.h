@@ -82,7 +82,6 @@ class SpanTracer {
   /// Process id stamped on subsequently recorded events. Convention:
   /// pid 0 = the parallel runner / coordinator, pid c+1 = cell c.
   void set_default_pid(int pid) { pid_ = pid; }
-  int default_pid() const { return pid_; }
 
   void CompleteSpan(int lane, const char* cat, const char* name,
                     double ts_us, double dur_us, std::string args = {});

@@ -152,9 +152,11 @@ ScenarioWorld::ScenarioWorld(const ScenarioConfig& config, Simulator& sim,
     config_.health->SetObservers(config_.metrics, config_.span_trace,
                                  config_.flight);
   }
-  oneapi_.SetObservers(config_.metrics, config_.bai_trace, config_.span_trace,
-                       config_.health);
-  oneapi_.SetAnalytics(config_.qoe, config_.flight);
+  oneapi_.SetObservers(config_.metrics, config_.health,
+                       {.bai_trace = config_.bai_trace,
+                        .spans = config_.span_trace,
+                        .qoe = config_.qoe,
+                        .flight = config_.flight});
 
   const Pcrf::CellTag cell_tag = config_.oneapi.cell_tag;
   const int n_ues =

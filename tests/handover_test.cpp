@@ -178,8 +178,8 @@ MigrationRun RunFullMigration(BaiTraceSink* sink) {
   config_b.cell_tag = 1;
   OneApiServer server_a(sim, cell_a, pcrf, pcef_a, config_a);
   OneApiServer server_b(sim, cell_b, pcrf, pcef_b, config_b);
-  server_a.SetObservers(nullptr, sink);
-  server_b.SetObservers(nullptr, sink);
+  server_a.SetObservers(nullptr, nullptr, {.bai_trace = sink});
+  server_b.SetObservers(nullptr, nullptr, {.bai_trace = sink});
   const UeId ue_a = cell_a.AddUe(std::make_unique<FadedMobilityChannel>(
       drive, radio, Rng(3), Position{0.0, 0.0}));
   const UeId ue_b = cell_b.AddUe(std::make_unique<FadedMobilityChannel>(

@@ -374,7 +374,7 @@ void ExpectBadUtilityConnectRejected(AdmissionController* admission) {
   f.config.bai = FromSeconds(1.0);
   OneApiServer server = f.MakeServer();
   BaiTraceSink sink;
-  server.SetObservers(nullptr, &sink);
+  server.SetObservers(nullptr, nullptr, {.bai_trace = &sink});
   server.SetAdmissionController(admission);
   std::vector<std::pair<FlowId, bool>> verdicts;
   server.SetAdmissionCallback([&verdicts](FlowId flow, bool admitted) {
@@ -431,7 +431,7 @@ TEST(OneApiServer, BadUtilityRefreshIsDropped) {
   f.config.params.delta = 1;
   OneApiServer server = f.MakeServer();
   BaiTraceSink sink;
-  server.SetObservers(nullptr, &sink);
+  server.SetObservers(nullptr, nullptr, {.bai_trace = &sink});
   const Mpd mpd = MakeMpd(SimulationLadderKbps(), 10.0);
   const FlowId capped = f.cell.AddFlow(
       f.cell.AddUe(std::make_unique<StaticItbsChannel>(12)),

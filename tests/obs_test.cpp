@@ -11,18 +11,23 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 
+#include "core/rate_controller.h"
 #include "obs/bai_trace.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
+#include "obs/qoe_analytics.h"
 #include "obs/span_trace.h"
 #include "obs/watchdog.h"
 #include "scenario/multi_cell.h"
 #include "scenario/scenario.h"
 #include "util/csv.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/time.h"
@@ -320,6 +325,86 @@ TEST(Observability, DisabledRunMatchesEnabledRunResults) {
               observed.video[i].bitrate_changes);
   }
   EXPECT_EQ(plain.data_throughput_bps, observed.data_throughput_bps);
+}
+
+// The four decision sinks tell one story: on a churned cell whose
+// admission both admits and blocks, every enforced rung change shows up
+// once as a span instant, once as a flight event, once in the QoE cause
+// table and once as a BAI row whose rung differs from the flow's previous
+// row; every admission reject shows up as both a span instant and a
+// flight event; and every cause is one of Algorithm 1's.
+TEST(Observability, DecisionSinksAgree) {
+  ScenarioConfig config = TestbedPreset(Scheme::kFlare);
+  config.duration_s = 40.0;
+  config.seed = 1;
+  config.n_video = 2;
+  config.churn.enabled = true;
+  config.churn.arrival_rate_per_s = 1.0;
+  config.churn.mean_hold_s = 30.0;
+  config.churn.admission.policy = AdmissionPolicy::kUtilityDrop;
+  config.churn.admission.objective_floor = -0.3;
+  config.oneapi.deterministic_timing = true;
+  MetricsRegistry registry;
+  BaiTraceSink trace;
+  SpanTracer spans;
+  QoeAnalytics qoe;
+  FlightRecorder flight(1 << 16);  // never wraps in this run
+  config.metrics = &registry;
+  config.bai_trace = &trace;
+  config.span_trace = &spans;
+  config.qoe = &qoe;
+  config.flight = &flight;
+  const ScenarioResult result = RunScenario(config);
+  ASSERT_GT(result.sessions_blocked, 0u);
+  ASSERT_GT(result.sessions_arrived, result.sessions_blocked);
+  ASSERT_EQ(flight.dropped(), 0u);
+
+  const std::vector<const char*>& names = AllDecisionCauseNames();
+  const auto is_cause = [&names](const std::string& cause) {
+    return std::any_of(names.begin(), names.end(),
+                       [&cause](const char* name) { return cause == name; });
+  };
+
+  std::size_t span_changes = 0;
+  std::size_t span_rejects = 0;
+  for (const TraceEvent& e : spans.events()) {
+    if (e.ph != 'i') continue;
+    if (std::string(e.name) == "rung_change") ++span_changes;
+    if (std::string(e.name) == "admission_reject") ++span_rejects;
+  }
+  std::size_t flight_changes = 0;
+  std::size_t flight_rejects = 0;
+  for (const FlightEvent& e : flight.RecentEvents()) {
+    if (std::string(e.kind) == "rung_change") ++flight_changes;
+    if (std::string(e.kind) == "admission_reject") ++flight_rejects;
+  }
+  std::size_t row_changes = 0;
+  std::map<FlowId, int> last_level;
+  for (const BaiTraceRow& row : trace.bai_rows()) {
+    EXPECT_TRUE(is_cause(row.cause)) << row.cause;
+    const auto last = last_level.find(row.flow);
+    const int previous = last == last_level.end() ? -1 : last->second;
+    if (row.enforced_level != previous) ++row_changes;
+    last_level[row.flow] = row.enforced_level;
+  }
+  std::ostringstream qoe_json;
+  qoe.WriteJson(qoe_json);
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(qoe_json.str(), &doc));
+  const JsonValue* causes = doc.FindPath({"summary", "rung_change_causes"});
+  ASSERT_NE(causes, nullptr);
+  std::size_t qoe_changes = 0;
+  for (const auto& [cause, count] : causes->members()) {
+    EXPECT_TRUE(is_cause(cause)) << cause;
+    qoe_changes += static_cast<std::size_t>(count.AsNumber());
+  }
+
+  EXPECT_GT(span_changes, 0u);
+  EXPECT_EQ(flight_changes, span_changes);
+  EXPECT_EQ(qoe_changes, span_changes);
+  EXPECT_EQ(row_changes, span_changes);
+  EXPECT_GT(span_rejects, 0u);
+  EXPECT_EQ(flight_rejects, span_rejects);
 }
 
 // --- Histogram quantiles ----------------------------------------------------

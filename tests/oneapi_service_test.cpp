@@ -269,7 +269,7 @@ TEST(OneApiService, WireAssignmentsMatchInProcessServer) {
   AdmissionController admission(admission_config);
   server.SetAdmissionController(&admission);
   BaiTraceSink sink;
-  server.SetObservers(nullptr, &sink);
+  server.SetObservers(nullptr, nullptr, {.bai_trace = &sink});
   std::map<FlowId, bool> sim_verdicts;
   server.SetAdmissionCallback([&sim_verdicts](FlowId flow, bool admitted) {
     sim_verdicts[flow] = admitted;

@@ -83,7 +83,8 @@ Experiment keys:
   channel=NAME       static-itbs | triangle | placed | mobile (static-itbs)
   duration_s=SECS    run length (preset default)
   seed=N             RNG seed; runs>1 uses seed, seed+1, ... (1)
-  runs=N             independent seeds, results averaged (1)
+  runs=N             independent seeds, results averaged; observers and
+                     exports cover the first run only (1)
   n_video=N n_data=N n_conventional=N   client mix (preset default)
   testbed=0|1        testbed vs ns-3 scheduler wiring (per channel)
 Cell / radio keys:
@@ -518,16 +519,12 @@ int main(int argc, char** argv) {
   double rebuffer = 0.0;
   double jain = 0.0;
   double data = 0.0;
-  // Trace only the first run: repeated seeds would interleave rows.
+  // Observe only the first run: repeated seeds would interleave trace
+  // rows and reuse its QoE session ids.
   std::vector<ScenarioResult> results;
   results.push_back(RunScenario(config));
   if (runs > 1) {
-    ScenarioConfig rest = config;
-    rest.metrics = nullptr;
-    rest.bai_trace = nullptr;
-    rest.span_trace = nullptr;
-    rest.health = nullptr;
-    rest.telemetry = nullptr;  // live view covers the first run only
+    ScenarioConfig rest = WithoutObservers(config);
     rest.seed = config.seed + 1;
     for (const ScenarioResult& r : RunMany(rest, runs - 1)) {
       results.push_back(r);

@@ -32,25 +32,33 @@ std::uint64_t Scheduler::granted_bytes(std::size_t i) const {
   return index < 0 ? 0 : grants_[static_cast<std::size_t>(index)].bytes;
 }
 
+std::size_t Scheduler::PopBest() {
+  std::size_t best = 0;
+  for (std::size_t j = 1; j < ranked_.size(); ++j) {
+    const Ranked& a = ranked_[j];
+    const Ranked& b = ranked_[best];
+    if (a.key != b.key ? a.key > b.key : a.id < b.id) best = j;
+  }
+  const std::size_t index = ranked_[best].index;
+  ranked_[best] = ranked_.back();
+  ranked_.pop_back();
+  return index;
+}
+
 int Scheduler::GbrDebtPass(const std::vector<SchedCandidate>& candidates,
                            int n_rbs, FlowFilter filter) {
-  order_.clear();
+  // Most starved first.
+  ranked_.clear();
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const FlowState& f = *candidates[i].flow;
     if (filter(f) && f.has_gbr() && f.gbr_credit_bytes > 0.0) {
-      order_.push_back(i);
+      ranked_.push_back(Ranked{f.gbr_credit_bytes, f.id, i});
     }
   }
-  std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
-    const double ca = candidates[a].flow->gbr_credit_bytes;
-    const double cb = candidates[b].flow->gbr_credit_bytes;
-    if (ca != cb) return ca > cb;  // most starved first
-    return candidates[a].flow->id < candidates[b].flow->id;
-  });
 
   int used = 0;
-  for (std::size_t idx : order_) {
-    if (used >= n_rbs) break;
+  while (used < n_rbs && !ranked_.empty()) {
+    const std::size_t idx = PopBest();
     const SchedCandidate& c = candidates[idx];
     if (c.bytes_per_rb == 0) continue;
     const auto owed = static_cast<std::uint64_t>(
@@ -72,26 +80,20 @@ int Scheduler::ProportionalFairPass(
     FlowFilter filter) {
   if (n_rbs <= 0) return 0;
 
-  // Wideband CQI: the PF metric of a flow is constant within the TTI, so a
-  // single descending sort followed by greedy filling is exact.
-  order_.clear();
+  // Wideband CQI: the PF metric of a flow is constant within the TTI, so
+  // serving flows in descending metric order (greedy filling) is exact.
+  ranked_.clear();
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (filter(*candidates[i].flow)) order_.push_back(i);
+    const SchedCandidate& c = candidates[i];
+    if (!filter(*c.flow)) continue;
+    const double metric = static_cast<double>(c.bytes_per_rb) /
+                          std::max(c.flow->pf_avg_bps, 1e-9);
+    ranked_.push_back(Ranked{metric, c.flow->id, i});
   }
-  std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
-    const auto& ca = candidates[a];
-    const auto& cb = candidates[b];
-    const double ma = static_cast<double>(ca.bytes_per_rb) /
-                      std::max(ca.flow->pf_avg_bps, 1e-9);
-    const double mb = static_cast<double>(cb.bytes_per_rb) /
-                      std::max(cb.flow->pf_avg_bps, 1e-9);
-    if (ma != mb) return ma > mb;
-    return ca.flow->id < cb.flow->id;  // deterministic tie-break
-  });
 
   int used = 0;
-  for (std::size_t idx : order_) {
-    if (used >= n_rbs) break;
+  while (used < n_rbs && !ranked_.empty()) {
+    const std::size_t idx = PopBest();
     const SchedCandidate& c = candidates[idx];
     if (c.bytes_per_rb == 0) continue;
     const std::uint64_t got = granted_bytes(idx);

@@ -94,10 +94,23 @@ class Scheduler {
   std::vector<SchedGrant> grants_;
 
  private:
+  /// One pass's not-yet-visited candidate: its priority key (higher
+  /// first), FlowId (lower first on a tie) and candidate index.
+  struct Ranked {
+    double key;
+    FlowId id;
+    std::size_t index;
+  };
+
+  /// Removes and returns the candidate index that ranks first in ranked_.
+  /// A pass pops only until its RBs run out, so it never sorts the
+  /// candidates it cannot serve.
+  std::size_t PopBest();
+
   /// Index into grants_ of each candidate's grant; -1 = not yet served.
   std::vector<std::int32_t> grant_index_;
-  /// Candidate indices, sorted by each pass's priority.
-  std::vector<std::size_t> order_;
+  /// The current pass's unvisited candidates, in no particular order.
+  std::vector<Ranked> ranked_;
 };
 
 /// RBs needed to move `bytes` at `bytes_per_rb` per RB (ceiling division).

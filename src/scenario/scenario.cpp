@@ -1,11 +1,15 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
+#include <functional>
+#include <stdexcept>
+#include <thread>
 
 #include "net/pcrf.h"
 #include "obs/telemetry_publisher.h"
 #include "scenario/scenario_world.h"
 #include "sim/simulator.h"
+#include "util/thread_pool.h"
 
 namespace flare {
 
@@ -93,14 +97,43 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   return world.Collect();
 }
 
+ScenarioConfig WithoutObservers(ScenarioConfig config) {
+  config.metrics = nullptr;
+  config.bai_trace = nullptr;
+  config.span_trace = nullptr;
+  config.health = nullptr;
+  config.qoe = nullptr;
+  config.flight = nullptr;
+  config.telemetry = nullptr;
+  return config;
+}
+
 std::vector<ScenarioResult> RunMany(const ScenarioConfig& config, int runs) {
-  std::vector<ScenarioResult> results;
-  results.reserve(static_cast<std::size_t>(std::max(runs, 0)));
-  for (int r = 0; r < runs; ++r) {
-    ScenarioConfig run_config = config;
-    run_config.seed = config.seed + static_cast<std::uint64_t>(r);
-    results.push_back(RunScenario(run_config));
+  if (config.metrics || config.bai_trace || config.span_trace ||
+      config.health || config.qoe || config.flight || config.telemetry) {
+    // Every run would feed one observer (reusing session ids), and the
+    // runs are concurrent.
+    throw std::invalid_argument(
+        "RunMany: config carries observers; observe one RunScenario "
+        "instead (WithoutObservers strips them)");
   }
+  const std::size_t n = static_cast<std::size_t>(std::max(runs, 0));
+  std::vector<ScenarioResult> results(n);
+  // Runs share nothing but the mutex-guarded Logger, so each seed is one
+  // job; results land in seed order whatever order the jobs finish in.
+  // The pool clamps its width to >= 1; hardware_concurrency() may be 0.
+  ThreadPool pool(static_cast<int>(
+      std::min<std::size_t>(n, std::thread::hardware_concurrency())));
+  std::vector<std::function<void()>> jobs;
+  jobs.reserve(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    jobs.emplace_back([&config, &results, r] {
+      ScenarioConfig run_config = config;
+      run_config.seed = config.seed + r;
+      results[r] = RunScenario(run_config);
+    });
+  }
+  pool.RunAll(std::move(jobs));
   return results;
 }
 

@@ -218,7 +218,13 @@ ScenarioConfig SimMobilePreset(Scheme scheme);
 /// Build, run and tear down one scenario.
 ScenarioResult RunScenario(const ScenarioConfig& config);
 
-/// Run `runs` seeds (seed, seed+1, ...) and concatenate per-client results.
+/// `config` with every observer pointer (metrics .. telemetry) cleared.
+ScenarioConfig WithoutObservers(ScenarioConfig config);
+
+/// Run `runs` seeds (seed, seed+1, ...) in parallel, one job per seed on
+/// a pool of min(runs, hardware threads) workers, and return the results
+/// in seed order. Each result equals RunScenario on its seed. Throws
+/// std::invalid_argument if `config` carries any observer pointer.
 std::vector<ScenarioResult> RunMany(const ScenarioConfig& config, int runs);
 
 }  // namespace flare

@@ -71,6 +71,10 @@ class EventQueue {
   /// Time of the earliest pending event; undefined when empty.
   SimTime NextTime() const { return heap_.front().at; }
 
+  /// Sequence number the next Push will take. Two pushes with the same
+  /// `at` and no push between them run back to back.
+  std::uint64_t NextSeq() const { return next_seq_; }
+
   /// Pops and runs the earliest event. Caller must check Empty() first.
   /// If the event throws, it is still destroyed and the rest of the queue
   /// is left intact.

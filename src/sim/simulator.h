@@ -50,6 +50,9 @@ class Simulator {
   void Stop() { stopped_ = true; }
 
   std::uint64_t events_processed() const { return events_processed_; }
+  /// Sequence number of the next scheduled event: unchanged between two
+  /// reads means nothing was scheduled in between.
+  std::uint64_t next_seq() const { return queue_.NextSeq(); }
   std::size_t queue_depth() const { return queue_.Size(); }
 
   /// Attach a metrics registry (null detaches): exports the event rate

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 
+#include "transport/transport_host.h"
+
 namespace flare {
 
-TcpFlow::TcpFlow(Simulator& sim, Cell& cell, FlowId flow,
-                 const TcpConfig& config)
-    : sim_(sim), cell_(cell), flow_(flow), config_(config) {
+TcpFlow::TcpFlow(TransportHost& host, Simulator& sim, Cell& cell,
+                 FlowId flow, const TcpConfig& config)
+    : host_(host), sim_(sim), cell_(cell), flow_(flow), config_(config) {
   cwnd_bytes_ =
       static_cast<double>(config_.init_cwnd_segments) * config_.mss;
   ssthresh_bytes_ = config_.max_cwnd_bytes;
@@ -44,14 +46,10 @@ void TcpFlow::HandleDelivery(std::uint64_t bytes, SimTime now) {
   bytes_delivered_ += bytes;
   if (on_receive_) on_receive_(bytes, now);
   // ACK returns a full RTT after over-the-air transmission.
-  sim_.After(FromSeconds(config_.rtt_s),
-             [this, bytes, alive = std::weak_ptr<char>(alive_)] {
-               if (alive.expired()) return;
-               OnAck(bytes, sim_.Now());
-             });
+  host_.QueueAck(flow_, bytes, sim_.Now() + FromSeconds(config_.rtt_s));
 }
 
-void TcpFlow::OnAck(std::uint64_t bytes, SimTime now) {
+void TcpFlow::HandleAck(std::uint64_t bytes, SimTime now) {
   inflight_bytes_ -= std::min(inflight_bytes_, bytes);
 
   // Westwood bandwidth estimate from the ACK arrival rate.

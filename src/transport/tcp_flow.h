@@ -21,6 +21,8 @@
 
 namespace flare {
 
+class TransportHost;  // transport/transport_host.h
+
 struct TcpConfig {
   double rtt_s = 0.06;  // wired core + radio round trip
   std::uint32_t mss = 1400;
@@ -35,7 +37,10 @@ class TcpFlow {
   /// Receiver-side callback: bytes that arrived at the UE.
   using ReceiveFn = std::function<void(std::uint64_t bytes, SimTime now)>;
 
-  TcpFlow(Simulator& sim, Cell& cell, FlowId flow, const TcpConfig& config);
+  /// Flows are made by TransportHost::CreateFlow, which owns them and
+  /// carries their ACKs.
+  TcpFlow(TransportHost& host, Simulator& sim, Cell& cell, FlowId flow,
+          const TcpConfig& config);
 
   /// Queue application bytes for transfer (server-side send).
   void Send(std::uint64_t bytes);
@@ -43,9 +48,10 @@ class TcpFlow {
   void SetOnReceive(ReceiveFn fn) { on_receive_ = std::move(fn); }
 
   /// Transport host plumbing: over-the-air delivery / RLC drop for this
-  /// flow's id.
+  /// flow's id, and the ACK of a delivery, a full RTT later.
   void HandleDelivery(std::uint64_t bytes, SimTime now);
   void HandleDrop(std::uint64_t bytes);
+  void HandleAck(std::uint64_t bytes, SimTime now);
 
   bool Idle() const {
     return app_pending_ == 0 && inflight_bytes_ == 0;
@@ -59,8 +65,8 @@ class TcpFlow {
 
  private:
   void TryPush();
-  void OnAck(std::uint64_t bytes, SimTime now);
 
+  TransportHost& host_;
   Simulator& sim_;
   Cell& cell_;
   FlowId flow_;

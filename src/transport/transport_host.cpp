@@ -26,7 +26,7 @@ TransportHost::TransportHost(Simulator& sim, Cell& cell)
 TcpFlow& TransportHost::CreateFlow(UeId ue, FlowType type,
                                    const TcpConfig& config) {
   const FlowId id = cell_.AddFlow(ue, type);
-  auto flow = std::make_unique<TcpFlow>(sim_, cell_, id, config);
+  auto flow = std::make_unique<TcpFlow>(*this, sim_, cell_, id, config);
   TcpFlow& ref = *flow;
   flows_.emplace(id, std::move(flow));
   return ref;
@@ -59,11 +59,50 @@ void TransportHost::ScheduleGreedyTick(FlowId id) {
   // is destroyed — with session churn that is an unbounded leak of dead
   // timers. The self-rescheduling chain stops at the first tick that
   // finds the flow gone.
-  sim_.After(kGreedyTopUpPeriod, [this, id] {
-    if (greedy_.count(id) == 0) return;
+  sim_.After(kGreedyTopUpPeriod,
+             [this, id, alive = std::weak_ptr<char>(alive_)] {
+    if (alive.expired() || greedy_.count(id) == 0) return;
     TopUpGreedy(id);
     ScheduleGreedyTick(id);
   });
+}
+
+void TransportHost::QueueAck(FlowId flow, std::uint64_t bytes, SimTime at) {
+  // Joining is exact: had this ACK been pushed on its own, it would take
+  // the seq right after the batch's last ACK, with the same `at`, so
+  // nothing could run between them.
+  if (open_batch_ == kNoBatch || at != open_at_ ||
+      sim_.next_seq() != open_next_seq_) {
+    std::uint32_t slot;
+    if (free_ack_batches_.empty()) {
+      slot = static_cast<std::uint32_t>(ack_batches_.size());
+      ack_batches_.emplace_back();
+    } else {
+      slot = free_ack_batches_.back();
+      free_ack_batches_.pop_back();
+    }
+    sim_.At(at, [this, slot, alive = std::weak_ptr<char>(alive_)] {
+      if (!alive.expired()) RunAckBatch(slot);
+    });
+    open_batch_ = slot;
+    open_at_ = at;
+    open_next_seq_ = sim_.next_seq();
+  }
+  ack_batches_[open_batch_].push_back(Ack{flow, bytes});
+}
+
+void TransportHost::RunAckBatch(std::uint32_t slot) {
+  // A running batch takes no more ACKs: one queued from here on has a
+  // later seq than anything this batch could hold.
+  if (open_batch_ == slot) open_batch_ = kNoBatch;
+  const SimTime now = sim_.Now();
+  std::vector<Ack>& acks = ack_batches_[slot];
+  for (const Ack& ack : acks) {
+    const auto it = flows_.find(ack.flow);
+    if (it != flows_.end()) it->second->HandleAck(ack.bytes, now);
+  }
+  acks.clear();
+  free_ack_batches_.push_back(slot);
 }
 
 void TransportHost::TopUpGreedy(FlowId id) {

@@ -7,9 +7,9 @@
 // order they were submitted in) and each submission wakes at most one
 // worker per job, so a small batch does not stampede a large pool.
 //
-// The sharded simulation runtime used to drive its epochs through this
-// pool; it now keeps its own persistent per-partition workers
-// (sim/parallel_runner.h), and the pool remains for one-off batch work.
+// RunMany (scenario/scenario.h) runs one seed per job on it. The sharded
+// simulation runtime keeps its own persistent per-partition workers
+// (sim/parallel_runner.h) instead.
 #pragma once
 
 #include <condition_variable>

@@ -3,6 +3,13 @@
 // oscillates, who rebuffers).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+
+#include "obs/flight_recorder.h"
+#include "obs/qoe_analytics.h"
 #include "scenario/experiment.h"
 #include "scenario/scenario.h"
 
@@ -185,6 +192,137 @@ TEST(ScenarioIntegration, RunManyIncrementsSeeds) {
   EXPECT_EQ(pooled.avg_bitrate_kbps.count(), 9u);  // 3 runs x 3 clients
   EXPECT_EQ(pooled.data_throughput_kbps.count(), 3u);
   EXPECT_EQ(pooled.jain_per_run.size(), 3u);
+}
+
+void ExpectSameClient(const ClientMetrics& a, const ClientMetrics& b) {
+  EXPECT_EQ(a.avg_bitrate_bps, b.avg_bitrate_bps);
+  EXPECT_EQ(a.bitrate_changes, b.bitrate_changes);
+  EXPECT_EQ(a.rebuffer_time_s, b.rebuffer_time_s);
+  EXPECT_EQ(a.rebuffer_events, b.rebuffer_events);
+  EXPECT_EQ(a.segments, b.segments);
+  EXPECT_EQ(a.avg_throughput_bps, b.avg_throughput_bps);
+  EXPECT_EQ(a.qoe, b.qoe);
+}
+
+void ExpectSameClients(const std::vector<ClientMetrics>& a,
+                       const std::vector<ClientMetrics>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) ExpectSameClient(a[i], b[i]);
+}
+
+// Every ScenarioResult field but the solve times, which are wall clock:
+// only their count is a function of the seed.
+void ExpectSameResult(const ScenarioResult& a, const ScenarioResult& b) {
+  ExpectSameClients(a.video, b.video);
+  ExpectSameClients(a.conventional, b.conventional);
+  EXPECT_EQ(a.data_throughput_bps, b.data_throughput_bps);
+  EXPECT_EQ(a.jain_avg_bitrate, b.jain_avg_bitrate);
+  EXPECT_EQ(a.avg_video_bitrate_bps, b.avg_video_bitrate_bps);
+  EXPECT_EQ(a.avg_bitrate_changes, b.avg_bitrate_changes);
+  EXPECT_EQ(a.avg_rebuffer_s, b.avg_rebuffer_s);
+  EXPECT_EQ(a.avg_data_throughput_bps, b.avg_data_throughput_bps);
+  EXPECT_EQ(a.solve_times_ms.size(), b.solve_times_ms.size());
+  EXPECT_EQ(a.video_fractions, b.video_fractions);
+  ASSERT_EQ(a.series.size(), b.series.size());
+  for (std::size_t i = 0; i < a.series.size(); ++i) {
+    EXPECT_EQ(a.series[i].t_s, b.series[i].t_s);
+    EXPECT_EQ(a.series[i].video_bitrate_bps, b.series[i].video_bitrate_bps);
+    EXPECT_EQ(a.series[i].video_buffer_s, b.series[i].video_buffer_s);
+    EXPECT_EQ(a.series[i].data_throughput_bps,
+              b.series[i].data_throughput_bps);
+  }
+  EXPECT_EQ(a.sessions_arrived, b.sessions_arrived);
+  EXPECT_EQ(a.sessions_departed, b.sessions_departed);
+  EXPECT_EQ(a.sessions_blocked, b.sessions_blocked);
+  EXPECT_EQ(a.blocking_probability, b.blocking_probability);
+  ExpectSameClients(a.churned, b.churned);
+  EXPECT_EQ(a.avg_admitted_qoe, b.avg_admitted_qoe);
+}
+
+TEST(ScenarioIntegration, RunManyEqualsRunScenarioPerSeed) {
+  // Seeds run concurrently; each result must be the one a serial
+  // RunScenario on its seed gives, in seed order.
+  ScenarioConfig config = BaseTestbed(Scheme::kFlare, 60.0);
+  config.sample_series = true;
+  config.churn.enabled = true;
+  config.churn.arrival_rate_per_s = 0.3;
+  config.churn.mean_hold_s = 10.0;
+  const auto runs = RunMany(config, 3);
+  ASSERT_EQ(runs.size(), 3u);
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    SCOPED_TRACE("run " + std::to_string(r));
+    ScenarioConfig seeded = config;
+    seeded.seed = config.seed + r;
+    ExpectSameResult(runs[r], RunScenario(seeded));
+  }
+  EXPECT_GT(runs[0].sessions_arrived, 0u);
+  EXPECT_TRUE(RunMany(config, 0).empty());
+}
+
+TEST(ScenarioIntegration, RunManyRejectsObservers) {
+  QoeAnalytics qoe;
+  FlightRecorder flight(16);
+  ScenarioConfig config = BaseTestbed(Scheme::kFlare, 1.0);
+  config.qoe = &qoe;
+  EXPECT_THROW(RunMany(config, 2), std::invalid_argument);
+  config.qoe = nullptr;
+  config.flight = &flight;
+  EXPECT_THROW(RunMany(config, 1), std::invalid_argument);
+  EXPECT_EQ(RunMany(WithoutObservers(config), 1).size(), 1u);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+struct ObservedOutput {
+  std::string qoe_csv;
+  std::string qoe_json;  // carries the summary
+  std::string flight_json;
+};
+
+// scenario_runner's runs=<n> path: the first run carries the observers,
+// the other n-1 seeds run through RunMany without them.
+ObservedOutput RunObservingFirst(ScenarioConfig config, int runs) {
+  QoeAnalytics qoe;
+  FlightRecorder flight(256);
+  config.qoe = &qoe;
+  config.flight = &flight;
+  RunScenario(config);
+  if (runs > 1) {
+    ScenarioConfig rest = WithoutObservers(config);
+    rest.seed = config.seed + 1;
+    RunMany(rest, runs - 1);
+  }
+  ObservedOutput out;
+  const std::string path =
+      ::testing::TempDir() + "qoe_runs_" + std::to_string(runs) + ".csv";
+  EXPECT_TRUE(qoe.ExportCsv(path));
+  out.qoe_csv = ReadFile(path);
+  std::ostringstream qoe_json;
+  qoe.WriteJson(qoe_json);
+  out.qoe_json = qoe_json.str();
+  std::ostringstream flight_json;
+  flight.WriteJson(flight_json);
+  out.flight_json = flight_json.str();
+  return out;
+}
+
+TEST(ScenarioIntegration, ExtraRunsLeaveFirstRunObserversUntouched) {
+  // Later seeds reuse the first run's session ids: fed into its QoE
+  // engine they would merge into its sessions.
+  ScenarioConfig config = SimMobilePreset(Scheme::kFlare);
+  config.duration_s = 60.0;
+  config.seed = 3;
+  const ObservedOutput one = RunObservingFirst(config, 1);
+  const ObservedOutput three = RunObservingFirst(config, 3);
+  ASSERT_NE(one.qoe_csv.find('\n'), std::string::npos);
+  EXPECT_EQ(one.qoe_csv, three.qoe_csv);
+  EXPECT_EQ(one.qoe_json, three.qoe_json);
+  EXPECT_EQ(one.flight_json, three.flight_json);
 }
 
 TEST(ScenarioIntegration, DisclosedScreenSizesShapeAssignments) {

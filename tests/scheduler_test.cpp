@@ -2,6 +2,7 @@
 // and the FLARE two-phase video-first behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "lte/gbr_scheduler.h"
@@ -89,6 +90,64 @@ TEST(PfScheduler, PrefersHigherMetric) {
   const auto bytes = BytesByFlow(grants);
   EXPECT_EQ(bytes.at(2), 400u);  // starved flow served first, fully
   EXPECT_EQ(bytes.count(1), 0u);
+}
+
+TEST(PfScheduler, ServesInFullSortOrderWithTies) {
+  // Reference: sort every candidate by (PF metric desc, FlowId asc), then
+  // fill greedily. Few distinct rates and averages force metric ties, and
+  // FlowIds are shuffled against candidate order.
+  Rng rng(7);
+  PfScheduler sched;
+  for (int trial = 0; trial < 500; ++trial) {
+    const int n = static_cast<int>(rng.UniformInt(1, 12));
+    auto f = MakeFlows(n);
+    std::vector<FlowId> ids;
+    for (int i = 0; i < n; ++i) ids.push_back(static_cast<FlowId>(i + 1));
+    for (int i = n - 1; i > 0; --i) {
+      std::swap(ids[static_cast<std::size_t>(i)],
+                ids[static_cast<std::size_t>(rng.UniformInt(0, i))]);
+    }
+    for (std::size_t i = 0; i < f.states.size(); ++i) {
+      f.states[i].id = ids[i];
+      f.states[i].pf_avg_bps = rng.UniformInt(0, 1) == 0 ? 1e3 : 2e3;
+      f.candidates[i].bytes_per_rb =
+          static_cast<std::uint32_t>(50 * rng.UniformInt(0, 2));
+      f.candidates[i].max_bytes =
+          static_cast<std::uint64_t>(rng.UniformInt(1, 600));
+    }
+    const int n_rbs = static_cast<int>(rng.UniformInt(0, 25));
+
+    std::vector<SchedCandidate> order = f.candidates;
+    std::sort(order.begin(), order.end(),
+              [](const SchedCandidate& a, const SchedCandidate& b) {
+                const double ma = a.bytes_per_rb / a.flow->pf_avg_bps;
+                const double mb = b.bytes_per_rb / b.flow->pf_avg_bps;
+                if (ma != mb) return ma > mb;
+                return a.flow->id < b.flow->id;
+              });
+    std::vector<SchedGrant> expected;
+    int used = 0;
+    for (const SchedCandidate& c : order) {
+      if (used >= n_rbs) break;
+      if (c.bytes_per_rb == 0) continue;
+      const int rbs =
+          std::min(RbsForBytes(c.max_bytes, c.bytes_per_rb), n_rbs - used);
+      expected.push_back(SchedGrant{
+          c.flow, rbs,
+          std::min<std::uint64_t>(c.max_bytes,
+                                  static_cast<std::uint64_t>(rbs) *
+                                      c.bytes_per_rb)});
+      used += rbs;
+    }
+
+    const auto& grants = sched.Allocate(f.candidates, n_rbs, rng);
+    ASSERT_EQ(grants.size(), expected.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < grants.size(); ++i) {
+      EXPECT_EQ(grants[i].flow, expected[i].flow) << "trial " << trial;
+      EXPECT_EQ(grants[i].rbs, expected[i].rbs) << "trial " << trial;
+      EXPECT_EQ(grants[i].bytes, expected[i].bytes) << "trial " << trial;
+    }
+  }
 }
 
 TEST(PfScheduler, FairOverManyTtisWithEwma) {
@@ -260,6 +319,24 @@ TEST(TwoPhaseGbr, MultipleVideoFlowsMostStarvedFirst) {
   const auto bytes = BytesByFlow(grants);
   EXPECT_EQ(bytes.at(2), 500u);
   EXPECT_EQ(bytes.count(1), 0u);
+}
+
+TEST(PssScheduler, EqualGbrDebtServesLowerFlowIdFirst) {
+  PssScheduler sched;
+  Rng rng(1);
+  auto f = MakeFlows(3, 100);
+  for (auto& s : f.states) {
+    s.gbr_bps = 1e6;
+    s.gbr_credit_bytes = 500.0;
+  }
+  f.states[0].id = 9;
+  f.states[1].id = 4;
+  f.states[2].id = 6;
+  // 5 RBs cover one flow's debt: the tie goes to the lowest FlowId.
+  const auto grants = sched.Allocate(f.candidates, 5, rng);
+  ASSERT_EQ(grants.size(), 1u);
+  EXPECT_EQ(grants[0].flow->id, 4u);
+  EXPECT_EQ(grants[0].bytes, 500u);
 }
 
 TEST(TwoPhaseGbr, VideoOnlyPhase2ExcludesData) {

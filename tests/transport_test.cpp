@@ -114,6 +114,90 @@ TEST(TransportHost, FlowLookupThrowsOnUnknown) {
   EXPECT_THROW(net.host.flow(12345), std::out_of_range);
 }
 
+// --- ACK batches -------------------------------------------------------
+// The cell is never started in these tests, so the simulator holds only
+// what the deliveries and the test push. In slow start an ACK's one
+// visible effect is cwnd += bytes.
+
+constexpr std::uint64_t kAckBytes = 1000;
+
+SimTime AckAt() { return FromSeconds(TcpConfig{}.rtt_s); }
+
+TEST(TransportHost, OneTtiOfDeliveriesCostsOneAckEvent) {
+  Net net;
+  std::vector<TcpFlow*> flows;
+  for (int i = 0; i < 4; ++i) {
+    const UeId ue = net.cell.AddUe(std::make_unique<StaticItbsChannel>(7));
+    flows.push_back(&net.host.CreateFlow(ue, FlowType::kData));
+  }
+  const double cwnd0 = flows[0]->cwnd_bytes();
+  // Two TTIs of deliveries, each made back to back as Cell::RunTti makes
+  // them.
+  for (const SimTime tti : {kMillisecond, 2 * kMillisecond}) {
+    net.sim.At(tti, [&] {
+      for (std::size_t i = 0; i < flows.size(); ++i) {
+        flows[i]->HandleDelivery(kAckBytes * (i + 1), net.sim.Now());
+      }
+    });
+  }
+  net.sim.RunUntil(2 * kMillisecond);
+  EXPECT_EQ(net.sim.queue_depth(), 2u);  // one ACK event per TTI
+  net.sim.RunUntil(2 * kMillisecond + AckAt());
+  EXPECT_EQ(net.sim.events_processed(), 4u);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_EQ(flows[i]->cwnd_bytes(),
+              cwnd0 + 2.0 * static_cast<double>(kAckBytes * (i + 1)));
+  }
+}
+
+TEST(TransportHost, EventBetweenDeliveriesRunsBetweenTheirAcks) {
+  Net net;
+  const UeId ue2 = net.cell.AddUe(std::make_unique<StaticItbsChannel>(7));
+  TcpFlow& f1 = net.host.CreateFlow(net.ue, FlowType::kData);
+  TcpFlow& f2 = net.host.CreateFlow(ue2, FlowType::kData);
+  const double cwnd0 = f1.cwnd_bytes();
+  std::vector<double> seen;  // f1's and f2's cwnd as the middle event runs
+  f1.HandleDelivery(kAckBytes, 0);
+  net.sim.At(AckAt(), [&] { seen = {f1.cwnd_bytes(), f2.cwnd_bytes()}; });
+  f2.HandleDelivery(kAckBytes, 0);
+  // The push between the deliveries closed the first batch, so the order
+  // is f1's ACK, the event, f2's ACK, as with one event per ACK.
+  EXPECT_EQ(net.sim.queue_depth(), 3u);
+  net.sim.RunUntil(AckAt());
+  EXPECT_EQ(seen, (std::vector<double>{cwnd0 + kAckBytes, cwnd0}));
+  EXPECT_EQ(f2.cwnd_bytes(), cwnd0 + kAckBytes);
+}
+
+TEST(TransportHost, DestroyedFlowsAckInABatchIsANoOp) {
+  Net net;
+  std::vector<TcpFlow*> flows;
+  for (int i = 0; i < 3; ++i) {
+    const UeId ue = net.cell.AddUe(std::make_unique<StaticItbsChannel>(7));
+    flows.push_back(&net.host.CreateFlow(ue, FlowType::kData));
+  }
+  const double cwnd0 = flows[0]->cwnd_bytes();
+  for (TcpFlow* flow : flows) flow->HandleDelivery(kAckBytes, 0);
+  net.host.DestroyFlow(flows[1]->id());  // its ACK is pending in the batch
+  net.sim.RunUntil(AckAt());
+  EXPECT_EQ(net.sim.events_processed(), 1u);
+  EXPECT_EQ(flows[0]->cwnd_bytes(), cwnd0 + kAckBytes);
+  EXPECT_EQ(flows[2]->cwnd_bytes(), cwnd0 + kAckBytes);
+}
+
+TEST(TransportHost, BatchOutlivingItsHostIsANoOp) {
+  Simulator sim;
+  Cell cell(sim, std::make_unique<PfScheduler>(), CellConfig{}, Rng(1));
+  const UeId ue = cell.AddUe(std::make_unique<StaticItbsChannel>(7));
+  auto host = std::make_unique<TransportHost>(sim, cell);
+  TcpFlow& flow = host->CreateFlow(ue, FlowType::kData);
+  flow.HandleDelivery(kAckBytes, 0);
+  host->MakeGreedy(flow.id());  // also leaves a top-up tick pending
+  host.reset();
+  EXPECT_EQ(sim.queue_depth(), 3u);  // ACK batch, push, top-up tick
+  EXPECT_NO_THROW(sim.RunUntil(FromSeconds(1.0)));
+  EXPECT_EQ(sim.queue_depth(), 0u);
+}
+
 TEST(HttpClient, CompletesRequestWithTiming) {
   Net net;
   TcpFlow& flow = net.host.CreateFlow(net.ue, FlowType::kVideo);

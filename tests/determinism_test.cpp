@@ -214,6 +214,15 @@ TEST(Determinism, SharedPcrfSeesEveryCellsFlows) {
   EXPECT_GE(out.result.mailbox_messages,
             static_cast<std::uint64_t>(4 * (multi.cell.n_video +
                                             multi.cell.n_data)));
+
+  // Under churn the core registry holds, at the horizon, exactly the
+  // sessions still attached in every cell: the static clients plus the
+  // admitted arrivals that have not departed yet. Pinned per worker count.
+  for (const int workers : {0, 2}) {
+    const RunOutput churn = RunMulti(ChurnHarnessConfig(workers));
+    EXPECT_EQ(churn.result.global_video_flows, 33) << "workers=" << workers;
+    EXPECT_EQ(churn.result.global_data_flows, 11) << "workers=" << workers;
+  }
 }
 
 }  // namespace

@@ -145,8 +145,8 @@ int Main(int argc, char** argv) {
                        12.0, relaxed_128.Quantile(1.0));
 
   // --- Sharded-runtime scaling: serial vs. parallel wall clock for an
-  // 8-cell deployment (one testbed cell per event domain, shared PCRF at
-  // BAI barriers). Results are bit-identical across worker counts, so
+  // 8-cell deployment (one testbed cell per event domain, epoch barriers
+  // at the BAI). Results are bit-identical across worker counts, so
   // this is a pure wall-clock comparison; the achievable speedup is
   // bounded by the machine's hardware threads, which we record alongside.
   const unsigned hw_threads =
@@ -218,10 +218,9 @@ int Main(int argc, char** argv) {
     if (workers == 8) overhead8_pct = overhead_pct;
     const bool hw_can_speedup = hw_threads >= static_cast<unsigned>(workers);
     std::printf("workers=%d: %8.1f ms wall (min of %d), overhead vs serial "
-                "%+6.2f%% (%llu epochs, %llu msgs)\n",
+                "%+6.2f%% (%llu epochs)\n",
                 workers, wall_ms, timing_reps, overhead_pct,
-                static_cast<unsigned long long>(result.barrier_epochs),
-                static_cast<unsigned long long>(result.mailbox_messages));
+                static_cast<unsigned long long>(result.barrier_epochs));
     if (workers > 0) {
       if (hw_can_speedup) {
         std::printf("           speedup vs serial %5.2fx (hw can run %d "

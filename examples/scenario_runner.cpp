@@ -84,7 +84,7 @@ Experiment keys:
   duration_s=SECS    run length (preset default)
   seed=N             RNG seed; runs>1 uses seed, seed+1, ... (1)
   runs=N             independent seeds, results averaged; observers and
-                     exports cover the first run only (1)
+                     exports cover the first run only; cells=1 only (1)
   n_video=N n_data=N n_conventional=N   client mix (preset default)
   testbed=0|1        testbed vs ns-3 scheduler wiring (per channel)
 Cell / radio keys:
@@ -374,6 +374,11 @@ int main(int argc, char** argv) {
   const int runs = args.GetInt("runs", 1);
   const int cells = args.GetInt("cells", 1);
   const int workers = args.GetInt("parallel", 0);
+  if (runs > 1 && cells > 1) {
+    std::fprintf(stderr, "scenario_runner: runs>1 is not supported with "
+                 "cells>1 (a multi-cell run is one deployment)\n");
+    return 2;
+  }
   // Results are bit-identical either way, but oversubscribed workers can
   // only add scheduling overhead — say so instead of letting a user read
   // the wall clock as a parallelism measurement.
@@ -452,8 +457,8 @@ int main(int argc, char** argv) {
               runs);
 
   if (cells > 1) {
-    // Sharded multi-cell run: one event domain per cell, shared PCRF
-    // synced at BAI barriers. Same counts/seed in every cell.
+    // Sharded multi-cell run: one event domain per cell, each with its
+    // own PCRF shard. Same counts/seed in every cell.
     MultiCellConfig multi;
     multi.cell = config;
     multi.cell.sample_series = false;  // per-cell series not exported here
@@ -479,10 +484,9 @@ int main(int argc, char** argv) {
                   r.jain_avg_bitrate);
     }
     std::printf("\nshared PCRF: %d video / %d data flows; %llu epochs, "
-                "%llu mailbox messages, %.1f ms wall (%d workers)\n",
+                "%.1f ms wall (%d workers)\n",
                 result.global_video_flows, result.global_data_flows,
                 static_cast<unsigned long long>(result.barrier_epochs),
-                static_cast<unsigned long long>(result.mailbox_messages),
                 result.wall_ms, workers);
 
     if (metrics_json) {

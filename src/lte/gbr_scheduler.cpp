@@ -15,9 +15,7 @@ const std::vector<SchedGrant>& TwoPhaseGbrScheduler::Allocate(
   // flow already served in phase 1 may win further RBs here (that is the
   // opportunistic borrowing §IV-A credits for zero underflow); its grant
   // then grows, so callers still see one grant per flow.
-  tti_stats_.rbs_shared = ProportionalFairPass(
-      candidates, n_rbs - used,
-      video_only_phase2_ ? &Scheduler::VideoFlow : &Scheduler::AnyFlow);
+  tti_stats_.rbs_shared = ProportionalFairPass(candidates, n_rbs - used);
   return grants_;
 }
 

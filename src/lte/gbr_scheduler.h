@@ -14,18 +14,10 @@ namespace flare {
 
 class TwoPhaseGbrScheduler final : public Scheduler {
  public:
-  /// If `video_only_phase2` is true, phase 2 excludes data flows entirely
-  /// (used by the ablation bench; the paper's scheduler includes both).
-  explicit TwoPhaseGbrScheduler(bool video_only_phase2 = false)
-      : video_only_phase2_(video_only_phase2) {}
-
   const std::vector<SchedGrant>& Allocate(
       std::vector<SchedCandidate>& candidates, int n_rbs,
       Rng& rng) override;
   std::string Name() const override { return "two-phase-gbr"; }
-
- private:
-  bool video_only_phase2_;
 };
 
 }  // namespace flare

@@ -7,8 +7,7 @@ namespace flare {
 const std::vector<SchedGrant>& PfScheduler::Allocate(
     std::vector<SchedCandidate>& candidates, int n_rbs, Rng& /*rng*/) {
   BeginTti(candidates.size());
-  tti_stats_.rbs_shared =
-      ProportionalFairPass(candidates, n_rbs, &Scheduler::AnyFlow);
+  tti_stats_.rbs_shared = ProportionalFairPass(candidates, n_rbs);
   return grants_;
 }
 

@@ -14,8 +14,7 @@ const std::vector<SchedGrant>& PssScheduler::Allocate(
   // --- Frequency domain: leftover RBs under proportional fair, all flows.
   // As in the two-phase scheduler, a priority-set flow may be served again
   // here; its grant then grows, keeping the one-grant-per-flow contract.
-  tti_stats_.rbs_shared = ProportionalFairPass(candidates, n_rbs - used,
-                                               &Scheduler::AnyFlow);
+  tti_stats_.rbs_shared = ProportionalFairPass(candidates, n_rbs - used);
   return grants_;
 }
 

@@ -76,8 +76,7 @@ int Scheduler::GbrDebtPass(const std::vector<SchedCandidate>& candidates,
 }
 
 int Scheduler::ProportionalFairPass(
-    const std::vector<SchedCandidate>& candidates, int n_rbs,
-    FlowFilter filter) {
+    const std::vector<SchedCandidate>& candidates, int n_rbs) {
   if (n_rbs <= 0) return 0;
 
   // Wideband CQI: the PF metric of a flow is constant within the TTI, so
@@ -85,7 +84,6 @@ int Scheduler::ProportionalFairPass(
   ranked_.clear();
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const SchedCandidate& c = candidates[i];
-    if (!filter(*c.flow)) continue;
     const double metric = static_cast<double>(c.bytes_per_rb) /
                           std::max(c.flow->pf_avg_bps, 1e-9);
     ranked_.push_back(Ranked{metric, c.flow->id, i});

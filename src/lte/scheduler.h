@@ -84,11 +84,10 @@ class Scheduler {
   int GbrDebtPass(const std::vector<SchedCandidate>& candidates, int n_rbs,
                   FlowFilter filter);
 
-  /// Proportional-fair pass: up to `n_rbs` RBs over the candidates that
-  /// pass `filter`, topping up what earlier phases granted them. Returns
-  /// RBs used.
+  /// Proportional-fair pass: up to `n_rbs` RBs over every candidate,
+  /// topping up what earlier phases granted them. Returns RBs used.
   int ProportionalFairPass(const std::vector<SchedCandidate>& candidates,
-                           int n_rbs, FlowFilter filter);
+                           int n_rbs);
 
   SchedTtiStats tti_stats_;
   std::vector<SchedGrant> grants_;

@@ -4,15 +4,10 @@ namespace flare {
 
 void Pcrf::RegisterFlow(FlowId id, FlowType type, CellTag cell) {
   flows_[{cell, id}] = type;
-  if (on_change_) on_change_(id, type, cell, /*registered=*/true);
 }
 
 void Pcrf::DeregisterFlow(FlowId id, CellTag cell) {
-  const auto it = flows_.find({cell, id});
-  if (it == flows_.end()) return;
-  const FlowType type = it->second;
-  flows_.erase(it);
-  if (on_change_) on_change_(id, type, cell, /*registered=*/false);
+  flows_.erase({cell, id});
 }
 
 int Pcrf::CountFlows(FlowType type, CellTag cell) const {

@@ -4,11 +4,11 @@
 // from the core: how many (non-video) data flows share a given cell
 // (Lemma 1's n). Flows are keyed by (cell, flow) because eNodeBs number
 // their bearers independently; single-cell deployments can ignore the
-// cell tag (defaults to 0).
+// cell tag (defaults to 0). The multi-cell runtime gives each cell its
+// own shard and sums the shards' counts after the run.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <utility>
 
@@ -19,17 +19,9 @@ namespace flare {
 class Pcrf {
  public:
   using CellTag = std::uint32_t;
-  /// Observes every registry mutation (`registered` = false on
-  /// deregistration). The sharded runtime installs one on each domain's
-  /// PCRF shard to mirror ops into the shared core registry at BAI
-  /// barriers; deployments without a hook pay one branch.
-  using ChangeFn =
-      std::function<void(FlowId, FlowType, CellTag, bool registered)>;
 
   void RegisterFlow(FlowId id, FlowType type, CellTag cell = 0);
   void DeregisterFlow(FlowId id, CellTag cell = 0);
-
-  void SetOnChange(ChangeFn fn) { on_change_ = std::move(fn); }
 
   /// Flows of `type` in cell `cell`.
   int CountFlows(FlowType type, CellTag cell = 0) const;
@@ -42,7 +34,6 @@ class Pcrf {
 
  private:
   std::map<std::pair<CellTag, FlowId>, FlowType> flows_;
-  ChangeFn on_change_;
 };
 
 }  // namespace flare

@@ -41,7 +41,7 @@ namespace flare {
 inline constexpr int kLaneControl = 0;  // OneAPI BAI ticks, solver, decisions
 inline constexpr int kLaneMac = 1;      // Cell TTI-loop windows
 inline constexpr int kLanePlayer = 2;   // player stall/switch/segment instants
-inline constexpr int kLaneRunner = 3;   // epochs, barriers, mailbox drains
+inline constexpr int kLaneRunner = 3;   // epochs, advances, barrier waits
 
 /// One trace-event record. `cat` and `name` must be string literals (or
 /// otherwise outlive the tracer): they are stored unowned so a record

@@ -1,11 +1,9 @@
 #include "scenario/multi_cell.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <deque>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "net/pcrf.h"
@@ -18,43 +16,6 @@ namespace flare {
 
 namespace {
 
-void AppendNumber(std::string& out, long long value) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, res.ptr);
-}
-
-/// Wire format for PCRF mirror ops crossing the domain mailbox:
-/// "pcrf <1|0> <flow> <type> <cell_tag>" (1 = register). Built in place
-/// in the domain's pooled payload buffer (EventDomain::StartPost), so
-/// steady-state mirror traffic allocates nothing.
-void PostPcrfOp(EventDomain& domain, FlowId id, FlowType type,
-                Pcrf::CellTag cell, bool registered) {
-  std::string& payload = domain.StartPost(kCoordinatorDomain);
-  payload.append(registered ? "pcrf 1 " : "pcrf 0 ");
-  AppendNumber(payload, static_cast<long long>(id));
-  payload.push_back(' ');
-  AppendNumber(payload, static_cast<long long>(type));
-  payload.push_back(' ');
-  AppendNumber(payload, static_cast<long long>(cell));
-}
-
-void ApplyPcrfOp(Pcrf& pcrf, const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  int registered = 0;
-  FlowId flow = 0;
-  int type = 0;
-  Pcrf::CellTag cell = 0;
-  in >> tag >> registered >> flow >> type >> cell;
-  if (!in || tag != "pcrf") return;
-  if (registered != 0) {
-    pcrf.RegisterFlow(flow, static_cast<FlowType>(type), cell);
-  } else {
-    pcrf.DeregisterFlow(flow, cell);
-  }
-}
-
 /// Everything one cell's domain owns. Shard observers exist even when the
 /// merged sinks are disabled — a world's pointers must stay valid for its
 /// lifetime and the shards are cheap when unused.
@@ -63,7 +24,7 @@ struct CellShard {
             std::size_t flight_capacity)
       : health(watchdog), qoe(qoe_weights), flight(flight_capacity) {}
 
-  Pcrf pcrf;  // domain-local mirror, read synchronously by the controller
+  Pcrf pcrf;  // this cell's flows, tagged with the cell index
   MetricsRegistry metrics;
   BaiTraceSink trace;
   SpanTracer spans;
@@ -80,15 +41,8 @@ MultiCellResult RunMultiCellScenario(const MultiCellConfig& config) {
 
   ParallelRunner::Options options;
   options.workers = std::max(config.workers, 0);
-  options.epoch = config.epoch > 0 ? config.epoch : config.cell.oneapi.bai;
+  options.epoch = config.cell.oneapi.bai;
   ParallelRunner runner(options);
-
-  // Shared core registry, owned by the coordinator; only barrier handlers
-  // touch it, so no locking is needed.
-  Pcrf global_pcrf;
-  runner.SetCoordinatorHandler([&global_pcrf](const DomainMessage& msg) {
-    ApplyPcrfOp(global_pcrf, msg.payload);
-  });
 
   // Per-cell worlds. deque: shard addresses must survive emplace_back
   // (worlds hold pointers into their shard's observers and PCRF).
@@ -115,11 +69,6 @@ MultiCellResult RunMultiCellScenario(const MultiCellConfig& config) {
         config.flight != nullptr ? config.flight->capacity()
                                  : FlightRecorder::kDefaultCapacity);
     if (config.span_trace != nullptr) domain.SetSpanTracer(&shard.spans);
-
-    shard.pcrf.SetOnChange([&domain](FlowId id, FlowType type,
-                                     Pcrf::CellTag cell, bool registered) {
-      PostPcrfOp(domain, id, type, cell, registered);
-    });
 
     ScenarioConfig cell_config = config.cell;
     cell_config.oneapi.cell_tag = static_cast<Pcrf::CellTag>(c);
@@ -177,15 +126,16 @@ MultiCellResult RunMultiCellScenario(const MultiCellConfig& config) {
                        wall_end - wall_start)
                        .count();
   result.barrier_epochs = runner.epochs();
-  result.mailbox_messages = runner.messages_delivered();
-  result.global_video_flows = global_pcrf.CountFlowsAllCells(FlowType::kVideo);
-  result.global_data_flows = global_pcrf.CountFlowsAllCells(FlowType::kData);
 
   // Harvest and merge in cell order — deterministic regardless of which
   // worker ran which domain.
   for (int c = 0; c < n_cells; ++c) {
     CellShard& shard = shards[static_cast<std::size_t>(c)];
     result.cells.push_back(shard.world->Collect());
+    result.global_video_flows +=
+        shard.pcrf.CountFlowsAllCells(FlowType::kVideo);
+    result.global_data_flows +=
+        shard.pcrf.CountFlowsAllCells(FlowType::kData);
     if (config.metrics != nullptr) {
       config.metrics->MergeFrom(shard.metrics,
                                 "cell" + std::to_string(c) + ".");

@@ -2,24 +2,22 @@
 //
 // Replicates one ScenarioConfig across n_cells eNodeBs, giving each cell
 // its own event domain (simulator + cell + transport + players + OneAPI
-// controller) scheduled by sim/parallel_runner. The cells share one
-// core-network PCRF: each domain reads a domain-local PCRF shard
-// synchronously, and every shard mutation is mirrored into the shared
-// registry through the runner's mailbox at BAI-aligned epoch barriers —
-// the cross-cell state is exactly as fresh as the control loop needs.
+// controller + PCRF shard) scheduled by sim/parallel_runner. FLARE
+// decides bitrates independently for each cell, so the cells exchange
+// nothing during the run; the core-wide flow counts are the sum of the
+// shards, taken after the last BAI-aligned epoch barrier.
 //
 // The result is bit-identical for any worker count (workers=0 serial
 // reference vs. a thread pool): per-cell Rngs come from
-// Rng::SplitStream(cell), domains never share mutable state mid-epoch,
-// and per-cell metrics/trace shards are merged in deterministic cell
-// order after the run (tests/determinism_test.cpp).
+// Rng::SplitStream(cell), domains never share mutable state, and
+// per-cell metrics/trace shards are merged in deterministic cell order
+// after the run (tests/determinism_test.cpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "scenario/scenario.h"
-#include "util/time.h"
 
 namespace flare {
 
@@ -30,10 +28,9 @@ struct MultiCellConfig {
   /// is SplitStream(cell) of `cell.seed`.
   ScenarioConfig cell;
   int n_cells = 2;
-  /// Worker threads for the parallel runner; 0 = serial reference.
+  /// Worker threads for the parallel runner; 0 = serial reference. The
+  /// epoch barrier period is the BAI (`cell.oneapi.bai`).
   int workers = 0;
-  /// Epoch barrier period; 0 aligns with the BAI (`cell.oneapi.bai`).
-  SimTime epoch = 0;
 
   // --- Merged observability (both may be null; null = disabled).
   /// Per-cell registries are folded in as "cell<i>.<name>". Not owned.
@@ -68,12 +65,12 @@ struct MultiCellConfig {
 
 struct MultiCellResult {
   std::vector<ScenarioResult> cells;  // indexed by cell
-  /// Flow counts in the *shared* PCRF after the last barrier — the view a
-  /// core-network function has of the whole deployment.
+  /// Flow counts summed over every cell's PCRF shard at the horizon —
+  /// the view a core-network function has of the whole deployment.
   int global_video_flows = 0;
   int global_data_flows = 0;
   std::uint64_t barrier_epochs = 0;
-  std::uint64_t mailbox_messages = 0;
+  std::uint64_t mailbox_messages = 0;  // always 0; perfbench still reads it
   /// Wall-clock of the run loop (bench_fig9_scaling's scaling table).
   double wall_ms = 0.0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -17,26 +18,6 @@ double SteadyNowUs() {
 }
 
 }  // namespace
-
-std::string& EventDomain::StartPost(int to) {
-  DomainMessage msg;
-  if (!free_.empty()) {
-    msg = std::move(free_.back());
-    free_.pop_back();
-  }
-  msg.from = id_;
-  msg.to = to;
-  msg.seq = next_seq_++;
-  msg.payload.clear();  // keep the recycled buffer's capacity
-  outbox_.push_back(std::move(msg));
-  return outbox_.back().payload;
-}
-
-void EventDomain::Post(int to, std::string payload) {
-  // assign() copies into the pooled buffer so its capacity survives for
-  // the next epoch; the caller's string dies either way.
-  StartPost(to).assign(payload);
-}
 
 void EventDomain::Advance(SimTime until, SimTime epoch_start) {
   if (tracer_ == nullptr) {
@@ -57,9 +38,22 @@ ParallelRunner::ParallelRunner(const Options& options) : options_(options) {
   options_.workers = std::max(options_.workers, 0);
 }
 
-ParallelRunner::~ParallelRunner() { StopWorkers(); }
+ParallelRunner::~ParallelRunner() {
+  if (workers_.empty()) return;
+  {
+    std::lock_guard<std::mutex> lock(barrier_mu_);
+    stop_workers_ = true;
+  }
+  epoch_cv_.notify_all();
+  for (std::thread& t : workers_) t.join();
+}
 
 EventDomain& ParallelRunner::AddDomain() {
+  if (started_) {
+    throw std::logic_error(
+        "ParallelRunner::AddDomain after RunUntil: worker partitions are "
+        "fixed at the first run");
+  }
   const int id = static_cast<int>(domains_.size());
   domains_.emplace_back(new EventDomain(id));
   return *domains_.back();
@@ -72,39 +66,23 @@ void ParallelRunner::SetObservers(MetricsRegistry* registry,
   epoch_ms_metric_ = MakeHistogramHandle(registry, "runner.epoch_ms");
   barrier_wait_ms_metric_ =
       MakeHistogramHandle(registry, "runner.barrier_wait_ms");
-  drain_ms_metric_ = MakeHistogramHandle(registry, "runner.drain_ms");
   epochs_metric_ = MakeCounterHandle(registry, "runner.epochs");
-  messages_metric_ = MakeCounterHandle(registry, "runner.messages");
 }
 
-void ParallelRunner::PreparePartitions() {
+void ParallelRunner::SpawnWorkers() {
   const std::size_t n_domains = domains_.size();
   const std::size_t n_workers = std::min<std::size_t>(
       static_cast<std::size_t>(options_.workers), n_domains);
-  if (n_workers == 0) return;
   // Static id-ordered partition: worker w owns the contiguous domain
   // range [w*D/N, (w+1)*D/N) for the whole run. Ownership is fixed, so
   // epochs build no closures and touch no shared job queue.
-  if (partitions_.size() != workers_.size() ||
-      (!partitions_.empty() && partitions_.back().second != n_domains) ||
-      workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(barrier_mu_);
-      partitions_.resize(n_workers);
-      for (std::size_t w = 0; w < n_workers; ++w) {
-        partitions_[w] = {w * n_domains / n_workers,
-                          (w + 1) * n_domains / n_workers};
-      }
-    }
-    // Spawn once, lazily: domains are added after construction, and the
-    // partition needs the final count. A worker spawned after earlier
-    // runs must start at the current generation or it would "arrive" at
-    // an epoch that already completed.
-    while (workers_.size() < n_workers) {
-      const std::size_t w = workers_.size();
-      workers_.emplace_back(
-          [this, w, gen = generation_] { WorkerLoop(w, gen); });
-    }
+  partitions_.resize(n_workers);
+  for (std::size_t w = 0; w < n_workers; ++w) {
+    partitions_[w] = {w * n_domains / n_workers,
+                      (w + 1) * n_domains / n_workers};
+  }
+  for (std::size_t w = 0; w < n_workers; ++w) {
+    workers_.emplace_back([this, w] { WorkerLoop(w); });
   }
 }
 
@@ -125,7 +103,8 @@ void ParallelRunner::RunEpochOnWorkers(SimTime until, SimTime epoch_start) {
   }
 }
 
-void ParallelRunner::WorkerLoop(std::size_t worker, std::uint64_t seen) {
+void ParallelRunner::WorkerLoop(std::size_t worker) {
+  std::uint64_t seen = 0;  // workers spawn before the first generation
   std::unique_lock<std::mutex> lock(barrier_mu_);
   for (;;) {
     epoch_cv_.wait(lock,
@@ -154,20 +133,11 @@ void ParallelRunner::WorkerLoop(std::size_t worker, std::uint64_t seen) {
   }
 }
 
-void ParallelRunner::StopWorkers() {
-  if (workers_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(barrier_mu_);
-    stop_workers_ = true;
-  }
-  epoch_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
-  stop_workers_ = false;
-}
-
 void ParallelRunner::RunUntil(SimTime horizon) {
-  if (options_.workers > 0) PreparePartitions();
+  if (!started_) {
+    started_ = true;
+    SpawnWorkers();
+  }
   SimTime now = 0;
   while (now < horizon) {
     const SimTime epoch_start = now;
@@ -195,65 +165,13 @@ void ParallelRunner::RunUntil(SimTime horizon) {
     }
     ++epochs_;
     epochs_metric_.Add();
-    const std::uint64_t delivered_before = delivered_;
-    const double drain_begin = timed ? SteadyNowUs() : 0.0;
-    DeliverAtBarrier();
-    const double drain_us = timed ? SteadyNowUs() - drain_begin : 0.0;
-    const std::uint64_t batch = delivered_ - delivered_before;
-    messages_metric_.Add(batch);
-    epoch_ms_metric_.Observe((phase_us + drain_us) / 1000.0);
-    drain_ms_metric_.Observe(drain_us / 1000.0);
+    epoch_ms_metric_.Observe(phase_us / 1000.0);
     if (tracer_ != nullptr) {
       tracer_->CompleteSpan(kLaneRunner, "runner", "epoch",
                             static_cast<double>(epoch_start), phase_us,
                             "{\"epoch\":" + std::to_string(epochs_) + "}");
-      tracer_->CompleteSpan(kLaneRunner, "runner", "barrier.drain",
-                            static_cast<double>(now), drain_us);
-      tracer_->Counter(kLaneRunner, "runner.mailbox_messages",
-                       static_cast<double>(now),
-                       static_cast<double>(batch));
     }
     if (barrier_hook_) barrier_hook_(now);
-  }
-}
-
-void ParallelRunner::Deliver(const DomainMessage& msg) {
-  if (msg.to == kCoordinatorDomain) {
-    if (coordinator_handler_) coordinator_handler_(msg);
-  } else if (msg.to >= 0 && msg.to < static_cast<int>(domains_.size())) {
-    auto& handler = domains_[static_cast<std::size_t>(msg.to)]->handler_;
-    if (handler) handler(msg);
-  }
-  ++delivered_;
-}
-
-void ParallelRunner::DeliverAtBarrier() {
-  // Handlers may post follow-ups; keep draining rounds until quiescent.
-  // Each round visits domains in id order and each outbox in seq order,
-  // so delivery order is a pure function of what was posted — never of
-  // thread scheduling. Outboxes are swapped whole into per-domain scratch
-  // vectors (handlers then post into the emptied outbox without
-  // invalidating the batch being walked), and every delivered entry goes
-  // back to its sender's free list with payload capacity intact.
-  drain_scratch_.resize(domains_.size());
-  for (;;) {
-    bool any = false;
-    for (std::size_t i = 0; i < domains_.size(); ++i) {
-      if (!domains_[i]->outbox_.empty()) {
-        domains_[i]->outbox_.swap(drain_scratch_[i]);
-        any = true;
-      }
-    }
-    if (!any) return;
-    for (std::size_t i = 0; i < domains_.size(); ++i) {
-      std::vector<DomainMessage>& batch = drain_scratch_[i];
-      for (const DomainMessage& msg : batch) Deliver(msg);
-      // All entries in this scratch came from domain i's outbox; recycle
-      // them (and their payload buffers) for its next epoch's posts.
-      std::vector<DomainMessage>& pool = domains_[i]->free_;
-      for (DomainMessage& msg : batch) pool.push_back(std::move(msg));
-      batch.clear();
-    }
   }
 }
 

@@ -2,27 +2,24 @@
 //
 // A multi-cell deployment decomposes into per-cell *event domains*: one
 // Simulator per cell plus everything that only that cell touches (flows,
-// players, transport hosts, the cell's OneAPI controller). Domains never
-// share mutable state mid-epoch; anything cross-cell (the shared PCRF,
-// handover bookkeeping) is exchanged as serialized messages that are
-// applied only at epoch barriers. That makes the runtime *embarrassingly
-// deterministic*: whether the domains advance sequentially on one thread
-// (workers = 0) or concurrently on persistent workers, every domain sees
-// exactly the same inputs at exactly the same simulated times, so
-// parallel execution is bit-identical to serial execution — same BAI
-// trace bytes, same metrics JSON, same QoE numbers
+// players, transport hosts, the cell's OneAPI controller and PCRF shard).
+// Domains share no mutable state and exchange nothing: FLARE computes
+// bitrates independently for each cell. That makes the runtime
+// *embarrassingly deterministic*: whether the domains advance
+// sequentially on one thread (workers = 0) or concurrently on persistent
+// workers, every domain sees exactly the same inputs at exactly the same
+// simulated times, so parallel execution is bit-identical to serial
+// execution — same BAI trace bytes, same metrics JSON, same QoE numbers
 // (tests/determinism_test.cpp holds the runtime to this).
 //
 // Execution model: each worker thread owns a static, id-ordered partition
-// of the domains for the whole run. Epochs are released through a
-// generation counter — the coordinator publishes the epoch bounds, bumps
-// the generation, and every worker advances its own partition; the last
-// arrival wakes the coordinator. No per-epoch closures are built, no job
-// queue is contended, and the one notify_all per epoch wakes only threads
-// that all have work. Steady-state epochs allocate nothing on the hot
-// path: mailbox entries (including their payload buffers) are recycled
-// through per-domain free lists, and the barrier drain moves whole
-// outboxes into reusable scratch vectors instead of copying per message.
+// of the domains for the whole run. The workers are spawned once, at the
+// first RunUntil, so every domain must be added before it. Epochs are
+// released through a generation counter — the coordinator publishes the
+// epoch bounds, bumps the generation, and every worker advances its own
+// partition; the last arrival wakes the coordinator. No per-epoch
+// closures are built, no job queue is contended, and the one notify_all
+// per epoch wakes only threads that all have work.
 //
 // Epoch protocol, repeated until the horizon:
 //   1. advance every domain's Simulator to the epoch end (each worker
@@ -30,13 +27,10 @@
 //      domains inline);
 //   2. barrier (the coordinator blocks until every worker's partition
 //      arrived — the mutex handoff is the happens-before edge);
-//   3. drain the domains' outboxes in (domain id, enqueue seq) order and
-//      deliver each message on the coordinator thread — to the target
-//      domain's handler, or to the coordinator handler for shared state.
-// Handlers run between epochs, so they may freely touch their domain's
-// simulator (schedule events, mutate model objects) and the coordinator's
-// shared state without locks. Aligning the epoch with the BAI keeps the
-// synchronization cost at one barrier per control-loop interval.
+//   3. run the barrier hook on the coordinator thread, the one moment
+//      every domain is quiescent (live telemetry publishes from here).
+// Aligning the epoch with the BAI keeps the synchronization cost at one
+// barrier per control-loop interval.
 #pragma once
 
 #include <condition_variable>
@@ -45,7 +39,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -57,49 +50,13 @@
 
 namespace flare {
 
-/// Message target for coordinator-owned shared state (PCRF, global
-/// bookkeeping) rather than a peer domain.
-inline constexpr int kCoordinatorDomain = -1;
-
-/// One mailbox entry. Payloads are opaque serialized strings (the
-/// net/messages key=value codec style); the runner only orders and routes
-/// them. Delivered entries (and their payload capacity) are recycled
-/// through the sender's free list, so steady-state posting allocates
-/// nothing once buffers have warmed up.
-struct DomainMessage {
-  int from = kCoordinatorDomain;
-  int to = kCoordinatorDomain;
-  std::uint64_t seq = 0;  // per-sender enqueue order, for determinism
-  std::string payload;
-};
-
-class ParallelRunner;
-
 /// One isolated event timeline. Created via ParallelRunner::AddDomain();
 /// everything scheduled on sim() runs on whichever thread executes this
-/// domain's epochs — never concurrently with the domain's own handler.
+/// domain's epochs.
 class EventDomain {
  public:
-  using HandlerFn = std::function<void(const DomainMessage&)>;
-
   int id() const { return id_; }
   Simulator& sim() { return sim_; }
-
-  /// Queue a message for delivery at the next epoch barrier. Safe to call
-  /// from this domain's own events mid-epoch (the outbox is domain-local)
-  /// and from barrier handlers.
-  void Post(int to, std::string payload);
-
-  /// Zero-copy variant: appends a pooled outbox entry addressed to `to`
-  /// and returns its payload buffer (cleared, capacity retained from a
-  /// previously delivered message) for the caller to build in place.
-  /// The reference is invalidated by the next Post/StartPost on this
-  /// domain — finish writing the payload before posting again.
-  std::string& StartPost(int to);
-
-  /// Handler for messages addressed to this domain, run on the
-  /// coordinator thread at barriers.
-  void SetHandler(HandlerFn fn) { handler_ = std::move(fn); }
 
   /// Attach this domain's span-tracer shard (null detaches): each epoch
   /// records an "advance" span (the domain's own wall-clock) and a
@@ -118,10 +75,6 @@ class EventDomain {
 
   int id_;
   Simulator sim_;
-  HandlerFn handler_;
-  std::vector<DomainMessage> outbox_;
-  std::vector<DomainMessage> free_;  // recycled entries, payload capacity kept
-  std::uint64_t next_seq_ = 0;
   SpanTracer* tracer_ = nullptr;
   double last_advance_wall_us_ = 0.0;
 };
@@ -132,8 +85,8 @@ class ParallelRunner {
     /// Worker threads; 0 runs every domain inline on the calling thread
     /// (the serial reference execution — same code path, same results).
     int workers = 0;
-    /// Barrier period; align with the BAI so cross-cell state is exactly
-    /// as fresh as the control loop needs.
+    /// Barrier period; aligned with the BAI, so live telemetry sees every
+    /// cell at the same simulated instant once per control-loop interval.
     SimTime epoch = kSecond;
   };
 
@@ -144,40 +97,33 @@ class ParallelRunner {
   ParallelRunner& operator=(const ParallelRunner&) = delete;
 
   /// Create the next domain (ids are dense, starting at 0). Domains live
-  /// as long as the runner. Add domains before RunUntil; adding more
-  /// between runs re-partitions the existing workers.
+  /// as long as the runner. Throws std::logic_error once RunUntil has
+  /// run: the worker partitions are fixed at the first run.
   EventDomain& AddDomain();
 
-  /// Handler for messages addressed to kCoordinatorDomain (shared state).
-  void SetCoordinatorHandler(EventDomain::HandlerFn fn) {
-    coordinator_handler_ = std::move(fn);
-  }
-
-  /// Run all domains to `horizon` with an epoch barrier + mailbox
-  /// delivery every `options.epoch`. If a domain's events throw, the
-  /// epoch still completes on every worker and the first exception (in
-  /// domain-id order within a partition) is rethrown here.
+  /// Run all domains to `horizon` with an epoch barrier every
+  /// `options.epoch`. If a domain's events throw, the epoch still
+  /// completes on every worker and the first exception (in domain-id
+  /// order within a partition) is rethrown here.
   void RunUntil(SimTime horizon);
 
   std::size_t NumDomains() const { return domains_.size(); }
   EventDomain& domain(std::size_t i) { return *domains_[i]; }
 
   std::uint64_t epochs() const { return epochs_; }
-  std::uint64_t messages_delivered() const { return delivered_; }
 
   /// Attach coordinator-side observability (either may be null): the
-  /// registry gets runner.epoch_ms / runner.barrier_wait_ms /
-  /// runner.drain_ms histograms and epoch/message counters; the tracer
-  /// gets per-epoch "epoch" / "barrier.drain" spans and a delivered-
-  /// messages counter track (pid 0 by convention). With `deterministic`
-  /// every wall-clock read is skipped and durations record as 0, keeping
-  /// run bytes independent of thread scheduling.
+  /// registry gets runner.epoch_ms / runner.barrier_wait_ms histograms
+  /// and the runner.epochs counter; the tracer gets a per-epoch "epoch"
+  /// span (pid 0 by convention). With `deterministic` every wall-clock
+  /// read is skipped and durations record as 0, keeping run bytes
+  /// independent of thread scheduling.
   void SetObservers(MetricsRegistry* registry, SpanTracer* tracer,
                     bool deterministic);
 
   /// Hook run on the coordinator thread at the end of every epoch, after
-  /// the barrier drain — the one moment every domain is quiescent and
-  /// the coordinator owns all shard state. The telemetry publisher hangs
+  /// the barrier — the one moment every domain is quiescent and the
+  /// coordinator owns all shard state. The telemetry publisher hangs
   /// here; the hook must be read-only with respect to simulation state
   /// (the determinism suite runs with it attached). Null clears it; when
   /// unset the cost is one predicted branch per epoch.
@@ -186,28 +132,19 @@ class ParallelRunner {
   }
 
  private:
-  /// Spawn workers (first parallel run) or re-partition after AddDomain.
-  /// Each worker owns the contiguous id range partitions_[w].
-  void PreparePartitions();
+  /// Spawn the workers, once. Each worker owns the contiguous id range
+  /// partitions_[w] for the runner's lifetime.
+  void SpawnWorkers();
   /// Release one epoch to the persistent workers and block until every
   /// partition has advanced to `until`. Rethrows the first worker error.
   void RunEpochOnWorkers(SimTime until, SimTime epoch_start);
-  void WorkerLoop(std::size_t worker, std::uint64_t seen);
-  void StopWorkers();
-
-  /// Drain every outbox in (domain, seq) order; repeat until no handler
-  /// posted a follow-up. Runs on the coordinator thread. Moves whole
-  /// outboxes into pooled scratch vectors (no per-message push_back) and
-  /// recycles delivered entries to their sender's free list.
-  void DeliverAtBarrier();
-  void Deliver(const DomainMessage& msg);
+  void WorkerLoop(std::size_t worker);
 
   Options options_;
   std::vector<std::unique_ptr<EventDomain>> domains_;
-  EventDomain::HandlerFn coordinator_handler_;
   std::function<void(SimTime)> barrier_hook_;
   std::uint64_t epochs_ = 0;
-  std::uint64_t delivered_ = 0;
+  bool started_ = false;  // RunUntil has run; no more domains
 
   // --- Persistent epoch workers (empty in serial mode). All handshake
   // state is guarded by barrier_mu_; workers idle between generations.
@@ -223,17 +160,11 @@ class ParallelRunner {
   std::exception_ptr worker_error_;
   bool stop_workers_ = false;
 
-  // --- Barrier drain scratch, one vector per domain; capacities ping-
-  // pong with the outboxes so steady-state drains never reallocate.
-  std::vector<std::vector<DomainMessage>> drain_scratch_;
-
   SpanTracer* tracer_ = nullptr;
   bool deterministic_ = false;
   HistogramHandle epoch_ms_metric_;
   HistogramHandle barrier_wait_ms_metric_;
-  HistogramHandle drain_ms_metric_;
   CounterHandle epochs_metric_;
-  CounterHandle messages_metric_;
 };
 
 }  // namespace flare

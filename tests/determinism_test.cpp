@@ -206,14 +206,11 @@ TEST(Determinism, CellsAreDifferentiatedBySplitStreams) {
 TEST(Determinism, SharedPcrfSeesEveryCellsFlows) {
   const RunOutput out = RunOnce(/*workers=*/2);
   const MultiCellConfig multi = HarnessConfig(2);
-  // Testbed preset: 3 FLARE video + 1 data flow per cell, mirrored into
-  // the shared core registry via mailbox ops at epoch barriers.
+  // Testbed preset: 3 FLARE video + 1 data flow per cell, each in its
+  // cell's PCRF shard; the core-wide counts sum the shards.
   EXPECT_EQ(out.result.global_video_flows, 4 * multi.cell.n_video);
   EXPECT_EQ(out.result.global_data_flows, 4 * multi.cell.n_data);
   EXPECT_GT(out.result.barrier_epochs, 0u);
-  EXPECT_GE(out.result.mailbox_messages,
-            static_cast<std::uint64_t>(4 * (multi.cell.n_video +
-                                            multi.cell.n_data)));
 
   // Under churn the core registry holds, at the horizon, exactly the
   // sessions still attached in every cell: the static clients plus the

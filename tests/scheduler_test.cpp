@@ -339,18 +339,6 @@ TEST(PssScheduler, EqualGbrDebtServesLowerFlowIdFirst) {
   EXPECT_EQ(grants[0].bytes, 500u);
 }
 
-TEST(TwoPhaseGbr, VideoOnlyPhase2ExcludesData) {
-  TwoPhaseGbrScheduler sched(/*video_only_phase2=*/true);
-  Rng rng(1);
-  auto f = MakeFlows(2, 100);
-  f.states[0].type = FlowType::kVideo;
-  f.states[1].type = FlowType::kData;
-  const auto grants = sched.Allocate(f.candidates, 50, rng);
-  const auto bytes = BytesByFlow(grants);
-  EXPECT_GT(bytes.at(1), 0u);
-  EXPECT_EQ(bytes.count(2), 0u);
-}
-
 // Regression: a video flow with a small GBR debt and a deep queue used to
 // receive two grants per TTI (one in the GBR phase, one in the PF phase).
 // The documented contract is now: phase-2 opportunistic borrowing is

@@ -1,16 +1,14 @@
 // ThreadPool contract tests (FIFO dispatch, batch reuse, exception
-// safety, clean teardown) plus runtime-cost smoke checks for the
-// persistent-worker parallel runner: message pooling must not change
-// delivery semantics, and running 8 workers on the 8-cell determinism
+// safety, clean teardown) plus the persistent-worker parallel runner's
+// contract (barrier timing, fixed partitions, error propagation) and a
+// runtime-cost smoke check: running 8 workers on the 8-cell determinism
 // scenario must stay within 15% of the serial wall clock even on a
 // single-core machine — the "parallel mode is never pure overhead"
 // guarantee that bench_fig9_scaling gates in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -86,75 +84,43 @@ TEST(ThreadPool, DestructsCleanlyWithIdleWorkers) {
   EXPECT_EQ(pool.size(), 8);
 }
 
-TEST(ParallelRunner, PooledMailboxesPreserveDeliverySemantics) {
-  // Two domains ping-pong payloads across epochs. Recycled message
-  // buffers must not corrupt content, ordering, or follow-up rounds
-  // (handlers posting from inside the barrier drain).
+TEST(ParallelRunner, BarrierHookSeesEveryDomainAtTheEpochEnd) {
+  // The hook runs on the coordinator once per epoch, after every worker
+  // has advanced its partition to the epoch end; the last epoch is cut
+  // short at the horizon.
   ParallelRunner::Options options;
   options.workers = 2;
   options.epoch = kSecond;
   ParallelRunner runner(options);
-  EventDomain& a = runner.AddDomain();
-  EventDomain& b = runner.AddDomain();
-
-  std::vector<std::string> b_got;
-  std::vector<std::string> coord_got;
-  b.SetHandler([&](const DomainMessage& msg) {
-    b_got.push_back(msg.payload);
-    // Follow-up from inside the drain: must be delivered in the same
-    // barrier's next round.
-    b.StartPost(kCoordinatorDomain).append("ack " + msg.payload);
-  });
-  runner.SetCoordinatorHandler(
-      [&](const DomainMessage& msg) { coord_got.push_back(msg.payload); });
-
-  // Each epoch, domain A posts two messages built in pooled buffers
-  // (mid-epoch ticks at 0.5s, 1.5s, 2.5s — one per 1 s epoch).
-  int tick = 0;
-  a.sim().Every(kSecond / 2, kSecond, [&] {
-    const std::string n = std::to_string(tick++);
-    a.StartPost(b.id()).append("hello " + n);
-    a.StartPost(b.id()).append("world " + n);
-  });
-  runner.RunUntil(3 * kSecond);
-
-  ASSERT_EQ(b_got.size(), 6u);
-  ASSERT_EQ(coord_got.size(), 6u);
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    const std::string n = std::to_string(epoch);
-    EXPECT_EQ(b_got[static_cast<size_t>(epoch * 2)], "hello " + n);
-    EXPECT_EQ(b_got[static_cast<size_t>(epoch * 2 + 1)], "world " + n);
-    EXPECT_EQ(coord_got[static_cast<size_t>(epoch * 2)], "ack hello " + n);
-    EXPECT_EQ(coord_got[static_cast<size_t>(epoch * 2 + 1)],
-              "ack world " + n);
+  std::atomic<int> ticks{0};
+  for (int d = 0; d < 3; ++d) {
+    runner.AddDomain().sim().Every(kSecond / 4, kSecond,
+                                   [&ticks] { ticks.fetch_add(1); });
   }
-  EXPECT_EQ(runner.messages_delivered(), 12u);
+  std::vector<SimTime> barriers;
+  runner.SetBarrierHook([&](SimTime now) {
+    barriers.push_back(now);
+    for (std::size_t d = 0; d < runner.NumDomains(); ++d) {
+      EXPECT_EQ(runner.domain(d).sim().Now(), now) << "domain " << d;
+    }
+  });
+  runner.RunUntil(5 * kSecond / 2);
+  EXPECT_EQ(barriers,
+            (std::vector<SimTime>{kSecond, 2 * kSecond, 5 * kSecond / 2}));
   EXPECT_EQ(runner.epochs(), 3u);
+  EXPECT_EQ(ticks.load(), 3 * 3);  // ticks at 0.25s, 1.25s, 2.25s
 }
 
-TEST(ParallelRunner, AddingDomainsBetweenRunsRepartitionsWorkers) {
-  // The static partitions are rebuilt (and extra workers spawned, seeded
-  // at the current barrier generation) when domains are added between
-  // RunUntil calls.
+TEST(ParallelRunner, AddDomainAfterRunThrows) {
+  // The workers and their static partitions are fixed at the first run.
   ParallelRunner::Options options;
   options.workers = 3;
   ParallelRunner runner(options);
-  std::atomic<int> ticks{0};
-  const auto add_domain = [&] {
-    EventDomain& d = runner.AddDomain();
-    d.sim().Every(kSecond / 2, kSecond, [&ticks] { ticks.fetch_add(1); });
-  };
-  add_domain();
-  add_domain();
-  runner.RunUntil(2 * kSecond);  // 2 domains x ticks at 0.5s, 1.5s
-  EXPECT_EQ(ticks.load(), 4);
-  add_domain();
-  add_domain();
-  add_domain();
-  // The second run re-covers [0, 4s): the old domains' clocks are at 2s
-  // already (+2 ticks each), the new ones replay from 0 (+4 ticks each).
-  runner.RunUntil(4 * kSecond);
-  EXPECT_EQ(ticks.load(), 4 + 2 * 2 + 3 * 4);
+  runner.AddDomain();
+  runner.AddDomain();
+  runner.RunUntil(2 * kSecond);
+  EXPECT_THROW(runner.AddDomain(), std::logic_error);
+  EXPECT_EQ(runner.NumDomains(), 2u);
 }
 
 TEST(ParallelRunner, ThrowingDomainEventPropagatesWithoutHanging) {

@@ -76,13 +76,10 @@ void ParallelRunner::SpawnWorkers() {
   // Static id-ordered partition: worker w owns the contiguous domain
   // range [w*D/N, (w+1)*D/N) for the whole run. Ownership is fixed, so
   // epochs build no closures and touch no shared job queue.
-  partitions_.resize(n_workers);
   for (std::size_t w = 0; w < n_workers; ++w) {
-    partitions_[w] = {w * n_domains / n_workers,
-                      (w + 1) * n_domains / n_workers};
-  }
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    workers_.emplace_back([this, w] { WorkerLoop(w); });
+    const std::size_t begin = w * n_domains / n_workers;
+    const std::size_t end = (w + 1) * n_domains / n_workers;
+    workers_.emplace_back([this, begin, end] { WorkerLoop(begin, end); });
   }
 }
 
@@ -103,7 +100,7 @@ void ParallelRunner::RunEpochOnWorkers(SimTime until, SimTime epoch_start) {
   }
 }
 
-void ParallelRunner::WorkerLoop(std::size_t worker) {
+void ParallelRunner::WorkerLoop(std::size_t begin, std::size_t end) {
   std::uint64_t seen = 0;  // workers spawn before the first generation
   std::unique_lock<std::mutex> lock(barrier_mu_);
   for (;;) {
@@ -113,13 +110,12 @@ void ParallelRunner::WorkerLoop(std::size_t worker) {
     seen = generation_;
     const SimTime until = epoch_until_;
     const SimTime epoch_start = epoch_start_;
-    const auto range = partitions_[worker];
     lock.unlock();
     // A throwing domain must still arrive at the barrier or the
     // coordinator waits forever; the first error is rethrown there.
     std::exception_ptr error;
     try {
-      for (std::size_t i = range.first; i < range.second; ++i) {
+      for (std::size_t i = begin; i < end; ++i) {
         domains_[i]->Advance(until, epoch_start);
       }
     } catch (...) {

@@ -132,13 +132,14 @@ class ParallelRunner {
   }
 
  private:
-  /// Spawn the workers, once. Each worker owns the contiguous id range
-  /// partitions_[w] for the runner's lifetime.
+  /// Spawn the workers, once. Each worker owns a contiguous domain id
+  /// range for the runner's lifetime.
   void SpawnWorkers();
   /// Release one epoch to the persistent workers and block until every
   /// partition has advanced to `until`. Rethrows the first worker error.
   void RunEpochOnWorkers(SimTime until, SimTime epoch_start);
-  void WorkerLoop(std::size_t worker);
+  /// Advance domains [begin, end) once per generation until stopped.
+  void WorkerLoop(std::size_t begin, std::size_t end);
 
   Options options_;
   std::vector<std::unique_ptr<EventDomain>> domains_;
@@ -149,7 +150,6 @@ class ParallelRunner {
   // --- Persistent epoch workers (empty in serial mode). All handshake
   // state is guarded by barrier_mu_; workers idle between generations.
   std::vector<std::thread> workers_;
-  std::vector<std::pair<std::size_t, std::size_t>> partitions_;  // [begin,end)
   std::mutex barrier_mu_;
   std::condition_variable epoch_cv_;  // coordinator -> workers: new gen/stop
   std::condition_variable done_cv_;   // last worker -> coordinator

@@ -54,8 +54,7 @@ EventDomain& ParallelRunner::AddDomain() {
         "ParallelRunner::AddDomain after RunUntil: worker partitions are "
         "fixed at the first run");
   }
-  const int id = static_cast<int>(domains_.size());
-  domains_.emplace_back(new EventDomain(id));
+  domains_.emplace_back(new EventDomain());
   return *domains_.back();
 }
 

@@ -55,7 +55,6 @@ namespace flare {
 /// domain's epochs.
 class EventDomain {
  public:
-  int id() const { return id_; }
   Simulator& sim() { return sim_; }
 
   /// Attach this domain's span-tracer shard (null detaches): each epoch
@@ -68,12 +67,11 @@ class EventDomain {
 
  private:
   friend class ParallelRunner;
-  explicit EventDomain(int id) : id_(id) {}
+  EventDomain() = default;
 
   /// Advance sim() to `until`, timing the advance when traced.
   void Advance(SimTime until, SimTime epoch_start);
 
-  int id_;
   Simulator sim_;
   SpanTracer* tracer_ = nullptr;
   double last_advance_wall_us_ = 0.0;
@@ -96,8 +94,8 @@ class ParallelRunner {
   ParallelRunner(const ParallelRunner&) = delete;
   ParallelRunner& operator=(const ParallelRunner&) = delete;
 
-  /// Create the next domain (ids are dense, starting at 0). Domains live
-  /// as long as the runner. Throws std::logic_error once RunUntil has
+  /// Create the next domain, domain(NumDomains() - 1). Domains live as
+  /// long as the runner. Throws std::logic_error once RunUntil has
   /// run: the worker partitions are fixed at the first run.
   EventDomain& AddDomain();
 

@@ -86,6 +86,27 @@ TEST(GoldenTrace, SimMobileFlare) {
   CheckAgainstGolden("fig7_mobile_flare.csv", TraceCsv(config));
 }
 
+// Figure 6 shape: the ns-3-style static cell — 8 UEs placed once in the
+// annulus around the eNB, each on FadedMobilityChannel over a
+// StaticMobility, so only the fading trace moves the iTbs.
+TEST(GoldenTrace, SimStaticFlare) {
+  ScenarioConfig config = SimStaticPreset(Scheme::kFlare);
+  config.duration_s = 60.0;
+  config.seed = 1;
+  CheckAgainstGolden("fig6_sim_static_flare.csv", TraceCsv(config));
+}
+
+// The mobile cell on the steep 3GPP macro pathloss instead of Friis: the
+// SINR spread crosses many CQI bands, near UEs reach the min-distance
+// clamp's neighbourhood and far ones sit in the unbounded CQI 1 band.
+TEST(GoldenTrace, SimMobileFlareMacro) {
+  ScenarioConfig config = SimMobilePreset(Scheme::kFlare);
+  config.duration_s = 60.0;
+  config.seed = 1;
+  config.radio.pathloss = PathlossModel::kMacro3gpp;
+  CheckAgainstGolden("fig7_mobile_flare_macro.csv", TraceCsv(config));
+}
+
 // The mobile cell with two greedy data flows and a 10% transport-block
 // error rate: data flows keep PSS's proportional-fair pass busy and the
 // BLER draws consume the cell's RNG between grants.

@@ -10,6 +10,7 @@
 // over rate adaptation. A 10 s timeline shows the serving cell, the
 // SINRs, and the selected bitrate.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -37,6 +38,10 @@ class LinearDrive final : public MobilityModel {
                    0.0, 1.0);
     return Position{from_.x + (to_.x - from_.x) * frac,
                     from_.y + (to_.y - from_.y) * frac};
+  }
+  double MaxSpeedMps() const override {
+    return std::hypot(to_.x - from_.x, to_.y - from_.y) /
+           ToSeconds(std::max<SimTime>(duration_, 1));
   }
 
  private:

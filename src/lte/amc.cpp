@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "lte/tbs_table.h"
 
@@ -33,5 +34,22 @@ int CqiToItbs(int cqi) {
 }
 
 int SinrDbToItbs(double sinr_db) { return CqiToItbs(SinrDbToCqi(sinr_db)); }
+
+double ItbsBandMarginDb(int itbs, double sinr_db) {
+  // The CQIs mapping to `itbs` form one contiguous run [lo, hi].
+  int lo = kMinCqi;
+  while (lo <= kMaxCqi && kCqiToItbs[lo] != itbs) ++lo;
+  if (lo > kMaxCqi) return -std::numeric_limits<double>::infinity();
+  int hi = lo;
+  while (hi < kMaxCqi && kCqiToItbs[hi + 1] == itbs) ++hi;
+  // SinrDbToCqi moves from CQI c to c + 1 at kMinSinrDb + c * step.
+  constexpr double kStep = (kMaxSinrDb - kMinSinrDb) / (kMaxCqi - kMinCqi);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double below =
+      lo == kMinCqi ? kInf : sinr_db - (kMinSinrDb + (lo - 1) * kStep);
+  const double above =
+      hi == kMaxCqi ? kInf : kMinSinrDb + hi * kStep - sinr_db;
+  return std::min(below, above);
+}
 
 }  // namespace flare

@@ -22,4 +22,12 @@ int CqiToItbs(int cqi);
 /// Composition of the two mappings.
 int SinrDbToItbs(double sinr_db);
 
+/// Distance in dB from `sinr_db` to the nearest SINR at which
+/// SinrDbToItbs would leave `itbs`, i.e. to the nearer edge of the band
+/// of SINRs mapping to `itbs` (CQI 14 and 15 share I_TBS 26, so that band
+/// has no upper edge; CQI 1 has no lower edge). Negative when `sinr_db`
+/// lies outside the band. The edges are exact real numbers, not the
+/// floating-point switch points, so a caller keeps a small slack.
+double ItbsBandMarginDb(int itbs, double sinr_db);
+
 }  // namespace flare

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace flare {
+
+double MobilityModel::MaxSpeedMps() const {
+  return std::numeric_limits<double>::infinity();
+}
 
 Position RandomPositionInSquare(double area_m, Rng& rng) {
   const double half = area_m / 2.0;
@@ -44,6 +49,10 @@ void RandomWaypointMobility::PickNextLeg(SimTime start) {
   leg_start_ = start;
   leg_end_ = start + FromSeconds(dist / std::max(speed, 0.1));
   pause_end_ = leg_end_ + FromSeconds(config_.pause_s);
+}
+
+double RandomWaypointMobility::MaxSpeedMps() const {
+  return std::max({config_.min_speed_mps, config_.max_speed_mps, 0.1});
 }
 
 Position RandomWaypointMobility::At(SimTime now) {

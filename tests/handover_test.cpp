@@ -4,6 +4,8 @@
 // segment bitrates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -11,6 +13,7 @@
 
 #include "golden_util.h"
 #include "has/video_session.h"
+#include "lte/amc.h"
 #include "lte/gbr_scheduler.h"
 #include "net/handover.h"
 #include "net/oneapi_server.h"
@@ -36,6 +39,10 @@ class LinearDrive final : public MobilityModel {
                    0.0, 1.0);
     return Position{from_.x + (to_.x - from_.x) * frac,
                     from_.y + (to_.y - from_.y) * frac};
+  }
+  double MaxSpeedMps() const override {
+    return std::hypot(to_.x - from_.x, to_.y - from_.y) /
+           ToSeconds(std::max<SimTime>(duration_, 1));
   }
 
  private:
@@ -86,6 +93,22 @@ TEST(Handover, A3TriggersOnceDrivePassesMidpoint) {
   EXPECT_EQ(fired_from, 0);
   EXPECT_EQ(fired_to, 1);
   EXPECT_EQ(manager.handovers_executed(), 1);
+}
+
+TEST(Handover, SharedDriveHoldsEachSitesItbs) {
+  // Both sites' channels read the one drive; with its speed bound each
+  // holds its I_TBS within a fading sample and still matches a fresh
+  // mapping of its SINR at every TTI of the drive.
+  TwoCellFixture f;
+  std::uint64_t reads = 0;
+  for (SimTime t = 0; t < FromSeconds(100.0); t += kTti) {
+    for (FadedMobilityChannel* ch : {f.ch_a.get(), f.ch_b.get()}) {
+      ASSERT_EQ(ch->ItbsAt(t), SinrDbToItbs(ch->SinrDbAt(t))) << "t=" << t;
+    }
+    ++reads;
+  }
+  EXPECT_LE(f.ch_a->evaluations() * 5, reads);
+  EXPECT_LE(f.ch_b->evaluations() * 5, reads);
 }
 
 TEST(Handover, HysteresisPreventsPingPongAtMidpoint) {

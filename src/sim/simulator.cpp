@@ -7,20 +7,9 @@
 namespace flare {
 
 void Simulator::Every(SimTime start, SimTime period, EventFn fn) {
-  ScheduleTick(start, period, std::make_shared<EventFn>(std::move(fn)));
-}
-
-void Simulator::ScheduleTick(SimTime at, SimTime period,
-                             std::shared_ptr<EventFn> task) {
-  // A fresh wrapper is built for every occurrence: the queued callable
-  // owns the task, runs it, and hands ownership to the next occurrence.
-  // (The previous implementation stored the wrapper in a shared_ptr that
-  // its own capture list kept alive — a reference cycle that leaked every
-  // recurring task's callable for the life of the process.)
-  At(at, [this, period, task = std::move(task)]() mutable {
-    (*task)();
-    ScheduleTick(now_ + period, period, std::move(task));
-  });
+  recurring_.push_back(
+      std::make_unique<Recurring>(Recurring{std::move(fn), period}));
+  At(start, Tick{this, recurring_.back().get()});
 }
 
 void Simulator::RunUntil(SimTime until) {

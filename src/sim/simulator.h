@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
@@ -40,6 +41,9 @@ class Simulator {
 
   /// Schedule `fn` every `period` starting at `start`, until the run ends.
   /// The callback receives no arguments; use a lambda capture for state.
+  /// The simulator owns `fn` until it is destroyed; each occurrence queues
+  /// the next one after `fn` returns, so events `fn` schedules for the
+  /// same instant run before that next occurrence.
   void Every(SimTime start, SimTime period, EventFn fn);
 
   /// Run until the event queue drains or the clock passes `until`
@@ -60,12 +64,24 @@ class Simulator {
   void SetMetrics(MetricsRegistry* registry);
 
  private:
-  /// Reschedules the periodic `task` for `at`. Each queued occurrence owns
-  /// the task callable; nothing owns itself, so draining or clearing the
-  /// queue releases every recurring task (see sim_test's leak regression).
-  void ScheduleTick(SimTime at, SimTime period,
-                    std::shared_ptr<EventFn> task);
+  struct Recurring {
+    EventFn fn;
+    SimTime period;
+  };
+  /// One queued occurrence of a recurring task: runs it, then queues the
+  /// next occurrence. Trivially copyable and 16 bytes, so it is stored
+  /// inline in the event record.
+  struct Tick {
+    Simulator* sim;
+    Recurring* task;
+    void operator()() const {
+      task->fn();
+      sim->At(sim->now_ + task->period, *this);
+    }
+  };
 
+  // Declared before queue_ so queued ticks never outlive their task.
+  std::vector<std::unique_ptr<Recurring>> recurring_;
   EventQueue queue_;
   SimTime now_ = 0;
   bool stopped_ = false;

@@ -7,6 +7,7 @@
 #include <set>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -310,6 +311,36 @@ TEST(Simulator, EveryCallableIsReleasedWithSimulator) {
   }
   // Destroying the simulator (draining its queue) must free the callable.
   EXPECT_TRUE(watch.expired());
+}
+
+// Each occurrence of an Every task queues the next one after the task
+// returns, so an event the task schedules for Now() runs first.
+TEST(Simulator, EveryTaskEventAtNowRunsBeforeItsNextOccurrence) {
+  Simulator sim;
+  std::vector<std::pair<char, SimTime>> order;
+  sim.Every(10, 10, [&] {
+    order.emplace_back('t', sim.Now());
+    sim.At(sim.Now(), [&] { order.emplace_back('e', sim.Now()); });
+  });
+  sim.RunUntil(30);
+  const std::vector<std::pair<char, SimTime>> expected = {
+      {'t', 10}, {'e', 10}, {'t', 20}, {'e', 20}, {'t', 30}, {'e', 30}};
+  EXPECT_EQ(order, expected);
+}
+
+// A zero period re-arms at the same instant, behind what the task queued.
+TEST(Simulator, ZeroPeriodEveryInterleavesWithItsOwnEvents) {
+  Simulator sim;
+  std::vector<char> order;
+  int ticks = 0;
+  sim.Every(5, 0, [&] {
+    order.push_back('t');
+    sim.After(0, [&] { order.push_back('e'); });
+    if (++ticks == 3) sim.Stop();
+  });
+  sim.RunUntil(100);
+  EXPECT_EQ(order, (std::vector<char>{'t', 'e', 't', 'e', 't'}));
+  EXPECT_EQ(sim.Now(), 5);
 }
 
 TEST(Simulator, MetricsCountEventsAndQueueDepth) {

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "lte/tbs_table.h"
 #include "util/logging.h"
@@ -47,17 +48,20 @@ FlowId Cell::AddFlow(UeId ue, FlowType type) {
   entry.state.ue = ue;
   entry.state.type = type;
   entry.window_start = sim_.Now();
-  flows_.emplace(id, std::move(entry));
+  flows_.push_back(std::move(entry));
   return id;
 }
 
-void Cell::RemoveFlow(FlowId id) { flows_.erase(id); }
+void Cell::RemoveFlow(FlowId id) {
+  const auto it = Find(id);
+  if (it != flows_.end()) flows_.erase(it);
+}
 
 void Cell::ReleaseUe(UeId ue) {
   if (ue >= ues_.size() || ues_[ue].channel == nullptr) {
     throw std::invalid_argument("Cell::ReleaseUe: bad or released UE");
   }
-  for (const auto& [id, entry] : flows_) {
+  for (const FlowEntry& entry : flows_) {
     if (entry.state.ue == ue) {
       throw std::invalid_argument(
           "Cell::ReleaseUe: UE still has flows attached");
@@ -71,16 +75,21 @@ void Cell::ReleaseUe(UeId ue) {
   free_ues_.insert(pos, ue);
 }
 
+Cell::FlowVector::const_iterator Cell::Find(FlowId id) const {
+  const auto it = std::lower_bound(
+      flows_.begin(), flows_.end(), id,
+      [](const FlowEntry& e, FlowId key) { return e.state.id < key; });
+  return it != flows_.end() && it->state.id == id ? it : flows_.end();
+}
+
 Cell::FlowEntry& Cell::Entry(FlowId id) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) throw std::out_of_range("Cell: unknown flow");
-  return it->second;
+  return const_cast<FlowEntry&>(std::as_const(*this).Entry(id));
 }
 
 const Cell::FlowEntry& Cell::Entry(FlowId id) const {
-  const auto it = flows_.find(id);
+  const auto it = Find(id);
   if (it == flows_.end()) throw std::out_of_range("Cell: unknown flow");
-  return it->second;
+  return *it;
 }
 
 std::uint64_t Cell::Enqueue(FlowId id, std::uint64_t bytes) {
@@ -117,7 +126,7 @@ void Cell::SetMbr(FlowId id, double bps) {
 
 const FlowState& Cell::flow(FlowId id) const { return Entry(id).state; }
 
-bool Cell::HasFlow(FlowId id) const { return flows_.count(id) > 0; }
+bool Cell::HasFlow(FlowId id) const { return Find(id) != flows_.end(); }
 
 int Cell::UeItbs(UeId ue) const {
   if (ue >= ues_.size() || ues_[ue].channel == nullptr) {
@@ -214,7 +223,7 @@ void Cell::RunTti() {
   // 1. Refill token buckets and build candidates. Only a candidate's UE
   // has its channel read, so idle and released UEs cost nothing.
   candidates_.clear();
-  for (auto& [id, entry] : flows_) {
+  for (FlowEntry& entry : flows_) {
     FlowState& f = entry.state;
     if (f.has_gbr()) {
       const double cap = f.gbr_bps / 8.0 * config_.gbr_bucket_cap_s;
@@ -295,7 +304,7 @@ void Cell::RunTti() {
   rbs_shared_metric_.Add(static_cast<std::uint64_t>(phase.rbs_shared));
   if (trace_sink_ != nullptr || gbr_shortfall_metric_.enabled()) {
     double shortfall = 0.0;
-    for (const auto& [id, entry] : flows_) {
+    for (const FlowEntry& entry : flows_) {
       if (entry.state.has_gbr()) {
         shortfall += std::max(entry.state.gbr_credit_bytes, 0.0);
       }
@@ -312,13 +321,13 @@ void Cell::RunTti() {
   // copy because delivery callbacks may add or remove flows.
   const double tc = std::max(config_.pf_time_constant, 1.0);
   served_.clear();
-  for (auto& [id, entry] : flows_) {
+  for (FlowEntry& entry : flows_) {
     FlowState& f = entry.state;
     const double rate_bps = static_cast<double>(f.tti_tx_bytes) * 8.0 / tti_s;
     f.pf_avg_bps = (1.0 - 1.0 / tc) * f.pf_avg_bps + rate_bps / tc;
     if (f.pf_avg_bps < 1.0) f.pf_avg_bps = 1.0;
     if (f.tti_tx_bytes > 0) {
-      served_.emplace_back(id, f.tti_tx_bytes);
+      served_.emplace_back(f.id, f.tti_tx_bytes);
       f.tti_tx_bytes = 0;
     }
   }

@@ -20,7 +20,6 @@
 
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -154,12 +153,15 @@ class Cell {
     FlowState state;
     SimTime window_start = 0;
   };
+  using FlowVector = std::vector<FlowEntry>;
 
   void RunTti();
   /// I_TBS of `ue` at time `at` (not earlier than its cached time).
   int ItbsAt(const UeEntry& ue, SimTime at) const;
   FlowEntry& Entry(FlowId id);
   const FlowEntry& Entry(FlowId id) const;
+  /// Position of flow `id` in flows_, or flows_.end() when absent.
+  FlowVector::const_iterator Find(FlowId id) const;
 
   Simulator& sim_;
   std::unique_ptr<Scheduler> scheduler_;
@@ -170,7 +172,11 @@ class Cell {
   /// Released UE slots, kept sorted descending so AddUe reuses the lowest
   /// id first (deterministic slot assignment under churn).
   std::vector<UeId> free_ues_;
-  std::map<FlowId, FlowEntry> flows_;
+  /// Live flows in ascending FlowId order: ids only grow, so AddFlow
+  /// appends. FlowState pointers handed to the scheduler stay valid for
+  /// one TTI, as nothing adds or removes flows between candidate building
+  /// and grant application.
+  FlowVector flows_;
   FlowId next_flow_id_ = 1;
 
   DeliveryFn deliver_;

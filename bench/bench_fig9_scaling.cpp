@@ -144,14 +144,14 @@ int Main(int argc, char** argv) {
   PrintPaperComparison("max solve time at 128 clients (ms, paper <= ~12)",
                        12.0, relaxed_128.Quantile(1.0));
 
-  // --- Sharded-runtime scaling: serial vs. parallel wall clock for an
-  // 8-cell deployment (one testbed cell per event domain, epoch barriers
-  // at the BAI). Results are bit-identical across worker counts, so
+  // --- Multi-cell scaling: serial vs. parallel wall clock for an 8-cell
+  // deployment (one testbed cell per pool job). Results are
+  // bit-identical across worker counts, so
   // this is a pure wall-clock comparison; the achievable speedup is
   // bounded by the machine's hardware threads, which we record alongside.
   const unsigned hw_threads =
       std::max(1u, std::thread::hardware_concurrency());
-  std::printf("\n--- Multi-cell sharded runtime, 8 cells (%u hardware "
+  std::printf("\n--- Multi-cell runtime, 8 cells (%u hardware "
               "thread(s)) ---\n",
               hw_threads);
   MakeGaugeHandle(&registry, "fig9.multicell.hardware_threads")
@@ -191,10 +191,9 @@ int Main(int argc, char** argv) {
   for (std::size_t config = 0; config < worker_configs.size(); ++config) {
     const int workers = worker_configs[config];
     const double wall_ms = min_wall_ms[config];
-    // Per-config runner metrics (epoch / barrier-wait / drain histograms),
-    // merged into the bench export under a workersN prefix. The widest
-    // configuration also exports a causal span trace, showing where the
-    // 8 domains spend wall-clock inside each epoch.
+    // Per-config cell metrics, merged into the bench export under a
+    // workersN prefix. The widest configuration also exports a causal
+    // span trace, showing where each cell spends wall-clock.
     MultiCellConfig multi = multicell_config(workers);
     MetricsRegistry run_registry;
     multi.metrics = &run_registry;
@@ -205,7 +204,7 @@ int Main(int argc, char** argv) {
       multi.telemetry_interval_ms =
           args.GetDouble("telemetry_interval_ms", 1000.0);
     }
-    const MultiCellResult result = RunMultiCellScenario(multi);
+    RunMultiCellScenario(multi);
     if (workers == 0) serial_ms = wall_ms;
     const double speedup = wall_ms > 0.0 ? serial_ms / wall_ms : 0.0;
     // Overhead (parallel wall vs serial wall) is meaningful on any
@@ -218,9 +217,8 @@ int Main(int argc, char** argv) {
     if (workers == 8) overhead8_pct = overhead_pct;
     const bool hw_can_speedup = hw_threads >= static_cast<unsigned>(workers);
     std::printf("workers=%d: %8.1f ms wall (min of %d), overhead vs serial "
-                "%+6.2f%% (%llu epochs)\n",
-                workers, wall_ms, timing_reps, overhead_pct,
-                static_cast<unsigned long long>(result.barrier_epochs));
+                "%+6.2f%%\n",
+                workers, wall_ms, timing_reps, overhead_pct);
     if (workers > 0) {
       if (hw_can_speedup) {
         std::printf("           speedup vs serial %5.2fx (hw can run %d "
@@ -232,13 +230,6 @@ int Main(int argc, char** argv) {
                     "single-core signal)\n",
                     hw_threads, workers);
       }
-    }
-    const auto wait = run_registry.histograms().find("runner.barrier_wait_ms");
-    if (wait != run_registry.histograms().end() && wait->second.count() > 0) {
-      std::printf("           barrier wait p50=%.3f ms p95=%.3f ms "
-                  "p99=%.3f ms\n",
-                  wait->second.Quantile(0.50), wait->second.Quantile(0.95),
-                  wait->second.Quantile(0.99));
     }
     const std::string key =
         "fig9.multicell.workers" + std::to_string(workers);
@@ -257,8 +248,8 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // The coordination gate that works on any machine: persistent epoch
-  // workers must cost (almost) nothing when they cannot help. Watched in
+  // The coordination gate that works on any machine: pool workers must
+  // cost (almost) nothing when they cannot help. Watched in
   // flare_report as fig9.multicell.workers8.overhead_pct.
   std::printf("\n--- Runtime overhead gate ---\n");
   PrintPaperComparison("workers=8 overhead vs serial (%, gate <= 5)", 5.0,

@@ -235,11 +235,11 @@ void BM_FlightRecorderOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_FlightRecorderOverhead)->Arg(0)->Arg(1);
 
-// Telemetry publish hook as it sits in the epoch-barrier / BAI path.
+// Telemetry publish hook as it sits after every BAI slice of a run.
 // Arg 0: no server attached — MaybePublish must be one predicted null
 // check (same order as the disabled flight-recorder site, ~2.5 ns incl.
 // loop scaffolding). Arg 1: server attached but the interval not due —
-// adds one steady_clock read, still far below a barrier. Neither arm may
+// adds one steady_clock read, still far below a BAI slice. Neither arm may
 // allocate or lock. Exported as obs.telemetry.disabled_hook_ns and gated
 // by flare_report's default watches.
 void BM_TelemetryOverhead(benchmark::State& state) {
@@ -249,10 +249,14 @@ void BM_TelemetryOverhead(benchmark::State& state) {
   TelemetryServer server;
   TelemetryPublisher publisher(attached ? &server : nullptr,
                                /*interval_ms=*/1e12);
+  publisher.ConfigureRun("bench", /*duration_s=*/1e9, /*cells=*/1,
+                         /*workers=*/0);
+  publisher.AddShard({}, /*cell=*/0);
   double sim_time_s = 0.0;
+  publisher.MaybePublish(/*cell=*/0, sim_time_s);  // the first one is due
   for (auto _ : state) {
     sim_time_s += 0.04;
-    publisher.MaybePublish(sim_time_s);
+    publisher.MaybePublish(/*cell=*/0, sim_time_s);
     benchmark::DoNotOptimize(sim_time_s);
     benchmark::ClobberMemory();
   }
@@ -482,7 +486,7 @@ int ExportBatchLadder() {
       const auto t0 = now();
       for (int i = 0; i < iters; ++i) {
         sim_time_s += 0.04;
-        publisher.MaybePublish(sim_time_s);
+        publisher.MaybePublish(/*cell=*/0, sim_time_s);
         benchmark::DoNotOptimize(sim_time_s);
       }
       const double ns =

@@ -89,7 +89,7 @@ Experiment keys:
   testbed=0|1        testbed vs ns-3 scheduler wiring (per channel)
 Cell / radio keys:
   num_rbs=N static_itbs=N bler=F        MAC knobs (preset default)
-  cells=N            replicate across N eNodeBs, sharded runtime (1)
+  cells=N            replicate across N eNodeBs, one job per cell (1)
   parallel=N         worker threads for cells>1; 0 = serial, results
                      are bit-identical either way (0)
 Video keys:
@@ -457,8 +457,8 @@ int main(int argc, char** argv) {
               runs);
 
   if (cells > 1) {
-    // Sharded multi-cell run: one event domain per cell, each with its
-    // own PCRF shard. Same counts/seed in every cell.
+    // Multi-cell run: one world per cell, each with its own simulator
+    // and PCRF shard. Same counts/seed in every cell.
     MultiCellConfig multi;
     multi.cell = config;
     multi.cell.sample_series = false;  // per-cell series not exported here
@@ -472,7 +472,7 @@ int main(int argc, char** argv) {
     multi.flight = config.flight;
     multi.telemetry = config.telemetry;
     multi.telemetry_interval_ms = config.telemetry_interval_ms;
-    multi.cell.telemetry = nullptr;  // published from the barrier hook
+    multi.cell.telemetry = nullptr;  // multi.telemetry covers every cell
     const MultiCellResult result = RunMultiCellScenario(multi);
 
     for (int c = 0; c < cells; ++c) {
@@ -483,10 +483,9 @@ int main(int argc, char** argv) {
                   r.avg_bitrate_changes, r.avg_rebuffer_s,
                   r.jain_avg_bitrate);
     }
-    std::printf("\nshared PCRF: %d video / %d data flows; %llu epochs, "
+    std::printf("\nshared PCRF: %d video / %d data flows; "
                 "%.1f ms wall (%d workers)\n",
                 result.global_video_flows, result.global_data_flows,
-                static_cast<unsigned long long>(result.barrier_epochs),
                 result.wall_ms, workers);
 
     if (metrics_json) {

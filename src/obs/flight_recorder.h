@@ -12,7 +12,7 @@
 // signal.
 //
 // Threading/determinism model matches the other obs sinks: one recorder
-// per EventDomain, no locking, merged post-run in cell order with
+// per cell, no locking, merged post-run in cell order with
 // AbsorbShard + SortMergedEvents. The disabled path is a null pointer at
 // every producer — one predicted branch, no argument construction (string
 // args are built inside the `if (flight != nullptr)` guard).
@@ -71,8 +71,8 @@ class FlightRecorder {
   /// Append still-ringed events with seq >= `from_seq` (oldest-first) to
   /// `out`, restamped with `cell` like AbsorbShard would. Returns the
   /// next unseen seq (pass it back as the next `from_seq`; start at 0).
-  /// Read-only: the telemetry publisher tails shards with this at epoch
-  /// barriers.
+  /// Read-only: the telemetry publisher tails shards with this between
+  /// BAI slices.
   std::uint64_t CollectEventsSince(std::uint64_t from_seq, int cell,
                                    std::vector<FlightEvent>* out) const;
   const std::vector<FlightEvent>& snapshot() const { return snapshot_; }

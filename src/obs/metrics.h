@@ -103,9 +103,9 @@ class MetricsRegistry;
 
 /// Point-in-time copy of a whole registry (or several, via AbsorbFrom):
 /// the read-path synchronization story for concurrent export. Live
-/// instruments are only ever touched by their owning event domain; a
-/// snapshot is taken at an epoch barrier (or any other quiescent point)
-/// on the coordinator thread and then handed to readers — the telemetry
+/// instruments are only ever touched by the thread running their cell; a
+/// snapshot is taken by that thread between BAI slices (or at any other
+/// quiescent point) and then handed to readers — the telemetry
 /// server serves /metrics from its latest snapshot under its own mutex,
 /// and the end-of-run JSON export renders from a snapshot too, so both
 /// paths share one renderer and one consistency model.
@@ -154,7 +154,7 @@ class MetricsRegistry {
   void MergeFrom(const MetricsRegistry& other, const std::string& prefix);
 
   /// Detach a point-in-time copy of every instrument. Call from the
-  /// thread that owns the registry (or at an epoch barrier); the returned
+  /// thread that owns the registry (or once it is quiescent); the returned
   /// value is independent data that may cross threads freely.
   MetricsSnapshot Snapshot() const;
 

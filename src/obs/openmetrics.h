@@ -1,7 +1,7 @@
 // Prometheus/OpenMetrics text exposition for MetricsSnapshot.
 //
 // The registry's dotted names ("cell3.player.stalls",
-// "runner.barrier_wait_ms") are not valid Prometheus metric names, so the
+// "oneapi.solve_ms") are not valid Prometheus metric names, so the
 // renderer (a) extracts a leading "cell<N>." prefix into a `cell="N"`
 // label — one family per logical metric, one series per cell, which is
 // what makes `flare_top`'s per-cell table a straight group-by — and

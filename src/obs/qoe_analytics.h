@@ -10,7 +10,7 @@
 // recomputing it ad hoc.
 //
 // Sharding and determinism follow the MetricsRegistry model: one engine
-// per EventDomain (cell), no locking, merged post-run in cell order via
+// per cell, no locking, merged post-run in cell order via
 // AbsorbShard. All state lives in ordered maps keyed (cell, session), so
 // WriteJson output is byte-identical for any worker count.
 //
@@ -134,7 +134,7 @@ class QoeAnalytics {
 
   // --- Introspection (tests, result plumbing, live telemetry) ---
   /// Read-only mid-run aggregates across every tracked session. Called
-  /// at epoch barriers by the telemetry publisher; never mutates, so a
+  /// between BAI slices by the telemetry publisher; never mutates, so a
   /// run's bytes are identical with or without telemetry attached.
   QoeLiveSummary LiveSummary() const;
   const QoeSessionStats* FindSession(int cell, int session) const;

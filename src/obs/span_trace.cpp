@@ -34,15 +34,13 @@ const char* LaneName(int lane) {
       return "mac";
     case kLanePlayer:
       return "player";
-    case kLaneRunner:
-      return "runner";
     default:
       return "lane";
   }
 }
 
 std::string ProcessName(int pid) {
-  if (pid == 0) return "runner";
+  if (pid == 0) return "main";
   return "cell" + std::to_string(pid - 1);
 }
 

@@ -12,11 +12,10 @@
 // `SpanTracer*` that is null by default, so the disabled path is one
 // predicted branch (bench_optimizer's BM_ObsOverhead pins this down).
 //
-// Threading model follows the sharded runtime (DESIGN.md §5d): a tracer
-// is NOT internally synchronized. Each event domain records into its own
-// per-cell shard (only the one worker advancing that domain touches it
-// within an epoch; handoff happens at the pool barrier), and the
-// coordinator's tracer is only touched between epochs. Shards are merged
+// Threading model follows the multi-cell runtime (DESIGN.md §5d): a
+// tracer is NOT internally synchronized. Each cell records into its own
+// shard, touched only by the one job that runs that cell; the merged
+// tracer is touched only after every job finished. Shards are merged
 // post-run in cell order with AbsorbShard() + SortMergedEvents(), which
 // keeps the merged file byte-stable for any worker count.
 //
@@ -41,7 +40,6 @@ namespace flare {
 inline constexpr int kLaneControl = 0;  // OneAPI BAI ticks, solver, decisions
 inline constexpr int kLaneMac = 1;      // Cell TTI-loop windows
 inline constexpr int kLanePlayer = 2;   // player stall/switch/segment instants
-inline constexpr int kLaneRunner = 3;   // epochs, advances, barrier waits
 
 /// One trace-event record. `cat` and `name` must be string literals (or
 /// otherwise outlive the tracer): they are stored unowned so a record
@@ -51,7 +49,7 @@ struct TraceEvent {
   double ts_us = 0.0;
   double dur_us = 0.0;  // "X" events only
   char ph = 'X';        // 'X' complete span, 'i' instant, 'C' counter
-  int pid = 0;          // process = cell (+1); 0 = coordinator/runner
+  int pid = 0;          // process = cell (+1); 0 = not a cell
   int tid = kLaneControl;
   const char* cat = "";
   const char* name = "";
@@ -80,7 +78,7 @@ class SpanTracer {
   bool deterministic() const { return deterministic_; }
 
   /// Process id stamped on subsequently recorded events. Convention:
-  /// pid 0 = the parallel runner / coordinator, pid c+1 = cell c.
+  /// pid c+1 = cell c; the default 0 names no cell.
   void set_default_pid(int pid) { pid_ = pid; }
 
   void CompleteSpan(int lane, const char* cat, const char* name,

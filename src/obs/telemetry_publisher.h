@@ -1,15 +1,17 @@
 // Periodic, non-perturbing bridge from the run's observers to the
 // telemetry server.
 //
-// The publisher is invoked at epoch barriers (ParallelRunner barrier
-// hook in multi-cell runs, a BAI-periodic simulator event in single-cell
-// runs). At a barrier every shard is quiescent and the coordinator
-// thread owns all of them, so reading shard observers needs no locks —
-// the barrier join is the happens-before edge. Everything published is a
-// *copy* (MetricsSnapshot, rendered NDJSON strings): nothing the server
-// thread touches aliases live simulation state, and the publisher never
-// writes into any registry or engine, so run bytes are identical with
-// telemetry on or off.
+// Every run advances each cell's world in BAI slices (ScenarioWorld::Run)
+// and offers the publisher that cell's state after each slice, on the
+// thread that owns the cell. Between slices the cell's observers are
+// quiescent and owned by that thread, so rendering them needs no lock.
+// The publisher renders the cell's *part* of the snapshot (a copy of its
+// registry, its live QoE and health gauges, its new flight events), then,
+// under one mutex, stores the part and publishes the snapshot assembled
+// from every cell's latest part. Nothing the server thread touches
+// aliases live simulation state, and the publisher never writes into any
+// registry or engine, so run bytes are identical with telemetry on or
+// off.
 //
 // Cost when disabled: MaybePublish is a single null check (no clock
 // read) — bench_optimizer's BM_TelemetryOverhead holds it to the same
@@ -18,7 +20,9 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -45,58 +49,64 @@ struct TelemetryShardView {
 class TelemetryPublisher {
  public:
   /// `server` may be null (telemetry disabled; every call is a no-op
-  /// branch). `interval_ms` gates publishes on *wall* clock: barriers
-  /// fire far faster than an operator can read, and wall gating keeps
-  /// the cost independent of simulated-time scale.
+  /// branch). `interval_ms` gates each cell's publishes on *wall* clock:
+  /// slices end far faster than an operator can read, and wall gating
+  /// keeps the cost independent of simulated-time scale.
   TelemetryPublisher(TelemetryServer* server, double interval_ms);
 
   void ConfigureRun(std::string scenario, double duration_s, int cells,
                     int workers);
-  /// Coordinator-owned registry absorbed unprefixed (runner metrics in
-  /// multi-cell runs). May be null.
-  void SetCoordinatorMetrics(const MetricsRegistry* metrics) {
-    coordinator_metrics_ = metrics;
-  }
-  /// Register one shard; `cell` stamps the qoe.* gauges and flight
-  /// events. Call once per cell before the run starts.
+  /// Register cell `cell`'s shard; cells are registered in order 0, 1, ...
+  /// before the run starts. `cell` stamps the qoe.* gauges and flight
+  /// events.
   void AddShard(TelemetryShardView shard, int cell);
 
-  bool enabled() const { return server_ != nullptr; }
-
-  /// The barrier hook: publish if the wall interval elapsed. Inline so
+  /// Offer cell `cell`'s state at `sim_time_s`, from the thread that owns
+  /// the cell. Publishes when that cell's wall interval has elapsed, and
+  /// always at the run's horizon so scrapers see the end state. Inline so
   /// the disabled path is visibly one predicted branch.
-  void MaybePublish(double sim_time_s) {
+  void MaybePublish(int cell, double sim_time_s) {
     if (server_ == nullptr) return;
-    if (std::chrono::steady_clock::now() < next_due_) return;
-    PublishNow(sim_time_s);
+    Shard& shard = shards_[static_cast<std::size_t>(cell)];
+    if (sim_time_s < duration_s_ &&
+        std::chrono::steady_clock::now() < shard.next_due) {
+      return;
+    }
+    Publish(shard, sim_time_s);
   }
-  /// Unconditional publish (final state after the run completes).
-  void PublishNow(double sim_time_s);
 
  private:
+  /// One cell's contribution to the served snapshot.
+  struct Part {
+    double sim_time_s = 0.0;
+    bool healthy = true;
+    std::uint64_t warnings = 0;
+    MetricsSnapshot metrics;
+  };
   struct Shard {
     TelemetryShardView view;
     int cell = 0;
+    // Touched only by the thread that owns the cell.
     std::uint64_t next_event_seq = 0;
+    std::chrono::steady_clock::time_point next_due;
+    // Guarded by mu_.
+    Part part;
   };
+
+  void Publish(Shard& shard, double sim_time_s);
 
   TelemetryServer* server_;
   std::chrono::steady_clock::duration interval_;
-  std::chrono::steady_clock::time_point next_due_;
+  std::chrono::steady_clock::time_point start_;
 
   std::string scenario_;
   double duration_s_ = 0.0;
   int cells_ = 0;
   int workers_ = 0;
-  const MetricsRegistry* coordinator_metrics_ = nullptr;
-  std::vector<Shard> shards_;
+  std::vector<Shard> shards_;  // fixed once the run starts
 
-  // Rate bookkeeping between publishes.
-  bool have_last_ = false;
-  std::chrono::steady_clock::time_point last_publish_;
-  std::uint64_t last_epochs_ = 0;
-  double last_sim_time_s_ = 0.0;
-  std::uint64_t publishes_ = 0;
+  std::mutex mu_;
+  std::uint64_t publishes_ = 0;  // guarded by mu_
 };
 
 /// Render one flight event as an NDJSON object (no trailing newline);

@@ -9,13 +9,13 @@
 //   GET /healthz  - JSON run health: 200 while every shard's
 //                   RunHealthMonitor is clean, 503 once any watchdog
 //                   warning has latched (or before the first publish),
-//                   with epoch progress and wall-clock rates.
+//                   with progress and wall-clock rates.
 //   GET /events   - chunked NDJSON live tail of flight-recorder events.
 //
 // Isolation contract: the server owns one background thread running an
 // EpollLoop (src/netio); the simulation side only ever calls Publish()
 // and PublishEvents(), which copy data under a mutex / into a bounded
-// drop-oldest queue and return. Nothing here can block an epoch barrier:
+// drop-oldest queue and return. Nothing here can block a simulation:
 // a slow or stalled /events client fills its per-connection buffer, after
 // which its events are dropped and counted (exported as
 // flare_telemetry_events_dropped_total) — the run never waits. The
@@ -33,14 +33,16 @@
 
 namespace flare {
 
-/// One consistent view of the run, taken at an epoch barrier by
-/// TelemetryPublisher and handed to the server whole.
+/// One consistent view of the run, assembled by TelemetryPublisher from
+/// every cell's latest part (or by the daemon each tick) and handed to
+/// the server whole.
 struct TelemetrySnapshot {
   double sim_time_s = 0.0;
   double duration_s = 0.0;
+  /// Progress ticks: publishes in simulator runs, BAIs in the daemon.
   std::uint64_t epochs = 0;
-  /// Wall-clock barrier rate and sim-seconds-per-wall-second since the
-  /// previous publish (0 until two publishes exist).
+  /// Ticks and sim-seconds per wall second (simulator runs: averaged
+  /// over the run so far).
   double epoch_rate_hz = 0.0;
   double sim_speedup = 0.0;
   int cells = 0;
@@ -86,7 +88,7 @@ class TelemetryServer {
   std::uint16_t port() const;
 
   /// Replace the served snapshot. Thread-safe, non-blocking (one mutex'd
-  /// move); called from the simulation thread at epoch barriers.
+  /// move); called from any cell's simulation thread.
   void Publish(TelemetrySnapshot snapshot);
   /// Append NDJSON event lines (each a complete line, no trailing
   /// newline) for the /events tail. Thread-safe; overflow drops the

@@ -1,6 +1,6 @@
 // Run-health watchdogs for the FLARE control loop.
 //
-// A RunHealthMonitor is fed at each BAI barrier with the control loop's
+// A RunHealthMonitor is fed at each BAI with the control loop's
 // vital signs — solver feasibility, per-player stall time, GBR token
 // credit left unspent, data-flow service — and raises a structured
 // warning whenever a signal stays bad for a configured streak of

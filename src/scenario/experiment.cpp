@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -160,7 +161,7 @@ BenchScale ScaleFromEnv(int default_runs, double default_duration_s,
   Config config =
       argv != nullptr ? Config::FromArgs(argc, argv) : Config{};
   BenchScale scale;
-  scale.runs = config.GetInt("runs", default_runs);
+  scale.runs = std::max(config.GetInt("runs", default_runs), 0);
   scale.duration_s = config.GetDouble("duration_s", default_duration_s);
   return scale;
 }

@@ -1,17 +1,19 @@
-// Multi-cell scenario runner on the sharded parallel runtime.
+// Multi-cell scenario runner: cells are jobs.
 //
 // Replicates one ScenarioConfig across n_cells eNodeBs, giving each cell
-// its own event domain (simulator + cell + transport + players + OneAPI
-// controller + PCRF shard) scheduled by sim/parallel_runner. FLARE
-// decides bitrates independently for each cell, so the cells exchange
-// nothing during the run; the core-wide flow counts are the sum of the
-// shards, taken after the last BAI-aligned epoch barrier.
+// its own Simulator, world (cell + transport + players + OneAPI
+// controller) and PCRF shard. FLARE decides bitrates independently for
+// each cell, so the cells exchange nothing during the run: the worlds are
+// built on the caller in cell order, then each cell is one ThreadPool job
+// that runs its world to the horizon (ScenarioWorld::Run, the same
+// BAI-slice loop RunScenario uses), collects it and frees it. The
+// core-wide flow counts are the sum of the shards at the horizon.
 //
-// The result is bit-identical for any worker count (workers=0 serial
-// reference vs. a thread pool): per-cell Rngs come from
-// Rng::SplitStream(cell), domains never share mutable state, and
-// per-cell metrics/trace shards are merged in deterministic cell order
-// after the run (tests/determinism_test.cpp).
+// The result is bit-identical for any worker count (workers=0 runs the
+// same jobs in cell order on the caller): per-cell Rngs come from
+// Rng::SplitStream(cell), cells never share mutable state, and per-cell
+// metrics/trace shards are merged in cell order after the run
+// (tests/determinism_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -28,8 +30,8 @@ struct MultiCellConfig {
   /// is SplitStream(cell) of `cell.seed`.
   ScenarioConfig cell;
   int n_cells = 2;
-  /// Worker threads for the parallel runner; 0 = serial reference. The
-  /// epoch barrier period is the BAI (`cell.oneapi.bai`).
+  /// Worker threads; the pool is min(workers, n_cells) wide. 0 runs the
+  /// cells in order on the caller.
   int workers = 0;
 
   // --- Merged observability (both may be null; null = disabled).
@@ -38,8 +40,8 @@ struct MultiCellConfig {
   /// Per-cell traces are absorbed with rows stamped by cell and sorted
   /// deterministically. Not owned.
   BaiTraceSink* bai_trace = nullptr;
-  /// Per-cell span shards (pid = cell+1) plus the runner's own epoch /
-  /// barrier spans (pid 0) are merged here in cell order. Not owned.
+  /// Per-cell span shards (pid = cell+1) are merged here in cell order.
+  /// Not owned.
   SpanTracer* span_trace = nullptr;
   /// Per-cell health monitors, merged with warnings restamped by cell.
   /// Its WatchdogConfig seeds every shard monitor. Not owned.
@@ -51,9 +53,9 @@ struct MultiCellConfig {
   /// cell order; the earliest shard trigger wins. Not owned.
   FlightRecorder* flight = nullptr;
 
-  /// Live telemetry server (obs/telemetry_server.h). When set, the
-  /// runner's barrier hook publishes read-only snapshots of every shard's
-  /// observers (absorbed under "cell<N>." like the post-run merge) every
+  /// Live telemetry server (obs/telemetry_server.h). When set, each cell
+  /// publishes a read-only copy of its shard's observers (under
+  /// "cell<N>." like the post-run merge) after a BAI slice, at most every
   /// `telemetry_interval_ms` of wall clock. Shard observers are fed even
   /// when the merged sinks above are null, so live QoE/health/flight
   /// telemetry works without requesting end-of-run exports. Run bytes
@@ -69,9 +71,9 @@ struct MultiCellResult {
   /// the view a core-network function has of the whole deployment.
   int global_video_flows = 0;
   int global_data_flows = 0;
-  std::uint64_t barrier_epochs = 0;
+  std::uint64_t barrier_epochs = 0;    // always 0; perfbench still reads it
   std::uint64_t mailbox_messages = 0;  // always 0; perfbench still reads it
-  /// Wall-clock of the run loop (bench_fig9_scaling's scaling table).
+  /// Wall-clock of the cell jobs (bench_fig9_scaling's scaling table).
   double wall_ms = 0.0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -77,23 +78,13 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   Pcrf pcrf;
   ScenarioWorld world(config, sim, pcrf, Rng(config.seed));
   world.Start();
-  // Live telemetry: BAI-periodic read-only publishes of the attached
-  // observers. Purely additive — the event only reads state — so run
-  // bytes match a telemetry-off run.
   TelemetryPublisher publisher(config.telemetry, config.telemetry_interval_ms);
-  if (publisher.enabled()) {
-    publisher.ConfigureRun(SchemeName(config.scheme), config.duration_s,
-                           /*cells=*/1, /*workers=*/0);
-    publisher.AddShard({config.metrics, config.qoe, config.health,
-                        config.flight, /*metrics_prefix=*/""},
-                       /*cell=*/0);
-    const SimTime bai = config.oneapi.bai;
-    sim.Every(bai, bai, [&publisher, &sim] {
-      publisher.MaybePublish(ToSeconds(sim.Now()));
-    });
-  }
-  sim.RunUntil(FromSeconds(config.duration_s));
-  if (publisher.enabled()) publisher.PublishNow(config.duration_s);
+  publisher.ConfigureRun(SchemeName(config.scheme), config.duration_s,
+                         /*cells=*/1, /*workers=*/0);
+  publisher.AddShard({config.metrics, config.qoe, config.health,
+                      config.flight, /*metrics_prefix=*/""},
+                     /*cell=*/0);
+  world.Run(publisher, /*cell=*/0);
   return world.Collect();
 }
 
@@ -108,33 +99,41 @@ ScenarioConfig WithoutObservers(ScenarioConfig config) {
   return config;
 }
 
-std::vector<ScenarioResult> RunMany(const ScenarioConfig& config, int runs) {
-  if (config.metrics || config.bai_trace || config.span_trace ||
-      config.health || config.qoe || config.flight || config.telemetry) {
-    // Every run would feed one observer (reusing session ids), and the
-    // runs are concurrent.
-    throw std::invalid_argument(
-        "RunMany: config carries observers; observe one RunScenario "
-        "instead (WithoutObservers strips them)");
+std::vector<ScenarioResult> RunMany(std::span<const ScenarioConfig> configs) {
+  for (const ScenarioConfig& config : configs) {
+    if (config.metrics || config.bai_trace || config.span_trace ||
+        config.health || config.qoe || config.flight || config.telemetry) {
+      // Several runs would feed one observer (reusing session ids), and
+      // the runs are concurrent.
+      throw std::invalid_argument(
+          "RunMany: config carries observers; observe one RunScenario "
+          "instead (WithoutObservers strips them)");
+    }
   }
-  const std::size_t n = static_cast<std::size_t>(std::max(runs, 0));
+  const std::size_t n = configs.size();
   std::vector<ScenarioResult> results(n);
-  // Runs share nothing but the mutex-guarded Logger, so each seed is one
-  // job; results land in seed order whatever order the jobs finish in.
-  // The pool clamps its width to >= 1; hardware_concurrency() may be 0.
+  // Runs share nothing but the mutex-guarded Logger, so each config is
+  // one job; results land in input order whatever order the jobs finish
+  // in. The pool clamps its width to >= 1; hardware_concurrency() may be 0.
   ThreadPool pool(static_cast<int>(
       std::min<std::size_t>(n, std::thread::hardware_concurrency())));
   std::vector<std::function<void()>> jobs;
   jobs.reserve(n);
   for (std::size_t r = 0; r < n; ++r) {
-    jobs.emplace_back([&config, &results, r] {
-      ScenarioConfig run_config = config;
-      run_config.seed = config.seed + r;
-      results[r] = RunScenario(run_config);
-    });
+    jobs.emplace_back(
+        [&configs, &results, r] { results[r] = RunScenario(configs[r]); });
   }
   pool.RunAll(std::move(jobs));
   return results;
+}
+
+std::vector<ScenarioResult> RunMany(const ScenarioConfig& config, int runs) {
+  std::vector<ScenarioConfig> configs(
+      static_cast<std::size_t>(std::max(runs, 0)), config);
+  for (std::size_t r = 0; r < configs.size(); ++r) {
+    configs[r].seed = config.seed + r;
+  }
+  return RunMany(configs);
 }
 
 }  // namespace flare

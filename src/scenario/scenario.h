@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -154,10 +155,10 @@ struct ScenarioConfig {
   /// in multi-cell runs. Not owned.
   FlightRecorder* flight = nullptr;
   /// Live telemetry server (obs/telemetry_server.h). When set, RunScenario
-  /// publishes read-only snapshots of the attached observers every
-  /// `telemetry_interval_ms` of wall clock on BAI boundaries; run bytes
-  /// stay identical to a telemetry-off run. Multi-cell runs wire this
-  /// through MultiCellConfig instead (the per-cell copy is cleared).
+  /// publishes read-only snapshots of the attached observers at BAI
+  /// boundaries, at most every `telemetry_interval_ms` of wall clock; run
+  /// bytes stay identical to a telemetry-off run. Multi-cell runs wire
+  /// this through MultiCellConfig instead (the per-cell copy is cleared).
   /// Not owned; must be Start()ed by the caller.
   TelemetryServer* telemetry = nullptr;
   double telemetry_interval_ms = 1000.0;
@@ -221,10 +222,13 @@ ScenarioResult RunScenario(const ScenarioConfig& config);
 /// `config` with every observer pointer (metrics .. telemetry) cleared.
 ScenarioConfig WithoutObservers(ScenarioConfig config);
 
-/// Run `runs` seeds (seed, seed+1, ...) in parallel, one job per seed on
-/// a pool of min(runs, hardware threads) workers, and return the results
-/// in seed order. Each result equals RunScenario on its seed. Throws
-/// std::invalid_argument if `config` carries any observer pointer.
+/// Run every config in parallel, one job per config on a pool of
+/// min(configs, hardware threads) workers, and return the results in
+/// input order. Each result equals RunScenario on its config. Throws
+/// std::invalid_argument if any config carries an observer pointer.
+std::vector<ScenarioResult> RunMany(std::span<const ScenarioConfig> configs);
+
+/// RunMany over `runs` copies of `config` with seeds seed, seed+1, ...
 std::vector<ScenarioResult> RunMany(const ScenarioConfig& config, int runs);
 
 }  // namespace flare

@@ -8,6 +8,7 @@
 #include "lte/gbr_scheduler.h"
 #include "lte/pf_scheduler.h"
 #include "lte/pss_scheduler.h"
+#include "obs/telemetry_publisher.h"
 #include "util/stats.h"
 
 namespace flare {
@@ -344,6 +345,17 @@ void ScenarioWorld::Start() {
 
   if (churn_ != nullptr) churn_->Start();
   cell_.Start();
+}
+
+void ScenarioWorld::Run(TelemetryPublisher& publisher, int cell) {
+  const SimTime horizon = FromSeconds(config_.duration_s);
+  const SimTime slice = std::max(config_.oneapi.bai, kTti);
+  SimTime now = 0;
+  do {  // at least once: a zero horizon still runs the events at t = 0
+    now = std::min(now + slice, horizon);
+    sim_.RunUntil(now);
+    publisher.MaybePublish(cell, ToSeconds(now));
+  } while (now < horizon);
 }
 
 std::unique_ptr<AbrAlgorithm> ScenarioWorld::MakeVideoAbr(

@@ -1,13 +1,14 @@
 // One fully wired single-cell experiment "world": the cell, channels,
-// transport, HAS sessions and control plane that RunScenario used to
-// assemble inline. Factoring the world out of the run loop lets the same
-// construction path serve two runtimes:
-//   * RunScenario — one world on one Simulator, run to completion;
-//   * RunMultiCellScenario — one world per event domain, each on its own
-//     Simulator, advanced in epochs by the sharded ParallelRunner.
-// Because both runtimes build the world identically (same Rng stream,
-// same wiring order, same event-scheduling order), a multi-cell run is
-// reproducible serial-vs-parallel down to the trace bytes.
+// transport, HAS sessions and control plane on a caller-owned Simulator.
+// Every simulator run builds its worlds through this class and advances
+// them through Run():
+//   * RunScenario — one world, run on the caller;
+//   * RunMultiCellScenario — one world per cell, each on its own
+//     Simulator, each run as one ThreadPool job.
+// Because both build the world identically (same Rng stream, same wiring
+// order, same event-scheduling order) and advance it the same way, a
+// multi-cell run is reproducible serial-vs-parallel down to the trace
+// bytes.
 #pragma once
 
 #include <map>
@@ -25,6 +26,8 @@
 #include "transport/transport_host.h"
 
 namespace flare {
+
+class TelemetryPublisher;  // obs/telemetry_publisher.h
 
 class ScenarioWorld {
  public:
@@ -44,6 +47,12 @@ class ScenarioWorld {
   /// Start the control plane, the optional 1 Hz series sampler, and the
   /// cell's TTI loop. Call once, before advancing the simulator.
   void Start();
+
+  /// Advance the simulator to the configured horizon one BAI slice at a
+  /// time, offering `publisher` cell `cell`'s state after every slice.
+  /// Slicing adds no events, so run bytes match one RunUntil(horizon)
+  /// with telemetry on or off. Call once, after Start().
+  void Run(TelemetryPublisher& publisher, int cell);
 
   /// Harvest per-client metrics and FLARE outputs after the simulator has
   /// run to the configured horizon. Call once.

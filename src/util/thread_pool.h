@@ -7,9 +7,9 @@
 // order they were submitted in) and each submission wakes at most one
 // worker per job, so a small batch does not stampede a large pool.
 //
-// RunMany (scenario/scenario.h) runs one seed per job on it. The sharded
-// simulation runtime keeps its own persistent per-partition workers
-// (sim/parallel_runner.h) instead.
+// Every parallel simulator run is a batch on it: RunMany
+// (scenario/scenario.h) runs one config per job, RunMultiCellScenario
+// (scenario/multi_cell.h) one cell per job.
 #pragma once
 
 #include <condition_variable>

@@ -778,18 +778,18 @@ TEST(SpanTrace, MultiCellTraceJsonIsWellFormedAndCausal) {
   const std::string json = out.str();
   ASSERT_TRUE(JsonParser(json).Parse()) << json.substr(0, 400);
 
-  // Runner, control-loop and MAC spans all present, plus rung-change
-  // instants carrying a machine-readable cause.
+  // Control-loop and MAC spans both present, plus rung-change instants
+  // carrying a machine-readable cause.
   for (const char* needle :
-       {"\"traceEvents\"", "\"epoch\"", "\"advance\"", "\"bai\"", "\"solve\"",
-        "\"tti.window\"", "\"rung_change\"", "\"cause\":\"init\""}) {
+       {"\"traceEvents\"", "\"bai\"", "\"solve\"", "\"tti.window\"",
+        "\"rung_change\"", "\"cause\":\"init\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
   }
 
-  // Events from the runner (pid 0) and both cells (pids 1, 2).
+  // Events from both cells (pids 1, 2) and nothing else.
   std::set<int> pids;
   for (const TraceEvent& e : spans.events()) pids.insert(e.pid);
-  EXPECT_EQ(pids, (std::set<int>{0, 1, 2}));
+  EXPECT_EQ(pids, (std::set<int>{1, 2}));
 
   // Deterministic timing: every recorded duration is exactly 0.
   for (const TraceEvent& e : spans.events()) {

@@ -1,14 +1,15 @@
 // Telemetry plane tests: OpenMetrics exposition golden text, snapshot
 // rendering equivalence, the live HTTP server (scrape lifecycle, NDJSON
-// event tail, slow-subscriber backpressure), the barrier publisher, the
+// event tail, slow-subscriber backpressure), the per-cell publisher, the
 // flare_top parser/renderer round-trip, and the determinism contract —
-// a multi-cell churn run must produce byte-identical artifacts with
-// telemetry on (and actively scraped) or off.
+// single-cell and multi-cell runs must produce byte-identical artifacts
+// with telemetry on (and actively scraped) or off.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -500,12 +501,10 @@ TEST(TelemetryPublisherBridge, NdjsonGoldenAndCollectSinceInclusive) {
   EXPECT_EQ(out[0].t_s, 3.0);
 }
 
-TEST(TelemetryPublisherBridge, PublishNowExportsShardsAndEvents) {
+TEST(TelemetryPublisherBridge, MaybePublishExportsShardsAndEvents) {
   TelemetryServer server;
   ASSERT_TRUE(server.Start());
 
-  MetricsRegistry coordinator;
-  coordinator.GetCounter("runner.epochs").Add(42);
   MetricsRegistry shard_metrics;
   shard_metrics.GetCounter("player.segments").Add(5);
   QoeAnalytics qoe;
@@ -513,50 +512,55 @@ TEST(TelemetryPublisherBridge, PublishNowExportsShardsAndEvents) {
   FlightRecorder flight(16);
   flight.Record(1.5, "rung_change", 7, 2, 3.0);
 
-  TelemetryPublisher publisher(&server, /*interval_ms=*/1.0);
-  ASSERT_TRUE(publisher.enabled());
-  publisher.ConfigureRun("unit x1", /*duration_s=*/10.0, /*cells=*/1,
+  TelemetryPublisher publisher(&server, /*interval_ms=*/1e9);
+  publisher.ConfigureRun("unit x2", /*duration_s=*/10.0, /*cells=*/2,
                          /*workers=*/0);
-  publisher.SetCoordinatorMetrics(&coordinator);
   publisher.AddShard({&shard_metrics, &qoe, &health, &flight, "cell0."},
                      /*cell=*/0);
-  publisher.PublishNow(/*sim_time_s=*/5.0);
+  publisher.AddShard({}, /*cell=*/1);
+  publisher.MaybePublish(/*cell=*/0, /*sim_time_s=*/5.0);
 
   HttpResponse metrics;
   ASSERT_TRUE(HttpGet(kHost, server.port(), "/metrics", &metrics));
   EXPECT_EQ(metrics.status, 200);
-  // Coordinator registry lands unprefixed, shard registry + live QoE /
-  // health gauges under the cell label.
-  EXPECT_NE(metrics.body.find("flare_runner_epochs_total 42\n"),
-            std::string::npos);
-  EXPECT_NE(
-      metrics.body.find("flare_player_segments_total{cell=\"0\"} 5\n"),
-      std::string::npos);
-  EXPECT_NE(metrics.body.find("flare_qoe_sessions{cell=\"0\"} 0\n"),
-            std::string::npos);
-  EXPECT_NE(metrics.body.find("flare_health_healthy{cell=\"0\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(metrics.body.find("flare_run_info{scenario=\"unit x1\"} 1\n"),
-            std::string::npos);
+  // The shard registry and live QoE / health gauges land under the cell
+  // label; every cell reports its clock, 0 until it publishes, and the
+  // run's clock is the slowest cell's.
+  for (const char* line :
+       {"flare_player_segments_total{cell=\"0\"} 5\n",
+        "flare_qoe_sessions{cell=\"0\"} 0\n",
+        "flare_health_healthy{cell=\"0\"} 1\n",
+        "flare_telemetry_sim_time_s{cell=\"0\"} 5\n",
+        "flare_telemetry_sim_time_s{cell=\"1\"} 0\n",
+        "flare_telemetry_sim_time_s 0\n",
+        "flare_run_info{scenario=\"unit x2\"} 1\n"}) {
+    EXPECT_NE(metrics.body.find(line), std::string::npos) << line;
+  }
 
+  // The interval is not due, so cell 0 publishes nothing more until the
+  // horizon, which always publishes; cell 1's first offer is due.
+  publisher.MaybePublish(/*cell=*/0, 6.0);
+  publisher.MaybePublish(/*cell=*/1, 8.0);
   HttpResponse health_response;
   ASSERT_TRUE(HttpGet(kHost, server.port(), "/healthz", &health_response));
   EXPECT_EQ(health_response.status, 200);
   JsonValue parsed;
   ASSERT_TRUE(ParseJson(health_response.body, &parsed));
   EXPECT_EQ(parsed.Find("sim_time_s")->AsNumber(), 5.0);
-  EXPECT_EQ(parsed.Find("cells")->AsNumber(), 1.0);
-  EXPECT_EQ(parsed.Find("scenario")->AsString(), "unit x1");
+  EXPECT_EQ(parsed.Find("epochs")->AsNumber(), 2.0);
+  EXPECT_EQ(parsed.Find("cells")->AsNumber(), 2.0);
+  EXPECT_EQ(parsed.Find("scenario")->AsString(), "unit x2");
 
-  // The flight event was forwarded once; republishing without new events
-  // forwards nothing (the per-shard cursor advanced).
+  // The flight event was forwarded once; publishing again without new
+  // events forwards nothing (the per-shard cursor advanced).
   EXPECT_TRUE(WaitFor([&] { return server.events_published() == 1; }));
-  publisher.PublishNow(6.0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(server.events_published(), 1u);
   flight.Record(7.0, "stall_start", 7, 2);
-  publisher.PublishNow(8.0);
+  publisher.MaybePublish(/*cell=*/0, 10.0);
   EXPECT_TRUE(WaitFor([&] { return server.events_published() == 2; }));
+  ASSERT_TRUE(HttpGet(kHost, server.port(), "/healthz", &health_response));
+  ASSERT_TRUE(ParseJson(health_response.body, &parsed));
+  EXPECT_EQ(parsed.Find("sim_time_s")->AsNumber(), 8.0);
+  EXPECT_EQ(parsed.Find("epochs")->AsNumber(), 3.0);
 
   server.Stop();
 }
@@ -579,9 +583,6 @@ TEST(TopCore, ParseBuildRenderRoundTrip) {
     registry.GetGauge(p + "qoe.blocking_probability").Set(0.125);
     registry.GetGauge(p + "health.healthy").Set(cell == 0 ? 1.0 : 0.0);
   }
-  Histogram& barrier = registry.GetHistogram("runner.barrier_wait_ms");
-  barrier.Observe(0.05);
-  barrier.Observe(0.5);
   std::string text = RenderOpenMetrics(registry.Snapshot());
   text +=
       "flare_telemetry_scrapes_total 4\n"
@@ -612,7 +613,6 @@ TEST(TopCore, ParseBuildRenderRoundTrip) {
   EXPECT_EQ(top.scenario, "flare x2");
   EXPECT_EQ(top.progress_pct, 50.0);
   EXPECT_EQ(top.cells, 2);
-  EXPECT_TRUE(top.have_barrier_wait);
   EXPECT_EQ(top.scrapes, 4.0);
   EXPECT_EQ(top.events_dropped, 1.0);
   ASSERT_EQ(top.rows.size(), 2u);
@@ -634,7 +634,6 @@ TEST(TopCore, ParseBuildRenderRoundTrip) {
   const std::string table = RenderTopTable(top);
   EXPECT_NE(table.find("flare x2"), std::string::npos);
   EXPECT_NE(table.find("ALARM"), std::string::npos);
-  EXPECT_NE(table.find("barrier p99"), std::string::npos);
 
   // Without healthz, the run_info label is the scenario fallback.
   const TopSnapshot bare = BuildTopSnapshot(samples, nullptr);
@@ -722,46 +721,108 @@ struct RunOutput {
   std::string flight;
 };
 
-RunOutput RunMulti(MultiCellConfig multi, TelemetryServer* telemetry) {
+/// Every end-of-run sink a run can feed, rendered to bytes.
+struct Sinks {
   MetricsRegistry registry;
   BaiTraceSink trace;
   SpanTracer spans;
   RunHealthMonitor health;
   QoeAnalytics qoe;
-  FlightRecorder flight(64);
-  multi.metrics = &registry;
-  multi.bai_trace = &trace;
-  multi.span_trace = &spans;
-  multi.health = &health;
-  multi.qoe = &qoe;
-  multi.flight = &flight;
+  FlightRecorder flight{64};
+
+  RunOutput Render() const {
+    RunOutput out;
+    std::ostringstream csv;
+    trace.WriteCsv(csv);
+    out.csv = csv.str();
+    std::ostringstream json;
+    trace.WriteJson(json, &registry, nullptr, &qoe);
+    out.json = json.str();
+    std::ostringstream span_json;
+    spans.WriteJson(span_json);
+    out.spans = span_json.str();
+    std::ostringstream health_json;
+    health.WriteJson(health_json);
+    out.health = health_json.str();
+    std::ostringstream qoe_json;
+    qoe.WriteJson(qoe_json);
+    out.qoe = qoe_json.str();
+    std::ostringstream flight_json;
+    flight.WriteJson(flight_json);
+    out.flight = flight_json.str();
+    return out;
+  }
+};
+
+RunOutput RunMulti(MultiCellConfig multi, TelemetryServer* telemetry) {
+  Sinks sinks;
+  multi.metrics = &sinks.registry;
+  multi.bai_trace = &sinks.trace;
+  multi.span_trace = &sinks.spans;
+  multi.health = &sinks.health;
+  multi.qoe = &sinks.qoe;
+  multi.flight = &sinks.flight;
   multi.telemetry = telemetry;
-  // Publish at (virtually) every epoch barrier so the telemetry path is
+  // Publish after (virtually) every BAI slice so the telemetry path is
   // genuinely hot during the comparison run.
   multi.telemetry_interval_ms = 1.0;
-
   RunMultiCellScenario(multi);
+  return sinks.Render();
+}
 
-  RunOutput out;
-  std::ostringstream csv;
-  trace.WriteCsv(csv);
-  out.csv = csv.str();
-  std::ostringstream json;
-  trace.WriteJson(json, &registry, nullptr, &qoe);
-  out.json = json.str();
-  std::ostringstream span_json;
-  spans.WriteJson(span_json);
-  out.spans = span_json.str();
-  std::ostringstream health_json;
-  health.WriteJson(health_json);
-  out.health = health_json.str();
-  std::ostringstream qoe_json;
-  qoe.WriteJson(qoe_json);
-  out.qoe = qoe_json.str();
-  std::ostringstream flight_json;
-  flight.WriteJson(flight_json);
-  out.flight = flight_json.str();
-  return out;
+RunOutput RunSingle(TelemetryServer* telemetry) {
+  ScenarioConfig config = TestbedPreset(Scheme::kFlare);
+  config.duration_s = 20.0;
+  config.seed = 7;
+  config.oneapi.deterministic_timing = true;
+  Sinks sinks;
+  config.metrics = &sinks.registry;
+  config.bai_trace = &sinks.trace;
+  config.span_trace = &sinks.spans;
+  config.health = &sinks.health;
+  config.qoe = &sinks.qoe;
+  config.flight = &sinks.flight;
+  config.telemetry = telemetry;
+  config.telemetry_interval_ms = 1.0;
+  RunScenario(config);
+  return sinks.Render();
+}
+
+/// Live adversarial load while a run executes: scrapes /metrics and
+/// /healthz and tails /events in a loop, at least once, until destroyed.
+class LiveScraper {
+ public:
+  explicit LiveScraper(std::uint16_t port)
+      : thread_([this, port] {
+          HttpTail tail;
+          tail.Open(kHost, port, "/events", 2000);
+          std::string chunk;
+          do {
+            HttpResponse r;
+            HttpGet(kHost, port, "/metrics", &r, 2000);
+            HttpGet(kHost, port, "/healthz", &r, 2000);
+            tail.NextChunk(&chunk, 10);
+          } while (!stop_.load());
+          tail.Close();
+        }) {}
+  ~LiveScraper() {
+    stop_.store(true);
+    thread_.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+void ExpectSameBytes(const RunOutput& off, const RunOutput& on,
+                     const std::string& what) {
+  EXPECT_EQ(off.csv, on.csv) << what;
+  EXPECT_EQ(off.json, on.json) << what;
+  EXPECT_EQ(off.spans, on.spans) << what;
+  EXPECT_EQ(off.health, on.health) << what;
+  EXPECT_EQ(off.qoe, on.qoe) << what;
+  EXPECT_EQ(off.flight, on.flight) << what;
 }
 
 TEST(TelemetryDeterminism, RunBytesIdenticalWithTelemetryOnAndScraped) {
@@ -771,34 +832,92 @@ TEST(TelemetryDeterminism, RunBytesIdenticalWithTelemetryOnAndScraped) {
   for (const int workers : {0, 2}) {
     TelemetryServer server;
     ASSERT_TRUE(server.Start());
-    // Live adversarial load while the run executes: scrape both endpoints
-    // in a loop and tail /events — none of it may perturb run bytes.
-    std::atomic<bool> stop{false};
-    std::thread scraper([&] {
-      HttpTail tail;
-      tail.Open(kHost, server.port(), "/events", 2000);
-      std::string chunk;
-      while (!stop.load()) {
-        HttpResponse r;
-        HttpGet(kHost, server.port(), "/metrics", &r, 2000);
-        HttpGet(kHost, server.port(), "/healthz", &r, 2000);
-        tail.NextChunk(&chunk, 10);
-      }
-      tail.Close();
-    });
-    const RunOutput on = RunMulti(TelemetryHarnessConfig(workers), &server);
-    stop.store(true);
-    scraper.join();
+    RunOutput on;
+    {
+      const LiveScraper scraper(server.port());
+      on = RunMulti(TelemetryHarnessConfig(workers), &server);
+    }
     EXPECT_GT(server.scrapes(), 0u) << "workers=" << workers;
     server.Stop();
-
-    EXPECT_EQ(off.csv, on.csv) << "workers=" << workers;
-    EXPECT_EQ(off.json, on.json) << "workers=" << workers;
-    EXPECT_EQ(off.spans, on.spans) << "workers=" << workers;
-    EXPECT_EQ(off.health, on.health) << "workers=" << workers;
-    EXPECT_EQ(off.qoe, on.qoe) << "workers=" << workers;
-    EXPECT_EQ(off.flight, on.flight) << "workers=" << workers;
+    ExpectSameBytes(off, on, "workers=" + std::to_string(workers));
   }
+}
+
+TEST(TelemetryDeterminism, SingleCellRunBytesIdenticalWithTelemetryOn) {
+  // Publishing must add no simulator event: sim.events and
+  // sim.queue_depth in the metrics JSON match the telemetry-off run.
+  const RunOutput off = RunSingle(nullptr);
+  ASSERT_NE(off.json.find("sim.events"), std::string::npos);
+  TelemetryServer server;
+  ASSERT_TRUE(server.Start());
+  RunOutput on;
+  {
+    const LiveScraper scraper(server.port());
+    on = RunSingle(&server);
+  }
+  EXPECT_GT(server.scrapes(), 0u);
+  server.Stop();
+  ExpectSameBytes(off, on, "single cell");
+}
+
+TEST(TelemetryLive, MultiCellSnapshotsCarryEveryCellsClock) {
+  // Cells publish from their own jobs; every served snapshot still has a
+  // clock per cell, and the run's clock (the slowest cell's) never goes
+  // back between scrapes.
+  MultiCellConfig multi = TelemetryHarnessConfig(/*workers=*/2);
+  multi.cell.duration_s = 60.0;
+  multi.telemetry_interval_ms = 1.0;
+  TelemetryServer server;
+  ASSERT_TRUE(server.Start());
+  multi.telemetry = &server;
+
+  struct Scrape {
+    double run_s = 0.0;
+    std::map<std::string, double> cell_s;  // by cell label
+  };
+  std::vector<Scrape> scrapes;
+  std::atomic<bool> stop{false};
+  std::thread scraper([&] {
+    while (!stop.load()) {
+      HttpResponse r;
+      std::vector<PromSample> samples;
+      std::string error;
+      if (!HttpGet(kHost, server.port(), "/metrics", &r, 2000) ||
+          !ParsePrometheusText(r.body, &samples, &error)) {
+        continue;
+      }
+      Scrape scrape;
+      bool published = false;
+      for (const PromSample& sample : samples) {
+        if (sample.name != "flare_telemetry_sim_time_s") continue;
+        const auto cell = sample.labels.find("cell");
+        if (cell == sample.labels.end()) {
+          scrape.run_s = sample.value;
+          published = true;
+        } else {
+          scrape.cell_s[cell->second] = sample.value;
+        }
+      }
+      if (published) scrapes.push_back(std::move(scrape));
+    }
+  });
+  RunMultiCellScenario(multi);
+  stop.store(true);
+  scraper.join();
+  server.Stop();
+
+  ASSERT_FALSE(scrapes.empty());
+  int mid_run = 0;
+  double last_run_s = 0.0;
+  for (const Scrape& scrape : scrapes) {
+    EXPECT_EQ(scrape.cell_s.size(), static_cast<std::size_t>(multi.n_cells));
+    EXPECT_GE(scrape.run_s, last_run_s);
+    last_run_s = scrape.run_s;
+    for (const auto& [cell, t] : scrape.cell_s) {
+      if (t > 0.0 && t < multi.cell.duration_s) ++mid_run;
+    }
+  }
+  EXPECT_GT(mid_run, 0) << scrapes.size() << " scrapes";
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // ThreadPool contract tests (FIFO dispatch, batch reuse, exception
-// safety, clean teardown) plus the persistent-worker parallel runner's
-// contract (barrier timing, fixed partitions, error propagation) and a
-// runtime-cost smoke check: running 8 workers on the 8-cell determinism
-// scenario must stay within 15% of the serial wall clock even on a
-// single-core machine — the "parallel mode is never pure overhead"
-// guarantee that bench_fig9_scaling gates in CI.
+// safety, clean teardown) plus a runtime-cost smoke check of the
+// multi-cell runtime built on it: running 8 workers on the 8-cell
+// determinism scenario must stay within 15% of the serial wall clock
+// even on a single-core machine — the "parallel mode is never pure
+// overhead" guarantee that bench_fig9_scaling gates in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "scenario/multi_cell.h"
-#include "sim/parallel_runner.h"
 #include "util/thread_pool.h"
 
 namespace flare {
@@ -84,56 +82,6 @@ TEST(ThreadPool, DestructsCleanlyWithIdleWorkers) {
   EXPECT_EQ(pool.size(), 8);
 }
 
-TEST(ParallelRunner, BarrierHookSeesEveryDomainAtTheEpochEnd) {
-  // The hook runs on the coordinator once per epoch, after every worker
-  // has advanced its partition to the epoch end; the last epoch is cut
-  // short at the horizon.
-  ParallelRunner::Options options;
-  options.workers = 2;
-  options.epoch = kSecond;
-  ParallelRunner runner(options);
-  std::atomic<int> ticks{0};
-  for (int d = 0; d < 3; ++d) {
-    runner.AddDomain().sim().Every(kSecond / 4, kSecond,
-                                   [&ticks] { ticks.fetch_add(1); });
-  }
-  std::vector<SimTime> barriers;
-  runner.SetBarrierHook([&](SimTime now) {
-    barriers.push_back(now);
-    for (std::size_t d = 0; d < runner.NumDomains(); ++d) {
-      EXPECT_EQ(runner.domain(d).sim().Now(), now) << "domain " << d;
-    }
-  });
-  runner.RunUntil(5 * kSecond / 2);
-  EXPECT_EQ(barriers,
-            (std::vector<SimTime>{kSecond, 2 * kSecond, 5 * kSecond / 2}));
-  EXPECT_EQ(runner.epochs(), 3u);
-  EXPECT_EQ(ticks.load(), 3 * 3);  // ticks at 0.25s, 1.25s, 2.25s
-}
-
-TEST(ParallelRunner, AddDomainAfterRunThrows) {
-  // The workers and their static partitions are fixed at the first run.
-  ParallelRunner::Options options;
-  options.workers = 3;
-  ParallelRunner runner(options);
-  runner.AddDomain();
-  runner.AddDomain();
-  runner.RunUntil(2 * kSecond);
-  EXPECT_THROW(runner.AddDomain(), std::logic_error);
-  EXPECT_EQ(runner.NumDomains(), 2u);
-}
-
-TEST(ParallelRunner, ThrowingDomainEventPropagatesWithoutHanging) {
-  ParallelRunner::Options options;
-  options.workers = 2;
-  ParallelRunner runner(options);
-  EventDomain& a = runner.AddDomain();
-  runner.AddDomain();
-  a.sim().At(kSecond / 2,
-             [] { throw std::runtime_error("domain event failed"); });
-  EXPECT_THROW(runner.RunUntil(2 * kSecond), std::runtime_error);
-}
-
 /// The 8-cell determinism scenario (the churn harness of
 /// tests/determinism_test.cpp, shortened): 8 worker threads must cost at
 /// most 15% wall clock over serial, regardless of how many hardware
@@ -171,10 +119,10 @@ double MinWallMs(int workers, int reps) {
 #endif
 #endif
 
-TEST(ParallelRunner, EightWorkerOverheadStaysUnderFifteenPercent) {
+TEST(MultiCell, EightWorkerOverheadStaysUnderFifteenPercent) {
 #ifdef FLARE_TSAN
   GTEST_SKIP() << "wall-clock bound is meaningless under TSan "
-                  "instrumentation; the suite still runs the runner's "
+                  "instrumentation; the suite still runs the pool's "
                   "synchronization under TSan via the other tests";
 #endif
   const double serial_ms = MinWallMs(/*workers=*/0, /*reps=*/3);

@@ -3,7 +3,7 @@
 // Polls GET /metrics and GET /healthz on a scenario_runner / bench
 // started with telemetry_port=N and renders a refreshing per-cell table
 // (sessions, mean bitrate, QoE, Jain fairness, stalls, blocking %) plus
-// run-level progress, epoch rate and barrier-wait tail. `--once` renders
+// run-level progress and rates. `--once` renders
 // a single frame; `--json` emits the machine-readable snapshot instead
 // (the CI smoke job runs `flare_top port=... --once --json`).
 #include <unistd.h>

@@ -179,13 +179,7 @@ TopSnapshot BuildTopSnapshot(const std::vector<PromSample>& samples,
       }
       continue;
     }
-    if (s.name == "flare_runner_barrier_wait_ms_quantile") {
-      const auto q = s.labels.find("quantile");
-      if (q != s.labels.end() && q->second == "0.99") {
-        snap.have_barrier_wait = true;
-        snap.barrier_wait_p99_ms = s.value;
-      }
-    } else if (s.name == "flare_telemetry_events_published_total") {
+    if (s.name == "flare_telemetry_events_published_total") {
       snap.events_published = s.value;
     } else if (s.name == "flare_telemetry_events_dropped_total") {
       snap.events_dropped = s.value;
@@ -245,16 +239,10 @@ std::string RenderTopTable(const TopSnapshot& snap) {
   out += line;
   std::snprintf(line, sizeof(line),
                 "warnings %.0f   events published %.0f / dropped %.0f   "
-                "scrapes %.0f",
+                "scrapes %.0f\n\n",
                 snap.warnings, snap.events_published, snap.events_dropped,
                 snap.scrapes);
   out += line;
-  if (snap.have_barrier_wait) {
-    std::snprintf(line, sizeof(line), "   barrier p99 %.3f ms",
-                  snap.barrier_wait_p99_ms);
-    out += line;
-  }
-  out += "\n\n";
   out +=
       "cell  sessions  played    Mbps     QoE    Jain  stalls  block%  "
       "health\n";
@@ -296,12 +284,8 @@ std::string RenderTopJson(const TopSnapshot& snap) {
       << ", \"warnings\": " << JsonNumber(snap.warnings)
       << ", \"events_published\": " << JsonNumber(snap.events_published)
       << ", \"events_dropped\": " << JsonNumber(snap.events_dropped)
-      << ", \"scrapes\": " << JsonNumber(snap.scrapes);
-  if (snap.have_barrier_wait) {
-    out << ", \"barrier_wait_p99_ms\": "
-        << JsonNumber(snap.barrier_wait_p99_ms);
-  }
-  out << ", \"cell_rows\": [";
+      << ", \"scrapes\": " << JsonNumber(snap.scrapes)
+      << ", \"cell_rows\": [";
   for (std::size_t i = 0; i < snap.rows.size(); ++i) {
     const CellRow& r = snap.rows[i];
     if (i > 0) out << ", ";

@@ -46,7 +46,7 @@ struct CellRow {
   bool healthy = true;
 };
 
-/// Everything one refresh shows: run header from /healthz, runner and
+/// Everything one refresh shows: run header from /healthz,
 /// telemetry-plane scalars plus per-cell rows from /metrics.
 struct TopSnapshot {
   // --- /healthz.
@@ -63,8 +63,6 @@ struct TopSnapshot {
   int workers = 0;
   double warnings = 0.0;
   // --- /metrics.
-  bool have_barrier_wait = false;
-  double barrier_wait_p99_ms = 0.0;
   double events_published = 0.0;
   double events_dropped = 0.0;
   double scrapes = 0.0;

@@ -1,13 +1,13 @@
 #include "net/messages.h"
 
+#include <array>
+#include <cassert>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,49 +17,94 @@ namespace flare {
 namespace {
 
 // key=value fields separated by ';'. Values never contain ';' or '='
-// (numbers and comma-joined number lists only). Integer ids and levels are
-// written in full: "%.6g" would round a flow id above 999999, and
-// kInvalidFlow past the FlowId range.
-using Fields = std::map<std::string, std::string>;
+// (numbers and comma-joined number lists only). Keys are written in sorted
+// order. Integer ids and levels are written in full: "%.6g" would round a
+// flow id above 999999, and kInvalidFlow past the FlowId range.
 
-std::string Join(const Fields& fields) {
-  std::ostringstream out;
-  bool first = true;
-  for (const auto& [key, value] : fields) {
-    if (!first) out << ';';
-    out << key << '=' << value;
-    first = false;
+/// Calls `token(text)` for each `sep`-separated token of `text`; a single
+/// trailing separator ends the text, as it ends a std::getline loop. Stops
+/// and returns false at the first token `token` rejects.
+template <typename Token>
+bool ForEachToken(std::string_view text, char sep, Token token) {
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t end = text.find(sep, pos);
+    if (end == std::string_view::npos) end = text.size();
+    if (!token(text.substr(pos, end - pos))) return false;
+    pos = end + 1;
   }
-  return out.str();
+  return true;
 }
 
-std::optional<Fields> Split(const std::string& wire) {
-  Fields fields;
-  std::istringstream in(wire);
-  std::string token;
-  while (std::getline(in, token, ';')) {
-    const auto eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) return std::nullopt;
-    fields[token.substr(0, eq)] = token.substr(eq + 1);
+/// The values of the keys one decoder reads, found in one pass over the
+/// wire with no copies. Every token needs a '=' after a non-empty key, the
+/// value runs to the token's end, the last occurrence of a key wins, and
+/// a wire with no token is malformed. Keys the decoder does not read are
+/// checked and skipped.
+class Fields {
+ public:
+  Fields(std::string_view wire, std::initializer_list<std::string_view> keys)
+      : count_(keys.size()) {
+    assert(keys.size() <= kMaxKeys);
+    std::size_t i = 0;
+    for (const std::string_view key : keys) keys_[i++] = key;
+    ok_ = !wire.empty() &&
+          ForEachToken(wire, ';', [this](std::string_view token) {
+            const std::size_t eq = token.find('=');
+            if (eq == std::string_view::npos || eq == 0) return false;
+            const std::string_view key = token.substr(0, eq);
+            for (std::size_t k = 0; k < count_; ++k) {
+              if (keys_[k] == key) values_[k] = token.substr(eq + 1);
+            }
+            return true;
+          });
   }
-  if (fields.empty()) return std::nullopt;
-  return fields;
+
+  bool ok() const { return ok_; }
+  /// The value of `key`, which must be one of the constructor's keys.
+  std::optional<std::string_view> Get(std::string_view key) const {
+    for (std::size_t k = 0; k < count_; ++k) {
+      if (keys_[k] == key) return values_[k];
+    }
+    assert(false && "key not declared");
+    return std::nullopt;
+  }
+  bool Has(std::string_view key) const { return Get(key).has_value(); }
+  bool Is(std::string_view key, std::string_view value) const {
+    const auto found = Get(key);
+    return found && *found == value;
+  }
+
+ private:
+  static constexpr std::size_t kMaxKeys = 8;
+  std::size_t count_;
+  std::array<std::string_view, kMaxKeys> keys_;
+  std::array<std::optional<std::string_view>, kMaxKeys> values_;
+  bool ok_ = false;
+};
+
+/// A whole token as a finite double, through strtod.
+std::optional<double> ParseNumber(std::string_view text) {
+  return WithCString(text, [](const char* c_str) -> std::optional<double> {
+    char* end = nullptr;
+    const double value = std::strtod(c_str, &end);
+    if (end == c_str || *end != '\0') return std::nullopt;
+    // strtod accepts "nan" and "inf"; no field of this protocol carries
+    // them.
+    if (!std::isfinite(value)) return std::nullopt;
+    return value;
+  });
 }
 
-std::optional<double> Number(const Fields& fields, const std::string& key) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return std::nullopt;
-  char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') return std::nullopt;
-  // strtod accepts "nan" and "inf"; no field of this protocol carries them.
-  if (!std::isfinite(value)) return std::nullopt;
-  return value;
+std::optional<double> Number(const Fields& fields, std::string_view key) {
+  const auto value = fields.Get(key);
+  if (!value) return std::nullopt;
+  return ParseNumber(*value);
 }
 
 /// An integral number inside Int's range, so the conversion is defined.
 template <typename Int>
-std::optional<Int> Integer(const Fields& fields, const std::string& key) {
+std::optional<Int> Integer(const Fields& fields, std::string_view key) {
   const auto value = Number(fields, key);
   if (!value || *value != std::trunc(*value)) return std::nullopt;
   // Both bounds are exact doubles: lowest() is 0 or -2^k, and max() + 1 is
@@ -73,68 +118,82 @@ std::optional<Int> Integer(const Fields& fields, const std::string& key) {
 }
 
 std::optional<std::vector<double>> NumberList(const Fields& fields,
-                                              const std::string& key) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return std::nullopt;
+                                              std::string_view key) {
+  const auto list = fields.Get(key);
+  if (!list) return std::nullopt;
   std::vector<double> values;
-  std::istringstream in(it->second);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0' || !std::isfinite(value)) {
-      return std::nullopt;
-    }
-    values.push_back(value);
-  }
-  if (values.empty()) return std::nullopt;
+  const bool ok = ForEachToken(*list, ',', [&values](std::string_view token) {
+    const auto value = ParseNumber(token);
+    if (value) values.push_back(*value);
+    return value.has_value();
+  });
+  if (!ok || values.empty()) return std::nullopt;
   return values;
 }
+
+/// Writes "key=value" pairs joined by ';' onto the end of `out`.
+class FieldWriter {
+ public:
+  explicit FieldWriter(std::string* out) : out_(out) {}
+  std::string& Key(const char* key) {
+    if (!first_) out_->push_back(';');
+    first_ = false;
+    out_->append(key);
+    out_->push_back('=');
+    return *out_;
+  }
+  template <typename Int>
+  void Integer(const char* key, Int value) {
+    char buf[24];
+    Key(key).append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+  }
+  void Number(const char* key, double value) { AppendNumber(value, &Key(key)); }
+  void Text(const char* key, const char* value) { Key(key).append(value); }
+
+ private:
+  std::string* out_;
+  bool first_ = true;
+};
 
 }  // namespace
 
 std::string EncodeClientInfo(const ClientInfo& info) {
-  Fields fields;
-  fields["type"] = "client_info";
-  fields["flow"] = std::to_string(info.flow);
-  std::ostringstream ladder;
+  std::string out;
+  FieldWriter fields(&out);
+  if (info.utility) fields.Number("beta", info.utility->beta);
+  fields.Integer("flow", info.flow);
+  std::string& ladder = fields.Key("ladder");
   for (std::size_t i = 0; i < info.ladder_bps.size(); ++i) {
-    if (i > 0) ladder << ',';
-    ladder << FormatNumber(info.ladder_bps[i]);
+    if (i > 0) ladder.push_back(',');
+    AppendNumber(info.ladder_bps[i], &ladder);
   }
-  fields["ladder"] = ladder.str();
-  if (info.max_level) fields["max_level"] = std::to_string(*info.max_level);
-  if (info.utility) {
-    fields["beta"] = FormatNumber(info.utility->beta);
-    fields["theta"] = FormatNumber(info.utility->theta_bps);
-  }
-  if (info.skimming) fields["skimming"] = "1";
-  return Join(fields);
+  if (info.max_level) fields.Integer("max_level", *info.max_level);
+  if (info.skimming) fields.Text("skimming", "1");
+  if (info.utility) fields.Number("theta", info.utility->theta_bps);
+  fields.Text("type", "client_info");
+  return out;
 }
 
-std::optional<ClientInfo> DecodeClientInfo(const std::string& wire) {
-  const auto fields = Split(wire);
-  if (!fields || fields->count("type") == 0 ||
-      fields->at("type") != "client_info") {
-    return std::nullopt;
-  }
-  const auto flow = Integer<FlowId>(*fields, "flow");
-  const auto ladder = NumberList(*fields, "ladder");
+std::optional<ClientInfo> DecodeClientInfo(std::string_view wire) {
+  const Fields fields(wire, {"beta", "flow", "ladder", "max_level",
+                             "skimming", "theta", "type"});
+  if (!fields.ok() || !fields.Is("type", "client_info")) return std::nullopt;
+  const auto flow = Integer<FlowId>(fields, "flow");
+  auto ladder = NumberList(fields, "ladder");
   if (!flow || !ladder) return std::nullopt;
 
   ClientInfo info;
   info.flow = *flow;
-  info.ladder_bps = *ladder;
-  if (fields->count("max_level") > 0) {
-    const auto max_level = Integer<int>(*fields, "max_level");
+  info.ladder_bps = std::move(*ladder);
+  if (fields.Has("max_level")) {
+    const auto max_level = Integer<int>(fields, "max_level");
     if (!max_level) return std::nullopt;
     info.max_level = *max_level;
   }
-  const auto beta = Number(*fields, "beta");
-  const auto theta = Number(*fields, "theta");
+  const auto beta = Number(fields, "beta");
+  const auto theta = Number(fields, "theta");
   // A disclosed field that does not parse is malformed, not absent.
-  if ((!beta && fields->count("beta") > 0) ||
-      (!theta && fields->count("theta") > 0)) {
+  if ((!beta && fields.Has("beta")) || (!theta && fields.Has("theta"))) {
     return std::nullopt;
   }
   if (beta && theta) {
@@ -143,28 +202,17 @@ std::optional<ClientInfo> DecodeClientInfo(const std::string& wire) {
     utility.theta_bps = *theta;
     info.utility = utility;
   }
-  info.skimming = fields->count("skimming") > 0 &&
-                  fields->at("skimming") == "1";
+  info.skimming = fields.Is("skimming", "1");
   return info;
 }
 
 void AppendRateAssignment(const RateAssignmentMsg& msg, std::string* out) {
-  // Join's key order, written directly; rates in FormatNumber's "%.6g".
-  char buf[32];
-  const auto integer = [&](const char* key, auto value) {
-    out->append(key);
-    out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
-  };
-  const auto number = [&](const char* key, double value) {
-    out->append(key);
-    out->append(buf, static_cast<std::size_t>(
-                         std::snprintf(buf, sizeof(buf), "%.6g", value)));
-  };
-  integer("flow=", msg.flow);
-  number(";gbr=", msg.gbr_bps);
-  integer(";level=", msg.level);
-  number(";rate=", msg.rate_bps);
-  out->append(";type=rate_assignment");
+  FieldWriter fields(out);
+  fields.Integer("flow", msg.flow);
+  fields.Number("gbr", msg.gbr_bps);
+  fields.Integer("level", msg.level);
+  fields.Number("rate", msg.rate_bps);
+  fields.Text("type", "rate_assignment");
 }
 
 std::string EncodeRateAssignment(const RateAssignmentMsg& msg) {
@@ -173,17 +221,15 @@ std::string EncodeRateAssignment(const RateAssignmentMsg& msg) {
   return out;
 }
 
-std::optional<RateAssignmentMsg> DecodeRateAssignment(
-    const std::string& wire) {
-  const auto fields = Split(wire);
-  if (!fields || fields->count("type") == 0 ||
-      fields->at("type") != "rate_assignment") {
+std::optional<RateAssignmentMsg> DecodeRateAssignment(std::string_view wire) {
+  const Fields fields(wire, {"flow", "gbr", "level", "rate", "type"});
+  if (!fields.ok() || !fields.Is("type", "rate_assignment")) {
     return std::nullopt;
   }
-  const auto flow = Integer<FlowId>(*fields, "flow");
-  const auto level = Integer<int>(*fields, "level");
-  const auto rate = Number(*fields, "rate");
-  const auto gbr = Number(*fields, "gbr");
+  const auto flow = Integer<FlowId>(fields, "flow");
+  const auto level = Integer<int>(fields, "level");
+  const auto rate = Number(fields, "rate");
+  const auto gbr = Number(fields, "gbr");
   if (!flow || !level || !rate || !gbr) return std::nullopt;
   RateAssignmentMsg msg;
   msg.flow = *flow;
@@ -194,31 +240,32 @@ std::optional<RateAssignmentMsg> DecodeRateAssignment(
 }
 
 std::string EncodeStatsReport(const FlowStatsReport& report) {
-  Fields fields;
-  fields["type"] = "stats_report";
-  fields["flow"] = std::to_string(report.flow);
-  fields["class"] = report.type == FlowType::kVideo ? "video" : "data";
-  fields["tx_bytes"] = FormatNumber(static_cast<double>(report.tx_bytes));
-  fields["rbs"] = FormatNumber(static_cast<double>(report.rbs));
-  fields["tput"] = FormatNumber(report.throughput_bps);
-  fields["rb_util"] = FormatNumber(report.rb_utilization);
-  return Join(fields);
+  std::string out;
+  FieldWriter fields(&out);
+  fields.Text("class", report.type == FlowType::kVideo ? "video" : "data");
+  fields.Integer("flow", report.flow);
+  fields.Number("rb_util", report.rb_utilization);
+  fields.Number("rbs", static_cast<double>(report.rbs));
+  fields.Number("tput", report.throughput_bps);
+  fields.Number("tx_bytes", static_cast<double>(report.tx_bytes));
+  fields.Text("type", "stats_report");
+  return out;
 }
 
-std::optional<FlowStatsReport> DecodeStatsReport(const std::string& wire) {
-  const auto fields = Split(wire);
-  if (!fields || fields->count("type") == 0 ||
-      fields->at("type") != "stats_report" ||
-      fields->count("class") == 0) {
+std::optional<FlowStatsReport> DecodeStatsReport(std::string_view wire) {
+  const Fields fields(wire, {"class", "flow", "rb_util", "rbs", "tput",
+                             "tx_bytes", "type"});
+  if (!fields.ok() || !fields.Is("type", "stats_report") ||
+      !fields.Has("class")) {
     return std::nullopt;
   }
-  const auto flow = Integer<FlowId>(*fields, "flow");
-  const auto tx_bytes = Integer<std::uint64_t>(*fields, "tx_bytes");
-  const auto rbs = Integer<std::uint64_t>(*fields, "rbs");
-  const auto tput = Number(*fields, "tput");
-  const auto rb_util = Number(*fields, "rb_util");
+  const auto flow = Integer<FlowId>(fields, "flow");
+  const auto tx_bytes = Integer<std::uint64_t>(fields, "tx_bytes");
+  const auto rbs = Integer<std::uint64_t>(fields, "rbs");
+  const auto tput = Number(fields, "tput");
+  const auto rb_util = Number(fields, "rb_util");
   if (!flow || !tx_bytes || !rbs || !tput || !rb_util) return std::nullopt;
-  const std::string& cls = fields->at("class");
+  const std::string_view cls = *fields.Get("class");
   if (cls != "video" && cls != "data") return std::nullopt;
 
   FlowStatsReport report;

@@ -8,12 +8,14 @@
 // This module provides a compact key=value line codec for them (the
 // paper leaves the concrete protocol to future standardization; any
 // self-describing encoding exercises the same path). Encoding is strict:
-// Decode* returns nullopt on malformed input rather than guessing.
+// Decode* returns nullopt on malformed input rather than guessing. Decoding
+// reads the wire in place: no map, no stream, no per-field copy.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "lte/types.h"
 #include "net/flare_plugin.h"
@@ -44,7 +46,7 @@ struct RateAssignmentMsg {
 };
 
 std::string EncodeClientInfo(const ClientInfo& info);
-std::optional<ClientInfo> DecodeClientInfo(const std::string& wire);
+std::optional<ClientInfo> DecodeClientInfo(std::string_view wire);
 
 /// Append the RateAssignment encoding to `out` with no temporary string:
 /// "flow=<id>;gbr=<%.6g>;level=<n>;rate=<%.6g>;type=rate_assignment", keys
@@ -52,10 +54,9 @@ std::optional<ClientInfo> DecodeClientInfo(const std::string& wire);
 /// bytes as a new string.
 void AppendRateAssignment(const RateAssignmentMsg& msg, std::string* out);
 std::string EncodeRateAssignment(const RateAssignmentMsg& msg);
-std::optional<RateAssignmentMsg> DecodeRateAssignment(
-    const std::string& wire);
+std::optional<RateAssignmentMsg> DecodeRateAssignment(std::string_view wire);
 
 std::string EncodeStatsReport(const FlowStatsReport& report);
-std::optional<FlowStatsReport> DecodeStatsReport(const std::string& wire);
+std::optional<FlowStatsReport> DecodeStatsReport(std::string_view wire);
 
 }  // namespace flare

@@ -1,11 +1,12 @@
 #include "svc/frame.h"
 
+#include <array>
 #include <cassert>
-#include <cstdio>
+#include <cerrno>
+#include <charconv>
 #include <cstdlib>
-#include <cstring>
-#include <map>
-#include <sstream>
+
+#include "util/csv.h"
 
 namespace flare {
 namespace {
@@ -17,43 +18,44 @@ bool KnownType(std::uint8_t raw) {
          raw <= static_cast<std::uint8_t>(FrameType::kOverload);
 }
 
-// Minimal key=value;key=value split matching the net/messages.h grammar:
-// strict, no empty fields, no empty keys. Returns false on malformed input.
-bool SplitFields(const std::string& payload,
-                 std::map<std::string, std::string>* out) {
-  out->clear();
+// The welcome/overload payload grammar: ';'-separated key=value fields,
+// strict — no empty field (so no trailing ';'), no empty key — and the
+// last occurrence of a key wins. An empty payload has no field. Fills
+// values[i] with the value of keys[i], when present; false on malformed
+// input.
+template <std::size_t N>
+bool SplitFields(std::string_view payload,
+                 const std::array<std::string_view, N>& keys,
+                 std::array<std::optional<std::string_view>, N>* values) {
   if (payload.empty()) return true;
   std::size_t start = 0;
-  while (start <= payload.size()) {
+  for (;;) {
     std::size_t end = payload.find(';', start);
-    if (end == std::string::npos) end = payload.size();
-    std::string field = payload.substr(start, end - start);
-    std::size_t eq = field.find('=');
-    if (field.empty() || eq == std::string::npos || eq == 0) return false;
-    (*out)[field.substr(0, eq)] = field.substr(eq + 1);
+    if (end == std::string_view::npos) end = payload.size();
+    const std::string_view field = payload.substr(start, end - start);
+    const std::size_t eq = field.find('=');
+    if (eq == std::string_view::npos || eq == 0) return false;
+    for (std::size_t k = 0; k < N; ++k) {
+      if (keys[k] == field.substr(0, eq)) (*values)[k] = field.substr(eq + 1);
+    }
+    if (end == payload.size()) return true;
     start = end + 1;
-    if (end == payload.size()) break;
   }
-  return true;
 }
 
-std::string FormatDouble(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-bool ParseI64(const std::string& text, std::int64_t* out) {
+bool ParseI64(std::string_view text, std::int64_t* out) {
   if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = static_cast<std::int64_t>(value);
-  return true;
+  return WithCString(text, [out](const char* c_str) {
+    errno = 0;
+    char* end = nullptr;
+    const long long value = std::strtoll(c_str, &end, 10);
+    if (errno != 0 || end == c_str || *end != '\0') return false;
+    *out = static_cast<std::int64_t>(value);
+    return true;
+  });
 }
 
-bool ParseHex64(const std::string& text, std::uint64_t* out) {
+bool ParseHex64(std::string_view text, std::uint64_t* out) {
   if (text.empty() || text.size() > 16) return false;
   std::uint64_t value = 0;
   for (char c : text) {
@@ -68,20 +70,25 @@ bool ParseHex64(const std::string& text, std::uint64_t* out) {
   return true;
 }
 
+void AppendInteger(std::int64_t value, std::string* out) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
 void AppendTraceTrailer(const TraceContext& trace, std::string* out) {
-  char id[17];
-  std::snprintf(id, sizeof(id), "%016llx",
-                static_cast<unsigned long long>(trace.trace_id));
+  static constexpr char kHex[] = "0123456789abcdef";
   out->push_back('\0');
   out->append("trace=");
-  out->append(id);
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    out->push_back(kHex[(trace.trace_id >> shift) & 0xf]);
+  }
   out->append(";ts=");
-  out->append(std::to_string(trace.client_send_us));
+  AppendInteger(trace.client_send_us, out);
   if (trace.server_recv_us != 0 || trace.server_send_us != 0) {
     out->append(";srx=");
-    out->append(std::to_string(trace.server_recv_us));
+    AppendInteger(trace.server_recv_us, out);
     out->append(";stx=");
-    out->append(std::to_string(trace.server_send_us));
+    AppendInteger(trace.server_send_us, out);
   }
 }
 
@@ -90,27 +97,28 @@ void AppendTraceTrailer(const TraceContext& trace, std::string* out) {
 // a protocol violation, same as a mangled length. Everything else
 // (unknown keys, field syntax noise, bytes past a second '\0') is the
 // forward-compatibility surface: tolerated and flagged.
-bool ParseTraceExt(std::string ext, TraceContext* trace, bool* unknown_ext) {
+bool ParseTraceExt(std::string_view ext, TraceContext* trace,
+                   bool* unknown_ext) {
   const std::size_t nul = ext.find('\0');
-  if (nul != std::string::npos) {
-    ext.resize(nul);
+  if (nul != std::string_view::npos) {
+    ext = ext.substr(0, nul);
     *unknown_ext = true;
   }
   bool have_trace = false;
   std::size_t start = 0;
   while (start <= ext.size()) {
     std::size_t end = ext.find(';', start);
-    if (end == std::string::npos) end = ext.size();
-    const std::string field = ext.substr(start, end - start);
+    if (end == std::string_view::npos) end = ext.size();
+    const std::string_view field = ext.substr(start, end - start);
     const std::size_t eq = field.find('=');
-    if (field.empty() || eq == std::string::npos || eq == 0) {
+    if (field.empty() || eq == std::string_view::npos || eq == 0) {
       if (!field.empty()) *unknown_ext = true;
       start = end + 1;
       if (end == ext.size()) break;
       continue;
     }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
+    const std::string_view key = field.substr(0, eq);
+    const std::string_view value = field.substr(eq + 1);
     if (key == "trace") {
       if (!ParseHex64(value, &trace->trace_id)) return false;
       have_trace = true;
@@ -195,23 +203,21 @@ FrameParseStatus ParseFrame(std::string* buffer, Frame* out) {
   out->type = static_cast<FrameType>(base_type);
   out->trace.reset();
   out->unknown_ext = false;
-  std::string body(*buffer, kHeaderBytes + 1, length - 1);
-  if (!has_ext) {
-    // Legacy frame: the payload is handed to the strict text codec
-    // verbatim, so trailing bytes stay rejected exactly as before the
-    // extension existed.
-    out->payload = std::move(body);
-  } else {
+  std::string_view body(buffer->data() + kHeaderBytes + 1, length - 1);
+  if (has_ext) {
+    // Legacy frames skip this: their payload goes to the strict text
+    // codec verbatim, so trailing bytes stay rejected exactly as before
+    // the extension existed.
     const std::size_t nul = body.find('\0');
-    if (nul == std::string::npos) return FrameParseStatus::kError;
+    if (nul == std::string_view::npos) return FrameParseStatus::kError;
     TraceContext trace;
     if (!ParseTraceExt(body.substr(nul + 1), &trace, &out->unknown_ext)) {
       return FrameParseStatus::kError;
     }
-    body.resize(nul);
-    out->payload = std::move(body);
+    body = body.substr(0, nul);
     out->trace = trace;
   }
+  out->payload.assign(body);  // reuses the frame's capacity
   buffer->erase(0, kHeaderBytes + length);
   return FrameParseStatus::kFrame;
 }
@@ -220,54 +226,60 @@ std::string EncodeWelcome(std::uint64_t flow) {
   return "flow=" + std::to_string(flow);
 }
 
-std::optional<std::uint64_t> DecodeWelcome(const std::string& payload) {
-  std::map<std::string, std::string> fields;
-  if (!SplitFields(payload, &fields)) return std::nullopt;
-  auto it = fields.find("flow");
-  if (it == fields.end() || it->second.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(it->second.c_str(), &end, 10);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') {
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(value);
+std::optional<std::uint64_t> DecodeWelcome(std::string_view payload) {
+  std::array<std::optional<std::string_view>, 1> values;
+  if (!SplitFields<1>(payload, {"flow"}, &values)) return std::nullopt;
+  const auto& flow = values[0];
+  if (!flow || flow->empty()) return std::nullopt;
+  return WithCString(*flow, [](const char* c_str)
+                                -> std::optional<std::uint64_t> {
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long value = std::strtoull(c_str, &end, 10);
+    if (errno != 0 || end == c_str || *end != '\0') return std::nullopt;
+    return static_cast<std::uint64_t>(value);
+  });
 }
 
 std::string EncodeOverload(const OverloadInfo& info) {
-  // map-ordered like net/messages.cpp: policy < reason < value.
-  std::ostringstream out;
-  bool first = true;
-  auto emit = [&](const char* key, const std::string& value) {
-    if (value.empty()) return;
-    if (!first) out << ';';
-    out << key << '=' << value;
-    first = false;
+  // Sorted keys like net/messages.cpp: policy < reason < value. An empty
+  // policy or reason is left out.
+  std::string out;
+  const auto key = [&out](const char* name) {
+    if (!out.empty()) out.push_back(';');
+    out.append(name);
   };
-  emit("policy", info.policy);
-  emit("reason", info.reason);
-  emit("value", FormatDouble(info.value));
-  return out.str();
+  if (!info.policy.empty()) {
+    key("policy=");
+    out.append(info.policy);
+  }
+  if (!info.reason.empty()) {
+    key("reason=");
+    out.append(info.reason);
+  }
+  key("value=");
+  AppendNumber(info.value, &out);
+  return out;
 }
 
-std::optional<OverloadInfo> DecodeOverload(const std::string& payload) {
-  std::map<std::string, std::string> fields;
-  if (!SplitFields(payload, &fields)) return std::nullopt;
-  auto reason = fields.find("reason");
-  if (reason == fields.end() || reason->second.empty()) return std::nullopt;
+std::optional<OverloadInfo> DecodeOverload(std::string_view payload) {
+  std::array<std::optional<std::string_view>, 3> values;
+  if (!SplitFields<3>(payload, {"policy", "reason", "value"}, &values)) {
+    return std::nullopt;
+  }
+  const auto& [policy, reason, value] = values;
+  if (!reason || reason->empty()) return std::nullopt;
   OverloadInfo info;
-  info.reason = reason->second;
-  auto policy = fields.find("policy");
-  if (policy != fields.end()) info.policy = policy->second;
-  auto value = fields.find("value");
-  if (value != fields.end()) {
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(value->second.c_str(), &end);
-    if (errno != 0 || end == value->second.c_str() || *end != '\0') {
-      return std::nullopt;
-    }
-    info.value = v;
+  info.reason = *reason;
+  if (policy) info.policy = *policy;
+  if (value) {
+    const bool ok = WithCString(*value, [&info](const char* c_str) {
+      errno = 0;
+      char* end = nullptr;
+      info.value = std::strtod(c_str, &end);
+      return errno == 0 && end != c_str && *end == '\0';
+    });
+    if (!ok) return std::nullopt;
   }
   return info;
 }

@@ -121,7 +121,7 @@ FrameParseStatus ParseFrame(std::string* buffer, Frame* out);
 /// Welcome ack: the flow id the server admitted (echoed so a client can
 /// detect id mismatches early).
 std::string EncodeWelcome(std::uint64_t flow);
-std::optional<std::uint64_t> DecodeWelcome(const std::string& payload);
+std::optional<std::uint64_t> DecodeWelcome(std::string_view payload);
 
 /// Typed overload/reject frame. `reason` is a stable token
 /// ("session_limit", "admission", "duplicate_flow", "malformed",
@@ -135,6 +135,6 @@ struct OverloadInfo {
 };
 
 std::string EncodeOverload(const OverloadInfo& info);
-std::optional<OverloadInfo> DecodeOverload(const std::string& payload);
+std::optional<OverloadInfo> DecodeOverload(std::string_view payload);
 
 }  // namespace flare

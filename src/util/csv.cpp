@@ -1,7 +1,7 @@
 #include "util/csv.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "util/logging.h"
 
@@ -45,9 +45,16 @@ void CsvWriter::RawRow(const std::vector<std::string>& cells) {
 }
 
 std::string FormatNumber(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-  return buffer;
+  std::string out;
+  AppendNumber(value, &out);
+  return out;
+}
+
+void AppendNumber(double value, std::string* out) {
+  char buf[32];  // "-1.23457e-308" is the longest
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::general, 6)
+                       .ptr);
 }
 
 std::string JsonNumber(double value) {

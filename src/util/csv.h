@@ -1,11 +1,14 @@
 // CSV writer used by benches to dump the series behind each paper figure so
 // they can be re-plotted, alongside the human-readable rows printed to
-// stdout.
+// stdout, and the number text helpers the CSV cells and the key=value wire
+// codecs share.
 #pragma once
 
+#include <cstring>
 #include <fstream>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace flare {
@@ -30,8 +33,27 @@ class CsvWriter {
 };
 
 /// Formats a double compactly (up to 6 significant digits, no trailing
-/// zeros) for both CSV cells and table printing.
+/// zeros) for both CSV cells and table printing: printf's "%.6g" bytes.
 std::string FormatNumber(double value);
+/// FormatNumber appended to `out`, with no temporary string. Written with
+/// std::to_chars(general, 6), which the standard defines as "%.6g".
+void AppendNumber(double value, std::string* out);
+
+/// Calls `parse` with a NUL-terminated copy of `text`, the form strtod and
+/// its kin read. The copy lives on the stack unless `text` is long, so
+/// parsing a field of a wire takes no allocation; embedded NULs end the C
+/// string, as they do for std::string::c_str().
+template <typename Parse>
+auto WithCString(std::string_view text, Parse parse) {
+  char stack[64];
+  if (text.size() < sizeof(stack)) {
+    std::memcpy(stack, text.data(), text.size());
+    stack[text.size()] = '\0';
+    return parse(static_cast<const char*>(stack));
+  }
+  const std::string heap(text);
+  return parse(heap.c_str());
+}
 
 /// FormatNumber for JSON contexts: NaN/Inf have no JSON encoding (snprintf
 /// would emit `nan`, corrupting the document), so non-finite values render

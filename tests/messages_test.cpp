@@ -5,12 +5,20 @@
 // peer parses identically, and an old peer's bytes parse unchanged here.
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <map>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "net/messages.h"
 #include "svc/frame.h"
+#include "util/csv.h"
 #include "util/rng.h"
 
 namespace flare {
@@ -589,6 +597,457 @@ TEST(FrameInterop, FuzzedExtTrailersNeverCrash) {
     } else {
       EXPECT_EQ(status, FrameParseStatus::kError);
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Differential: the in-place decoders against the map-and-stream ones
+// ---------------------------------------------------------------------
+
+// The decoders as they were written over std::map and std::istringstream,
+// kept verbatim as the reference for the grammar: tokens split with
+// std::getline, last occurrence of a key wins, numbers through strtod on
+// a NUL-terminated copy.
+namespace reference {
+
+using Fields = std::map<std::string, std::string>;
+
+std::optional<Fields> Split(const std::string& wire) {
+  Fields fields;
+  std::istringstream in(wire);
+  std::string token;
+  while (std::getline(in, token, ';')) {
+    const auto eq = token.find('=');
+    if (eq == std::string::npos || eq == 0) return std::nullopt;
+    fields[token.substr(0, eq)] = token.substr(eq + 1);
+  }
+  if (fields.empty()) return std::nullopt;
+  return fields;
+}
+
+std::optional<double> Number(const Fields& fields, const std::string& key) {
+  const auto it = fields.find(key);
+  if (it == fields.end()) return std::nullopt;
+  char* end = nullptr;
+  const double value = std::strtod(it->second.c_str(), &end);
+  if (end == it->second.c_str() || *end != '\0') return std::nullopt;
+  if (!std::isfinite(value)) return std::nullopt;
+  return value;
+}
+
+template <typename Int>
+std::optional<Int> Integer(const Fields& fields, const std::string& key) {
+  const auto value = Number(fields, key);
+  if (!value || *value != std::trunc(*value)) return std::nullopt;
+  constexpr double kLowest =
+      static_cast<double>(std::numeric_limits<Int>::lowest());
+  constexpr double kPastMax =
+      2.0 * static_cast<double>(std::numeric_limits<Int>::max() / 2 + 1);
+  if (*value < kLowest || *value >= kPastMax) return std::nullopt;
+  return static_cast<Int>(*value);
+}
+
+std::optional<std::vector<double>> NumberList(const Fields& fields,
+                                              const std::string& key) {
+  const auto it = fields.find(key);
+  if (it == fields.end()) return std::nullopt;
+  std::vector<double> values;
+  std::istringstream in(it->second);
+  std::string token;
+  while (std::getline(in, token, ',')) {
+    char* end = nullptr;
+    const double value = std::strtod(token.c_str(), &end);
+    if (end == token.c_str() || *end != '\0' || !std::isfinite(value)) {
+      return std::nullopt;
+    }
+    values.push_back(value);
+  }
+  if (values.empty()) return std::nullopt;
+  return values;
+}
+
+std::optional<ClientInfo> DecodeClientInfo(const std::string& wire) {
+  const auto fields = Split(wire);
+  if (!fields || fields->count("type") == 0 ||
+      fields->at("type") != "client_info") {
+    return std::nullopt;
+  }
+  const auto flow = Integer<FlowId>(*fields, "flow");
+  const auto ladder = NumberList(*fields, "ladder");
+  if (!flow || !ladder) return std::nullopt;
+  ClientInfo info;
+  info.flow = *flow;
+  info.ladder_bps = *ladder;
+  if (fields->count("max_level") > 0) {
+    const auto max_level = Integer<int>(*fields, "max_level");
+    if (!max_level) return std::nullopt;
+    info.max_level = *max_level;
+  }
+  const auto beta = Number(*fields, "beta");
+  const auto theta = Number(*fields, "theta");
+  if ((!beta && fields->count("beta") > 0) ||
+      (!theta && fields->count("theta") > 0)) {
+    return std::nullopt;
+  }
+  if (beta && theta) {
+    VideoUtilityParams utility;
+    utility.beta = *beta;
+    utility.theta_bps = *theta;
+    info.utility = utility;
+  }
+  info.skimming = fields->count("skimming") > 0 &&
+                  fields->at("skimming") == "1";
+  return info;
+}
+
+std::optional<RateAssignmentMsg> DecodeRateAssignment(
+    const std::string& wire) {
+  const auto fields = Split(wire);
+  if (!fields || fields->count("type") == 0 ||
+      fields->at("type") != "rate_assignment") {
+    return std::nullopt;
+  }
+  const auto flow = Integer<FlowId>(*fields, "flow");
+  const auto level = Integer<int>(*fields, "level");
+  const auto rate = Number(*fields, "rate");
+  const auto gbr = Number(*fields, "gbr");
+  if (!flow || !level || !rate || !gbr) return std::nullopt;
+  RateAssignmentMsg msg;
+  msg.flow = *flow;
+  msg.level = *level;
+  msg.rate_bps = *rate;
+  msg.gbr_bps = *gbr;
+  return msg;
+}
+
+std::optional<FlowStatsReport> DecodeStatsReport(const std::string& wire) {
+  const auto fields = Split(wire);
+  if (!fields || fields->count("type") == 0 ||
+      fields->at("type") != "stats_report" ||
+      fields->count("class") == 0) {
+    return std::nullopt;
+  }
+  const auto flow = Integer<FlowId>(*fields, "flow");
+  const auto tx_bytes = Integer<std::uint64_t>(*fields, "tx_bytes");
+  const auto rbs = Integer<std::uint64_t>(*fields, "rbs");
+  const auto tput = Number(*fields, "tput");
+  const auto rb_util = Number(*fields, "rb_util");
+  if (!flow || !tx_bytes || !rbs || !tput || !rb_util) return std::nullopt;
+  const std::string& cls = fields->at("class");
+  if (cls != "video" && cls != "data") return std::nullopt;
+  FlowStatsReport report;
+  report.flow = *flow;
+  report.type = cls == "video" ? FlowType::kVideo : FlowType::kData;
+  report.tx_bytes = *tx_bytes;
+  report.rbs = *rbs;
+  report.throughput_bps = *tput;
+  report.rb_utilization = *rb_util;
+  return report;
+}
+
+// svc/frame's stricter split for the welcome and overload payloads.
+bool SplitFields(const std::string& payload,
+                 std::map<std::string, std::string>* out) {
+  out->clear();
+  if (payload.empty()) return true;
+  std::size_t start = 0;
+  while (start <= payload.size()) {
+    std::size_t end = payload.find(';', start);
+    if (end == std::string::npos) end = payload.size();
+    std::string field = payload.substr(start, end - start);
+    std::size_t eq = field.find('=');
+    if (field.empty() || eq == std::string::npos || eq == 0) return false;
+    (*out)[field.substr(0, eq)] = field.substr(eq + 1);
+    start = end + 1;
+    if (end == payload.size()) break;
+  }
+  return true;
+}
+
+std::optional<std::uint64_t> DecodeWelcome(const std::string& payload) {
+  std::map<std::string, std::string> fields;
+  if (!SplitFields(payload, &fields)) return std::nullopt;
+  auto it = fields.find("flow");
+  if (it == fields.end() || it->second.empty()) return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(it->second.c_str(), &end, 10);
+  if (errno != 0 || end == it->second.c_str() || *end != '\0') {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
+std::optional<OverloadInfo> DecodeOverload(const std::string& payload) {
+  std::map<std::string, std::string> fields;
+  if (!SplitFields(payload, &fields)) return std::nullopt;
+  auto reason = fields.find("reason");
+  if (reason == fields.end() || reason->second.empty()) return std::nullopt;
+  OverloadInfo info;
+  info.reason = reason->second;
+  auto policy = fields.find("policy");
+  if (policy != fields.end()) info.policy = policy->second;
+  auto value = fields.find("value");
+  if (value != fields.end()) {
+    errno = 0;
+    char* end = nullptr;
+    const double v = std::strtod(value->second.c_str(), &end);
+    if (errno != 0 || end == value->second.c_str() || *end != '\0') {
+      return std::nullopt;
+    }
+    info.value = v;
+  }
+  return info;
+}
+
+}  // namespace reference
+
+/// Same double, bit for bit up to NaN payloads (-0.0 is not 0.0).
+bool SameDouble(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return a == b && std::signbit(a) == std::signbit(b);
+}
+
+bool SameDoubles(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!SameDouble(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+/// Runs every decoder, new and reference, on `wire`; returns a
+/// description of the first disagreement, or "" when they all agree.
+std::string DecoderDisagreement(const std::string& wire) {
+  const auto agree = [](const auto& got, const auto& want, auto same) {
+    if (got.has_value() != want.has_value()) return false;
+    return !got || same(*got, *want);
+  };
+  if (!agree(DecodeClientInfo(wire), reference::DecodeClientInfo(wire),
+             [](const ClientInfo& a, const ClientInfo& b) {
+               return a.flow == b.flow && SameDoubles(a.ladder_bps,
+                                                      b.ladder_bps) &&
+                      a.max_level == b.max_level &&
+                      a.utility.has_value() == b.utility.has_value() &&
+                      (!a.utility ||
+                       (SameDouble(a.utility->beta, b.utility->beta) &&
+                        SameDouble(a.utility->theta_bps,
+                                   b.utility->theta_bps))) &&
+                      a.skimming == b.skimming;
+             })) {
+    return "DecodeClientInfo";
+  }
+  if (!agree(DecodeRateAssignment(wire),
+             reference::DecodeRateAssignment(wire),
+             [](const RateAssignmentMsg& a, const RateAssignmentMsg& b) {
+               return a.flow == b.flow && a.level == b.level &&
+                      SameDouble(a.rate_bps, b.rate_bps) &&
+                      SameDouble(a.gbr_bps, b.gbr_bps);
+             })) {
+    return "DecodeRateAssignment";
+  }
+  if (!agree(DecodeStatsReport(wire), reference::DecodeStatsReport(wire),
+             [](const FlowStatsReport& a, const FlowStatsReport& b) {
+               return a.flow == b.flow && a.type == b.type &&
+                      a.tx_bytes == b.tx_bytes && a.rbs == b.rbs &&
+                      SameDouble(a.throughput_bps, b.throughput_bps) &&
+                      SameDouble(a.rb_utilization, b.rb_utilization);
+             })) {
+    return "DecodeStatsReport";
+  }
+  if (!agree(DecodeWelcome(wire), reference::DecodeWelcome(wire),
+             [](std::uint64_t a, std::uint64_t b) { return a == b; })) {
+    return "DecodeWelcome";
+  }
+  if (!agree(DecodeOverload(wire), reference::DecodeOverload(wire),
+             [](const OverloadInfo& a, const OverloadInfo& b) {
+               return a.reason == b.reason && a.policy == b.policy &&
+                      SameDouble(a.value, b.value);
+             })) {
+    return "DecodeOverload";
+  }
+  return "";
+}
+
+/// A valid wire of a random kind, drawn so the numbers exercise strtod's
+/// edges (exponents, signs, long digit runs) once mutated.
+std::string RandomValidWire(Rng* rng) {
+  const auto number = [rng] {
+    switch (rng->UniformInt(0, 3)) {
+      case 0:
+        return static_cast<double>(rng->UniformInt(0, 4294967295));
+      case 1:
+        return rng->Uniform(-1e7, 1e7);
+      case 2:
+        return std::ldexp(rng->Uniform(), static_cast<int>(
+                                              rng->UniformInt(-1074, 1023)));
+      default:
+        return static_cast<double>(rng->UniformInt(-3, 3));
+    }
+  };
+  switch (rng->UniformInt(0, 4)) {
+    case 0: {
+      ClientInfo info;
+      info.flow = static_cast<FlowId>(rng->UniformInt(0, 4294967295));
+      const int levels = static_cast<int>(rng->UniformInt(0, 6));
+      for (int i = 0; i < levels; ++i) info.ladder_bps.push_back(number());
+      if (rng->UniformInt(0, 1) == 1) {
+        info.max_level = static_cast<int>(rng->UniformInt(-3, 8));
+      }
+      if (rng->UniformInt(0, 1) == 1) {
+        info.utility = VideoUtilityParams{number(), number()};
+      }
+      info.skimming = rng->UniformInt(0, 1) == 1;
+      return EncodeClientInfo(info);
+    }
+    case 1:
+      return EncodeRateAssignment(Assignment(
+          static_cast<FlowId>(rng->UniformInt(0, 4294967295)),
+          static_cast<int>(rng->UniformInt(-3, 20)), number(), number()));
+    case 2: {
+      FlowStatsReport report;
+      report.flow = static_cast<FlowId>(rng->UniformInt(0, 4294967295));
+      report.type =
+          rng->UniformInt(0, 1) == 1 ? FlowType::kVideo : FlowType::kData;
+      report.tx_bytes = static_cast<std::uint64_t>(
+          rng->UniformInt(0, std::numeric_limits<std::int64_t>::max()));
+      report.rbs = static_cast<std::uint64_t>(rng->UniformInt(0, 100000));
+      report.throughput_bps = number();
+      report.rb_utilization = number();
+      return EncodeStatsReport(report);
+    }
+    case 3:
+      return EncodeWelcome(
+          static_cast<std::uint64_t>(rng->UniformInt(0, 1LL << 62)));
+    default: {
+      OverloadInfo info;
+      info.reason = rng->UniformInt(0, 3) == 0 ? "" : "admission";
+      info.policy = rng->UniformInt(0, 1) == 0 ? "" : "capacity-threshold";
+      info.value = number();
+      return EncodeOverload(info);
+    }
+  }
+}
+
+TEST(CodecDifferential, DecodersMatchTheMapAndStreamReference) {
+  // Mutated, truncated and duplicate-key wires of every message kind, each
+  // handed to all five decoders: the in-place decoders must accept and
+  // reject exactly what the reference does, with equal fields.
+  static const std::vector<std::string> kKeys = {
+      "type", "flow", "ladder", "max_level", "beta", "theta", "skimming",
+      "gbr", "level", "rate", "class", "tx_bytes", "rbs", "tput", "rb_util",
+      "reason", "policy", "value"};
+  static const std::vector<std::string> kValues = {
+      "client_info", "rate_assignment", "stats_report", "video", "data", "1",
+      "0", "-0", "+7", " 42", "1e3", "0x1p4", "nan", "inf", "-inf", "1.5",
+      "4294967295", "4294967296", "18446744073709551615", "1e400", "",
+      "100000,250000", "100000,,5", "7,", "00000000000000000000000000000000"
+      "000000000000000000000000000000000000001"};
+  const std::string alphabet =
+      std::string("abcdefgilnprstvwxy0123456789=;,.-+eE _") + '\0';
+  const auto pick = [](Rng* rng, std::size_t n) {
+    return static_cast<std::size_t>(
+        rng->UniformInt(0, static_cast<std::int64_t>(n) - 1));
+  };
+  Rng rng(30);
+  constexpr int kWires = 100000;
+  int accepted = 0;
+  for (int trial = 0; trial < kWires; ++trial) {
+    std::string wire = RandomValidWire(&rng);
+    const int edits = static_cast<int>(rng.UniformInt(0, 4));
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t pos = wire.empty() ? 0 : pick(&rng, wire.size() + 1);
+      switch (rng.UniformInt(0, 6)) {
+        case 0:  // replace a byte
+          if (pos < wire.size()) wire[pos] = alphabet[pick(&rng, alphabet.size())];
+          break;
+        case 1:  // delete a byte
+          if (pos < wire.size()) wire.erase(pos, 1);
+          break;
+        case 2:  // insert a byte
+          wire.insert(pos, 1, alphabet[pick(&rng, alphabet.size())]);
+          break;
+        case 3:  // truncate
+          wire.resize(pos < wire.size() ? pos : wire.size());
+          break;
+        case 4:  // a duplicate (or new) key, appended: last wins
+          wire += ";" + kKeys[pick(&rng, kKeys.size())] + "=" +
+                  kValues[pick(&rng, kValues.size())];
+          break;
+        case 5:  // a duplicate key, prepended: the original wins
+          wire = kKeys[pick(&rng, kKeys.size())] + "=" +
+                 kValues[pick(&rng, kValues.size())] + ";" + wire;
+          break;
+        default:  // separator noise at the end
+          wire += rng.UniformInt(0, 1) == 1 ? ";" : ";;";
+          break;
+      }
+    }
+    const std::string disagreement = DecoderDisagreement(wire);
+    ASSERT_EQ(disagreement, "") << "wire \"" << wire << "\" (trial "
+                                << trial << ")";
+    if (DecodeClientInfo(wire) || DecodeRateAssignment(wire) ||
+        DecodeStatsReport(wire) || DecodeWelcome(wire) ||
+        DecodeOverload(wire)) {
+      ++accepted;
+    }
+  }
+  // The sweep covers both verdicts in bulk, not only rejects.
+  EXPECT_GT(accepted, kWires / 5);
+  EXPECT_LT(accepted, kWires * 4 / 5);
+}
+
+TEST(CodecDifferential, ToCharsMatchesPrintfG6) {
+  // AppendNumber (std::to_chars, general, precision 6) must write
+  // printf's "%.6g" bytes wherever the codec and the CSVs use it.
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.5, 1e-5, 1e-4, 99999.5, 999999.0, 999999.4,
+      999999.5, 999999.6, 1e6, 1e300, -1e300, 1e-300, -1e-300,
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(6);
+  // Integers around 1e6, where %.6g turns to the exponent form.
+  for (std::int64_t i = 999000; i <= 1001000; ++i) {
+    values.push_back(static_cast<double>(i));
+    values.push_back(static_cast<double>(i) + 0.5);
+  }
+  // Just below, at and just above each rounding boundary of six digits:
+  // d.ddddd5 * 10^e for every decade.
+  for (int e = -320; e <= 308; ++e) {
+    for (const double mantissa : {1.000005, 1.234565, 4.999995, 9.999995,
+                                  9.9999949999, 5.0}) {
+      const double v = mantissa * std::pow(10.0, e);
+      if (!std::isfinite(v)) continue;
+      for (const double x : {v, std::nextafter(v, 0.0),
+                             std::nextafter(v, 1e308), -v}) {
+        values.push_back(x);
+      }
+    }
+  }
+  // Subnormals, and doubles of random bits anywhere in the range.
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(std::ldexp(rng.Uniform(), -1022 - static_cast<int>(
+                                                           rng.UniformInt(0, 52))));
+    const std::uint64_t bits = static_cast<std::uint64_t>(
+        rng.UniformInt(0, std::numeric_limits<std::int64_t>::max())) << 1 |
+        static_cast<std::uint64_t>(rng.UniformInt(0, 1));
+    double random;
+    static_assert(sizeof(random) == sizeof(bits));
+    std::memcpy(&random, &bits, sizeof(random));
+    values.push_back(random);
+  }
+  for (const double value : values) {
+    char printf_bytes[64];
+    std::snprintf(printf_bytes, sizeof(printf_bytes), "%.6g", value);
+    std::string appended = "x";
+    AppendNumber(value, &appended);
+    ASSERT_EQ(appended, std::string("x") + printf_bytes)
+        << "bits of the value: " << std::hexfloat << value;
   }
 }
 

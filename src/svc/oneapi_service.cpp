@@ -4,8 +4,10 @@
 #include <sys/timerfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <map>
 #include <mutex>
@@ -24,6 +26,7 @@
 #include "svc/frame.h"
 #include "svc/request_trace.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace flare {
 namespace {
@@ -48,6 +51,13 @@ struct SessionConn {
   void QueueFrame(std::string_view frame) {
     queued_bytes += frame.size();
     conn.Queue(frame);
+  }
+  /// Flush the outbox, adding the send() calls made to `*writes`.
+  IoStatus Flush(std::uint64_t* writes) {
+    const std::uint64_t before = conn.sends();
+    const IoStatus status = conn.Flush();
+    *writes += conn.sends() - before;
+    return status;
   }
 };
 
@@ -80,6 +90,41 @@ struct FrameTiming {
   double recv_us = 0.0;
   double parse_start_us = 0.0;
 };
+
+/// What a fan-out slice leaves for the loop thread to replay after the
+/// barrier, in assignment order: the EpollLoop, the tracer and the
+/// connection table are the loop thread's alone.
+struct FanoutOp {
+  enum class Kind : std::uint8_t {
+    kDropped,  // traced assignment dropped at the outbox bound
+    kQueued,   // traced assignment queued; its timing is next in line
+    kFlushed,  // queued and flushed: drain watermark, then interest
+    kFailed,   // the flush failed: tear the connection down
+  };
+  Kind kind;
+  SessionConn* sc;
+  /// kQueued: the drain watermark. kFlushed: bytes drained.
+  std::uint64_t bytes = 0;
+  /// kFlushed: tracer clock at the flush (0 with tracing off).
+  double now_us = 0.0;
+};
+
+/// One contiguous run of a tick's assignments and what writing it left
+/// behind. Reused by every tick, so the slice path allocates nothing once
+/// its vectors have grown to the slice's size.
+struct FanoutSlice {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::string frame_buf;
+  std::vector<FanoutOp> ops;
+  std::vector<RequestTiming> timings;  // one per kQueued op, in order
+  std::uint64_t sent = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t writes = 0;
+};
+
+/// Sessions per fan-out slice when the service derives the slice count.
+constexpr std::size_t kSessionsPerSlice = 256;
 
 OverloadInfo Overload(const char* reason, const char* policy = "",
                       double value = 0.0) {
@@ -119,8 +164,6 @@ struct OneApiService::Impl {
   /// The engine's flows, by FlowId. Node-based: Session addresses are
   /// stable, so SessionConn::session stays valid until teardown.
   std::unordered_map<FlowId, Session> sessions;
-  /// Reused by every tick to encode one assignment frame at a time.
-  std::string frame_buf;
   /// send() calls since the last tick's export, and the loop's epoll_ctl
   /// count at that export.
   std::uint64_t writes = 0;
@@ -136,6 +179,19 @@ struct OneApiService::Impl {
   /// Server clock origin for the srx/stx wire echo when the tracer is
   /// off (a traced client still deserves aligned timestamps back).
   std::chrono::steady_clock::time_point epoch;
+
+  // --- Fan-out slices (DESIGN.md §5n) -----------------------------------
+  /// One per slice a tick may use; pinned by options.fanout_slices, else
+  /// one per hardware thread but the loop's. Written only by the slice
+  /// that owns it during a batch, by the loop thread otherwise.
+  std::vector<FanoutSlice> slices;
+  /// Runs the slices of a tick; null when at most one slice can run.
+  /// Spawned at Start(), joined at Stop().
+  std::unique_ptr<ThreadPool> fanout_pool;
+  /// The decision being fanned out and its solve span, for the slices.
+  const BaiDecision* fanout_decision = nullptr;
+  double fanout_solve_start_us = 0.0;
+  double fanout_solve_us = 0.0;
 
   double NowUs() const {
     if (tracer != nullptr) return tracer->now_us();
@@ -187,13 +243,17 @@ struct OneApiService::Impl {
   void HandleStats(SessionConn& sc, const Frame& frame,
                    const FrameTiming& timing);
   void SendOverloadAndClose(SessionConn& sc, const OverloadInfo& info);
-  IoStatus Flush(SessionConn& sc);
   void NotifyFlushed(SessionConn& sc);
   void UpdateInterest(SessionConn& sc);
   void PauseListener();
   void ResumeListener();
   void TeardownConn(int fd);
   void Tick();
+  std::size_t SliceCount(std::size_t assignments) const;
+  void FanOut(const BaiDecision& decision, double solve_start_us,
+              double solve_us);
+  void RunSlice(FanoutSlice& slice);
+  void ReplaySlice(FanoutSlice& slice);
   void PublishTelemetry();
   void UpdateBlockingRate();
   void ShutdownOnLoop();
@@ -260,13 +320,13 @@ void OneApiService::Impl::OnConnIo(int fd, std::uint32_t events) {
     if (conns.find(fd) == conns.end()) return;  // closed while processing
     if (status == IoStatus::kEof || status == IoStatus::kError) {
       // Flush any goodbye frames we just queued, then drop the peer.
-      Flush(sc);
+      sc.Flush(&writes);
       TeardownConn(fd);
       return;
     }
   }
   if ((events & EpollLoop::kWritable) != 0) {
-    if (Flush(sc) == IoStatus::kError) {
+    if (sc.Flush(&writes) == IoStatus::kError) {
       TeardownConn(fd);
       return;
     }
@@ -414,7 +474,7 @@ void OneApiService::Impl::HandleClientInfo(SessionConn& sc,
   UpdateBlockingRate();
   record_admit(true);
   sc.QueueFrame(EncodeFrame(FrameType::kWelcome, EncodeWelcome(info->flow)));
-  Flush(sc);
+  sc.Flush(&writes);
   NotifyFlushed(sc);
   UpdateInterest(sc);
 }
@@ -471,19 +531,12 @@ void OneApiService::Impl::SendOverloadAndClose(SessionConn& sc,
                                                const OverloadInfo& info) {
   sc.QueueFrame(EncodeFrame(FrameType::kOverload, EncodeOverload(info)));
   sc.conn.CloseAfterFlush();
-  Flush(sc);
+  sc.Flush(&writes);
   if (sc.conn.FlushedAndDone()) {
     TeardownConn(sc.conn.fd());
     return;
   }
   UpdateInterest(sc);
-}
-
-IoStatus OneApiService::Impl::Flush(SessionConn& sc) {
-  const std::uint64_t before = sc.conn.sends();
-  const IoStatus status = sc.conn.Flush();
-  writes += sc.conn.sends() - before;
-  return status;
 }
 
 void OneApiService::Impl::NotifyFlushed(SessionConn& sc) {
@@ -586,72 +639,7 @@ void OneApiService::Impl::Tick() {
         tracer != nullptr ? tracer->now_us() - solve_start_us : 0.0;
     n_assignments = decision.assignments.size();
     fanout_start = stamp();
-    std::uint64_t sent = 0;
-
-    // --- Fan out: one kAssignment frame per flow, encoded into the
-    // reused frame buffer and written at once — one send per session,
-    // no epoll_ctl unless the socket backs up. A full outbox drops this
-    // BAI's frame for that client only (counted); the tick itself never
-    // waits on anyone's socket.
-    for (const RateAssignment& a : decision.assignments) {
-      const auto session = sessions.find(a.id);
-      if (session == sessions.end()) continue;
-      Session& sess = session->second;
-      SessionConn& sc = *sess.conn;
-      const double encode_start_us =
-          tracer != nullptr && sess.pending_trace ? tracer->now_us() : 0.0;
-      // Echo the client's trace context (with our receive/transmit
-      // stamps) on the assignment that answers it — whether or not
-      // server-side tracing is on. Untraced clients get byte-identical
-      // pre-extension frames.
-      TraceContext echo;
-      const TraceContext* echo_ptr = nullptr;
-      if (sess.pending_trace) {
-        echo = sess.pending_trace->ctx;
-        echo.server_send_us = static_cast<std::int64_t>(NowUs());
-        echo_ptr = &echo;
-      }
-      frame_buf.clear();
-      const std::size_t begin = BeginFrame(&frame_buf);
-      AppendRateAssignment(engine.Message(a), &frame_buf);
-      EndFrame(FrameType::kAssignment, echo_ptr, begin, &frame_buf);
-      if (sc.conn.pending_bytes() + frame_buf.size() >
-          options.connection_buffer_limit) {
-        assignments_dropped.fetch_add(1, std::memory_order_relaxed);
-        if (tracer != nullptr && sess.pending_trace) {
-          tracer->OnAssignmentDropped(a.id);
-        }
-        sess.pending_trace.reset();
-        std::lock_guard<std::mutex> lock(metrics_mu);
-        m_dropped.Add();
-        continue;
-      }
-      sc.QueueFrame(frame_buf);
-      if (tracer != nullptr && sess.pending_trace) {
-        RequestTiming timing = *sess.pending_trace;
-        const double send_us = tracer->now_us();
-        timing.queue_wait_us = solve_start_us - timing.queued_at_us;
-        timing.solve_start_us = solve_start_us;
-        timing.solve_us = solve_span_us;
-        timing.encode_start_us = encode_start_us;
-        timing.encode_us = send_us - encode_start_us;
-        timing.send_us = send_us;
-        timing.cause = DecisionCauseName(a.cause);
-        tracer->OnAssignmentQueued(std::move(timing), sc.conn.fd(),
-                                   sc.queued_bytes);
-      }
-      // One echo per traced request: the context is consumed by the
-      // assignment that answered it.
-      sess.pending_trace.reset();
-      ++sent;
-      if (Flush(sc) == IoStatus::kError) {
-        TeardownConn(sc.conn.fd());
-        continue;
-      }
-      NotifyFlushed(sc);
-      UpdateInterest(sc);
-    }
-    assignments_sent.fetch_add(sent, std::memory_order_relaxed);
+    FanOut(decision, solve_start_us, solve_span_us);
   }
   const SteadyClock::time_point fanned_out = stamp();
 
@@ -687,6 +675,153 @@ void OneApiService::Impl::Tick() {
   const double publish_us = micros(publish_start, stamp());
   std::lock_guard<std::mutex> lock(metrics_mu);
   m_publish_us.Observe(publish_us);
+}
+
+std::size_t OneApiService::Impl::SliceCount(std::size_t assignments) const {
+  const std::size_t wanted =
+      options.fanout_slices > 0
+          ? static_cast<std::size_t>(options.fanout_slices)
+          : (assignments + kSessionsPerSlice - 1) / kSessionsPerSlice;
+  return std::max<std::size_t>(1, std::min({wanted, slices.size(),
+                                            assignments}));
+}
+
+void OneApiService::Impl::FanOut(const BaiDecision& decision,
+                                 double solve_start_us, double solve_us) {
+  // --- Fan out: one kAssignment frame per flow, in contiguous slices of
+  // the decision's order. The slices run as one pool batch while this
+  // thread waits, so each session and connection is touched by exactly
+  // one slice and the session table is only read. What needs the loop
+  // (teardown, interest, the tracer) is replayed below, after the
+  // barrier, in assignment order.
+  const std::size_t n = decision.assignments.size();
+  const std::size_t count = SliceCount(n);
+  fanout_decision = &decision;
+  fanout_solve_start_us = solve_start_us;
+  fanout_solve_us = solve_us;
+  for (std::size_t s = 0; s < count; ++s) {
+    slices[s].begin = n * s / count;
+    slices[s].end = n * (s + 1) / count;
+  }
+  if (count == 1) {
+    RunSlice(slices[0]);
+  } else {
+    std::vector<std::function<void()>> jobs;
+    jobs.reserve(count);
+    for (std::size_t s = 0; s < count; ++s) {
+      jobs.emplace_back([this, s] { RunSlice(slices[s]); });
+    }
+    fanout_pool->RunAll(std::move(jobs));
+  }
+
+  std::uint64_t sent = 0;
+  std::uint64_t dropped = 0;
+  for (std::size_t s = 0; s < count; ++s) {
+    FanoutSlice& slice = slices[s];
+    sent += slice.sent;
+    dropped += slice.dropped;
+    writes += slice.writes;
+    ReplaySlice(slice);
+  }
+  assignments_sent.fetch_add(sent, std::memory_order_relaxed);
+  if (dropped > 0) {
+    assignments_dropped.fetch_add(dropped, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(metrics_mu);
+    m_dropped.Add(dropped);
+  }
+}
+
+void OneApiService::Impl::RunSlice(FanoutSlice& slice) {
+  slice.ops.clear();
+  slice.timings.clear();
+  slice.sent = 0;
+  slice.dropped = 0;
+  slice.writes = 0;
+  const BaiDecision& decision = *fanout_decision;
+  for (std::size_t i = slice.begin; i < slice.end; ++i) {
+    const RateAssignment& a = decision.assignments[i];
+    const auto session = sessions.find(a.id);
+    if (session == sessions.end()) continue;
+    Session& sess = session->second;
+    SessionConn& sc = *sess.conn;
+    const bool traced = tracer != nullptr && sess.pending_trace;
+    const double encode_start_us = traced ? tracer->now_us() : 0.0;
+    // Echo the client's trace context (with our receive/transmit stamps)
+    // on the assignment that answers it — whether or not server-side
+    // tracing is on. Untraced clients get byte-identical pre-extension
+    // frames.
+    TraceContext echo;
+    const TraceContext* echo_ptr = nullptr;
+    if (sess.pending_trace) {
+      echo = sess.pending_trace->ctx;
+      echo.server_send_us = static_cast<std::int64_t>(NowUs());
+      echo_ptr = &echo;
+    }
+    // Encoded into the slice's reused buffer and written at once: one
+    // send per session, no epoll_ctl unless the socket backs up. A full
+    // outbox drops this BAI's frame for that client only (counted); the
+    // tick never waits on anyone's socket.
+    slice.frame_buf.clear();
+    const std::size_t begin = BeginFrame(&slice.frame_buf);
+    AppendRateAssignment(engine.Message(a), &slice.frame_buf);
+    EndFrame(FrameType::kAssignment, echo_ptr, begin, &slice.frame_buf);
+    if (sc.conn.pending_bytes() + slice.frame_buf.size() >
+        options.connection_buffer_limit) {
+      ++slice.dropped;
+      if (traced) slice.ops.push_back({FanoutOp::Kind::kDropped, &sc});
+      sess.pending_trace.reset();
+      continue;
+    }
+    sc.QueueFrame(slice.frame_buf);
+    if (traced) {
+      RequestTiming timing = *sess.pending_trace;
+      const double send_us = tracer->now_us();
+      timing.queue_wait_us = fanout_solve_start_us - timing.queued_at_us;
+      timing.solve_start_us = fanout_solve_start_us;
+      timing.solve_us = fanout_solve_us;
+      timing.encode_start_us = encode_start_us;
+      timing.encode_us = send_us - encode_start_us;
+      timing.send_us = send_us;
+      timing.cause = DecisionCauseName(a.cause);
+      slice.timings.push_back(std::move(timing));
+      slice.ops.push_back({FanoutOp::Kind::kQueued, &sc, sc.queued_bytes});
+    }
+    // One echo per traced request: the context is consumed by the
+    // assignment that answered it.
+    sess.pending_trace.reset();
+    ++slice.sent;
+    if (sc.Flush(&slice.writes) == IoStatus::kError) {
+      slice.ops.push_back({FanoutOp::Kind::kFailed, &sc});
+      continue;
+    }
+    slice.ops.push_back({FanoutOp::Kind::kFlushed, &sc, sc.drained_bytes(),
+                         tracer != nullptr ? tracer->now_us() : 0.0});
+  }
+}
+
+void OneApiService::Impl::ReplaySlice(FanoutSlice& slice) {
+  std::size_t next_timing = 0;
+  for (const FanoutOp& op : slice.ops) {
+    SessionConn& sc = *op.sc;
+    switch (op.kind) {
+      case FanoutOp::Kind::kDropped:
+        tracer->OnAssignmentDropped(sc.flow);
+        break;
+      case FanoutOp::Kind::kQueued:
+        tracer->OnAssignmentQueued(std::move(slice.timings[next_timing++]),
+                                   sc.conn.fd(), op.bytes);
+        break;
+      case FanoutOp::Kind::kFlushed:
+        if (tracer != nullptr) {
+          tracer->OnConnFlushed(sc.conn.fd(), op.bytes, op.now_us);
+        }
+        UpdateInterest(sc);
+        break;
+      case FanoutOp::Kind::kFailed:
+        TeardownConn(sc.conn.fd());  // the connection's last op
+        break;
+    }
+  }
 }
 
 void OneApiService::Impl::PublishTelemetry() {
@@ -760,6 +895,16 @@ bool OneApiService::Start() {
       FLOG_WARN << "OneApiService: timerfd_create failed; BAI timer off";
     }
   }
+  const unsigned hardware = std::thread::hardware_concurrency();
+  const std::size_t max_slices =
+      impl_->options.fanout_slices > 0
+          ? static_cast<std::size_t>(impl_->options.fanout_slices)
+          : std::max(1u, hardware > 0 ? hardware - 1 : 1u);
+  impl_->slices.resize(max_slices);
+  if (max_slices > 1) {
+    impl_->fanout_pool =
+        std::make_unique<ThreadPool>(static_cast<int>(max_slices));
+  }
   impl_->thread = std::thread([impl = impl_.get()] {
     impl->loop.Run();
     impl->ShutdownOnLoop();
@@ -772,6 +917,7 @@ void OneApiService::Stop() {
   if (!impl_->started) return;
   impl_->loop.Stop();
   if (impl_->thread.joinable()) impl_->thread.join();
+  impl_->fanout_pool.reset();
   impl_->started = false;
   // The loop thread is gone: the tracer is safe to touch from here.
   if (impl_->tracer != nullptr && !impl_->options.trace_json.empty()) {

@@ -7,8 +7,10 @@
 // sessions arrive as TCP connections instead of direct method calls, and
 // the controller defaults to kBatchedSweep. One background thread runs a
 // netio EpollLoop carrying the listener, every session connection, and a
-// timerfd that fires the periodic BAI tick; the public surface
-// (Start/Stop/TriggerTick/counters) is thread-safe.
+// timerfd that fires the periodic BAI tick; each tick's assignment
+// fan-out is split into slices that a small thread pool writes while that
+// thread waits. The public surface (Start/Stop/TriggerTick/counters) is
+// thread-safe.
 //
 // Protocol (svc/frame.h framing over the net/messages.h codec):
 //
@@ -36,8 +38,8 @@
 // spinning, and re-arms when a connection closes or at the next tick.
 //
 // Tick cost: in the steady state each assignment is encoded in place and
-// written with one send(), and the loop makes no epoll_ctl
-// (svc.oneapi.writes, svc.oneapi.epoll_ctl; stage times in
+// written with one send(), whichever slice writes it, and the loop makes
+// no epoll_ctl (svc.oneapi.writes, svc.oneapi.epoll_ctl; stage times in
 // svc.oneapi.tick.{gather,fanout,publish}_us). DESIGN.md §5n.
 #pragma once
 
@@ -93,6 +95,11 @@ struct OneApiServiceOptions {
   /// >0: shrink accepted sockets' SO_SNDBUF so tests can saturate a slow
   /// client without queueing megabytes in the kernel.
   int send_buffer_bytes = 0;
+  /// Fan-out slices per tick: each BAI's assignments are split into this
+  /// many contiguous runs, written in parallel while the loop thread
+  /// waits. 0 derives it per tick: min(hardware threads - 1,
+  /// ceil(assignments / 256)), at least 1 (DESIGN.md §5n). Tests pin it.
+  int fanout_slices = 0;
   /// Report solver wall-clock as 0 (byte-stable exports in tests).
   bool deterministic_timing = false;
   /// Optional live telemetry plane (not owned): every BAI tick publishes

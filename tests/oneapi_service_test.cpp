@@ -223,11 +223,22 @@ bool WaitFor(Pred predicate, int timeout_ms = 2000) {
   return true;
 }
 
+/// The fan-out cases run at several pinned slice counts: every count must
+/// write the same bytes, the same writes and the same drops.
+class SlicedFanout : public testing::TestWithParam<int> {};
+
+std::string SliceName(const testing::TestParamInfo<int>& info) {
+  return "slices" + std::to_string(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(OneApiService, SlicedFanout,
+                         testing::Values(1, 2, 4), SliceName);
+
 // ---------------------------------------------------------------------
 // Wire vs in-process equivalence (the acceptance bar)
 // ---------------------------------------------------------------------
 
-TEST(OneApiService, WireAssignmentsMatchInProcessServer) {
+TEST_P(SlicedFanout, WireAssignmentsMatchInProcessServer) {
   // Reference: the in-simulator OneApiServer over video flows with
   // distinct static channels, through a whole session lifecycle: three
   // flows connect, two more arrive after the first BAI (the capacity
@@ -367,6 +378,7 @@ TEST(OneApiService, WireAssignmentsMatchInProcessServer) {
   options.params = params;
   options.admission = admission_config;
   options.default_bits_per_rb = TbsBitsPerPrb(kArrivalItbs);
+  options.fanout_slices = GetParam();
   OneApiService service(options);
   ASSERT_TRUE(service.Start());
 
@@ -640,43 +652,57 @@ TEST(OneApiService, NegativeBetaRefreshGetsTypedReject) {
 // Slow clients lose frames, not the tick
 // ---------------------------------------------------------------------
 
-TEST(OneApiService, SlowClientDropsAssignmentsInsteadOfStallingTick) {
+TEST_P(SlicedFanout, SlowClientDropsAssignmentsInsteadOfStallingTick) {
+  // Several non-reading clients, so a multi-slice tick drops in more
+  // than one slice.
+  constexpr int kSessions = 3;
   OneApiServiceOptions options;
   options.bai_ms = 0;
   // Tiny kernel send buffer + tiny outbox cap: a non-reading client
   // saturates quickly and further assignment frames must be dropped.
   options.send_buffer_bytes = 2048;
   options.connection_buffer_limit = 2048;
+  options.fanout_slices = GetParam();
   OneApiService service(options);
   ASSERT_TRUE(service.Start());
 
-  TestClient slow;
-  ASSERT_TRUE(slow.Connect(service.port()));
-  ASSERT_TRUE(slow.SendFrame(FrameType::kClientInfo,
-                             EncodeClientInfo(BasicInfo(3))));
-  ASSERT_TRUE(slow.ReadFrame().has_value());  // welcome
-  FlowStatsReport report;
-  report.flow = 3;
-  report.type = FlowType::kVideo;
-  report.tx_bytes = 160;
-  report.rbs = 8;
-  ASSERT_TRUE(slow.SendFrame(FrameType::kStatsReport,
-                             EncodeStatsReport(report)));
-  ASSERT_TRUE(WaitFor([&] { return service.stats_received() >= 1; }));
+  std::vector<std::unique_ptr<TestClient>> slow;
+  for (int i = 0; i < kSessions; ++i) {
+    slow.push_back(std::make_unique<TestClient>());
+    const FlowId flow = static_cast<FlowId>(3 + i);
+    ASSERT_TRUE(slow.back()->Connect(service.port()));
+    ASSERT_TRUE(slow.back()->SendFrame(FrameType::kClientInfo,
+                                       EncodeClientInfo(BasicInfo(flow))));
+    ASSERT_TRUE(slow.back()->ReadFrame().has_value());  // welcome
+    FlowStatsReport report;
+    report.flow = flow;
+    report.type = FlowType::kVideo;
+    report.tx_bytes = 160;
+    report.rbs = 8;
+    ASSERT_TRUE(slow.back()->SendFrame(FrameType::kStatsReport,
+                                       EncodeStatsReport(report)));
+  }
+  ASSERT_TRUE(WaitFor([&] { return service.stats_received() >= kSessions; }));
 
-  // The client now stops reading. Ticks keep producing assignments; once
-  // the kernel buffer and the bounded outbox fill, drops must start —
+  // The clients now stop reading. Ticks keep producing assignments; once
+  // the kernel buffers and the bounded outboxes fill, drops must start —
   // and each TriggerTick still completes promptly (it round-trips the IO
   // thread, so a stalled tick would hang this very loop).
-  bool dropped = false;
-  for (int tick = 0; tick < 5000 && !dropped; ++tick) {
+  std::uint64_t ticks = 0;
+  while (ticks < 5000 && service.assignments_dropped() < kSessions) {
     service.TriggerTick();
-    dropped = service.assignments_dropped() > 0;
+    ++ticks;
   }
-  EXPECT_TRUE(dropped);
+  EXPECT_GE(service.assignments_dropped(), static_cast<std::uint64_t>(kSessions));
   EXPECT_GT(service.assignments_sent(), 0u);
-  // The session itself survives — load shedding, not eviction.
-  EXPECT_EQ(service.sessions(), 1u);
+  // Each assignment is sent or dropped, once, and each drop counted once.
+  EXPECT_EQ(service.assignments_sent() + service.assignments_dropped(),
+            ticks * kSessions);
+  EXPECT_EQ(service.SnapshotMetrics().counters.at(
+                "svc.oneapi.assignments_dropped"),
+            service.assignments_dropped());
+  // The sessions themselves survive — load shedding, not eviction.
+  EXPECT_EQ(service.sessions(), static_cast<std::uint64_t>(kSessions));
   service.Stop();
 }
 
@@ -703,15 +729,17 @@ void AnswerAssignment(TestClient* client, FlowId flow) {
                                 EncodeStatsReport(report)));
 }
 
-TEST(OneApiService, SteadyTickIsOneWritePerSessionAndNoEpollCtl) {
+TEST_P(SlicedFanout, SteadyTickIsOneWritePerSessionAndNoEpollCtl) {
   // The fan-out invariant: once sessions are up, a tick costs each
   // responsive session exactly one send() and the loop no epoll_ctl — not
-  // for the assignment written, nor for the stats report read back.
+  // for the assignment written, nor for the stats report read back —
+  // however many slices write the tick.
   constexpr int kSessions = 6;
   constexpr int kTicks = 5;
   OneApiServiceOptions options;
   options.bai_ms = 0;
   options.deterministic_timing = true;
+  options.fanout_slices = GetParam();
   OneApiService service(options);
   ASSERT_TRUE(service.Start());
 
@@ -832,67 +860,85 @@ std::string SendStats(TestClient* client, FlowId flow,
   return payload;
 }
 
-TEST(OneApiService, TracedRunEchoesEachContextOnceAndExportsSpans) {
+TEST_P(SlicedFanout, TracedRunEchoesEachContextOnceAndExportsSpans) {
   const std::string trace_path =
-      testing::TempDir() + "/oneapid_trace_test.json";
+      testing::TempDir() + "/oneapid_trace_test_" +
+      std::to_string(GetParam()) + ".json";
   OneApiServiceOptions options;
   options.bai_ms = 0;
   options.trace_json = trace_path;
   options.trace.exemplar_k = 2;
   options.trace.exemplar_window_ticks = 2;
+  options.fanout_slices = GetParam();
   FlightRecorder flight;
   options.flight_recorder = &flight;
   OneApiService service(options);
   ASSERT_TRUE(service.Start());
 
-  TestClient client;
-  ASSERT_TRUE(client.Connect(service.port()));
-  ASSERT_TRUE(client.SendFrame(FrameType::kClientInfo,
-                               EncodeClientInfo(BasicInfo(21))));
-  ASSERT_TRUE(client.ReadFrame().has_value());  // welcome
+  // Two sessions, so a multi-slice tick writes them from two slices. Their
+  // flows sit on different span lanes.
+  const std::vector<FlowId> flows = {21, 22};
+  ASSERT_NE(RequestLane(flows[0]), RequestLane(flows[1]));
+  std::vector<std::unique_ptr<TestClient>> clients;
+  for (const FlowId flow : flows) {
+    clients.push_back(std::make_unique<TestClient>());
+    ASSERT_TRUE(clients.back()->Connect(service.port()));
+    ASSERT_TRUE(clients.back()->SendFrame(FrameType::kClientInfo,
+                                          EncodeClientInfo(BasicInfo(flow))));
+    ASSERT_TRUE(clients.back()->ReadFrame().has_value());  // welcome
+  }
 
   constexpr int kRounds = 5;
+  const std::uint64_t kRequests = kRounds * flows.size();
   std::vector<std::uint64_t> sent_ids;
+  std::uint64_t reports = 0;
   for (int round = 0; round < kRounds; ++round) {
-    TraceContext ctx;
-    ctx.trace_id = 0xabc0u + static_cast<std::uint64_t>(round);
-    ctx.client_send_us = 1000 + round;
-    sent_ids.push_back(ctx.trace_id);
-    SendStats(&client, 21, &ctx);
-    ASSERT_TRUE(WaitFor(
-        [&] { return service.stats_received() >= static_cast<std::uint64_t>(
-                         round + 1); }));
+    std::vector<TraceContext> contexts;
+    for (std::size_t c = 0; c < clients.size(); ++c) {
+      TraceContext ctx;
+      ctx.trace_id = 0xabc0u + static_cast<std::uint64_t>(round * 16 + c);
+      ctx.client_send_us = 1000 + round;
+      sent_ids.push_back(ctx.trace_id);
+      contexts.push_back(ctx);
+      SendStats(clients[c].get(), flows[c], &ctx);
+    }
+    reports += clients.size();
+    ASSERT_TRUE(WaitFor([&] { return service.stats_received() >= reports; }));
     service.TriggerTick();
-    const auto frame = client.ReadFrame();
-    ASSERT_TRUE(frame.has_value()) << "no assignment, round " << round;
-    ASSERT_EQ(frame->type, FrameType::kAssignment);
-    // The assignment answering a traced report carries the echo with the
-    // server stamps in receive->transmit order.
-    ASSERT_TRUE(frame->trace.has_value());
-    EXPECT_EQ(frame->trace->trace_id, ctx.trace_id);
-    EXPECT_EQ(frame->trace->client_send_us, ctx.client_send_us);
-    EXPECT_GT(frame->trace->server_recv_us, 0);
-    EXPECT_GE(frame->trace->server_send_us, frame->trace->server_recv_us);
+    for (std::size_t c = 0; c < clients.size(); ++c) {
+      const auto frame = clients[c]->ReadFrame();
+      ASSERT_TRUE(frame.has_value()) << "no assignment, round " << round;
+      ASSERT_EQ(frame->type, FrameType::kAssignment);
+      // The assignment answering a traced report carries the echo with
+      // the server stamps in receive->transmit order.
+      ASSERT_TRUE(frame->trace.has_value());
+      EXPECT_EQ(frame->trace->trace_id, contexts[c].trace_id);
+      EXPECT_EQ(frame->trace->client_send_us, contexts[c].client_send_us);
+      EXPECT_GT(frame->trace->server_recv_us, 0);
+      EXPECT_GE(frame->trace->server_send_us, frame->trace->server_recv_us);
+    }
   }
 
   // A tick with no fresh traced report produces a legacy assignment: the
   // context was consumed by the frame that answered it.
   service.TriggerTick();
-  const auto untraced = client.ReadFrame();
-  ASSERT_TRUE(untraced.has_value());
-  ASSERT_EQ(untraced->type, FrameType::kAssignment);
-  EXPECT_FALSE(untraced->trace.has_value());
+  for (const auto& client : clients) {
+    const auto untraced = client->ReadFrame();
+    ASSERT_TRUE(untraced.has_value());
+    ASSERT_EQ(untraced->type, FrameType::kAssignment);
+    EXPECT_FALSE(untraced->trace.has_value());
+  }
 
-  ASSERT_TRUE(WaitFor([&] {
-    return service.traced_requests() >= static_cast<std::uint64_t>(kRounds);
-  }));
-  EXPECT_TRUE(client.SendFrame(FrameType::kBye, ""));
+  ASSERT_TRUE(
+      WaitFor([&] { return service.traced_requests() >= kRequests; }));
+  for (const auto& client : clients) {
+    EXPECT_TRUE(client->SendFrame(FrameType::kBye, ""));
+  }
   EXPECT_TRUE(WaitFor([&] { return service.sessions() == 0; }));
   service.Stop();
 
   const MetricsSnapshot snapshot = service.SnapshotMetrics();
-  EXPECT_EQ(snapshot.counters.at("svc.oneapi.trace.requests"),
-            static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(snapshot.counters.at("svc.oneapi.trace.requests"), kRequests);
   EXPECT_EQ(snapshot.counters.count("svc.oneapi.trace.superseded"), 0u);
   // Stage quantile gauges refreshed at tick edges.
   EXPECT_GT(snapshot.gauges.at("svc.oneapi.stage.solve.p99_us"), 0.0);
@@ -908,7 +954,7 @@ TEST(OneApiService, TracedRunEchoesEachContextOnceAndExportsSpans) {
   const JsonValue* events = doc.Find("traceEvents");
   ASSERT_NE(events, nullptr);
   std::map<std::string, int> request_ids;
-  int stage_rank = -1;
+  std::map<double, int> stage_rank;  // by lane: one flow's requests
   static const std::map<std::string, int> kStageRank = {
       {"recv", 0},  {"parse", 1},  {"queue_wait", 2},
       {"solve", 3}, {"encode", 4}, {"outbox_drain", 5}};
@@ -928,19 +974,23 @@ TEST(OneApiService, TracedRunEchoesEachContextOnceAndExportsSpans) {
       }
       EXPECT_FALSE(args->Find("cause")->AsString().empty());
     } else if (cat == "svc.stage") {
-      // Stage spans are ts-ordered; within one request (which starts at
-      // "recv" — the protocol is ping-pong, so requests never overlap)
-      // the rank must strictly advance through the pipeline.
+      // Stage spans are ts-ordered; within one request on a flow's lane
+      // (which starts at "recv" — the protocol is ping-pong, so one
+      // flow's requests never overlap) the rank must strictly advance
+      // through the pipeline.
       const int rank = kStageRank.at(name);
+      const auto lane = stage_rank.try_emplace(event.Find("tid")->AsNumber(),
+                                               -1).first;
       if (rank == 0) {
-        stage_rank = 0;
+        lane->second = 0;
       } else {
-        EXPECT_EQ(rank, stage_rank + 1) << "out-of-order stage " << name;
-        stage_rank = rank;
+        EXPECT_EQ(rank, lane->second + 1) << "out-of-order stage " << name;
+        lane->second = rank;
       }
     }
   }
-  EXPECT_EQ(request_ids.size(), static_cast<std::size_t>(kRounds));
+  EXPECT_EQ(stage_rank.size(), flows.size());
+  EXPECT_EQ(request_ids.size(), kRequests);
   for (std::uint64_t id : sent_ids) {
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",

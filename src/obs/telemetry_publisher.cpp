@@ -117,9 +117,11 @@ void TelemetryPublisher::Publish(Shard& shard, double sim_time_s) {
   snap.workers = workers_;
   snap.epochs = publishes_;
   snap.sim_time_s = shards_.empty() ? 0.0 : shards_.front().part.sim_time_s;
+  double sum_sim_time_s = 0.0;
   for (const Shard& s : shards_) {
     const Part& p = s.part;
     snap.sim_time_s = std::min(snap.sim_time_s, p.sim_time_s);
+    sum_sim_time_s += p.sim_time_s;
     snap.warnings += p.warnings;
     if (!p.healthy) {
       snap.healthy = false;
@@ -132,20 +134,27 @@ void TelemetryPublisher::Publish(Shard& shard, double sim_time_s) {
     snap.metrics.histograms.insert(p.metrics.histograms.begin(),
                                    p.metrics.histograms.end());
   }
+  // Progress and speed follow the mean cell: with fewer workers than
+  // cells, the slowest cell has not started while the others run.
+  const double mean_sim_time_s =
+      shards_.empty() ? 0.0
+                      : sum_sim_time_s / static_cast<double>(shards_.size());
+  if (duration_s_ > 0.0) {
+    snap.progress_pct = 100.0 * mean_sim_time_s / duration_s_;
+  }
   // Rates over the whole run so far: per-cell publishes interleave, so
   // the gap between two consecutive snapshots says nothing about speed.
   const double wall_s = std::chrono::duration<double>(now - start_).count();
   if (wall_s > 0.0) {
     snap.epoch_rate_hz = static_cast<double>(publishes_) / wall_s;
-    snap.sim_speedup = snap.sim_time_s / wall_s;
+    snap.sim_speedup = mean_sim_time_s / wall_s;
   }
 
   auto run_gauge = [&](const char* name, double value) {
     snap.metrics.gauges[name] = value;
   };
   run_gauge("telemetry.sim_time_s", snap.sim_time_s);
-  run_gauge("telemetry.progress_pct",
-            duration_s_ > 0.0 ? 100.0 * snap.sim_time_s / duration_s_ : 0.0);
+  run_gauge("telemetry.progress_pct", snap.progress_pct);
   run_gauge("telemetry.epoch_rate_hz", snap.epoch_rate_hz);
   run_gauge("telemetry.sim_speedup", snap.sim_speedup);
   run_gauge("telemetry.publishes", static_cast<double>(publishes_));

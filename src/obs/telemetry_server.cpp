@@ -23,16 +23,12 @@ std::string RenderHealthJson(const TelemetrySnapshot& snapshot,
   const char* status = !have_snapshot ? "starting"
                        : snapshot.healthy ? "ok"
                                           : "alarming";
-  const double progress_pct =
-      snapshot.duration_s > 0.0
-          ? 100.0 * snapshot.sim_time_s / snapshot.duration_s
-          : 0.0;
   out << "{\"status\": " << JsonQuote(status) << ", \"healthy\": "
       << (have_snapshot && snapshot.healthy ? "true" : "false")
       << ", \"scenario\": " << JsonQuote(snapshot.scenario)
       << ", \"sim_time_s\": " << JsonNumber(snapshot.sim_time_s)
       << ", \"duration_s\": " << JsonNumber(snapshot.duration_s)
-      << ", \"progress_pct\": " << JsonNumber(progress_pct)
+      << ", \"progress_pct\": " << JsonNumber(snapshot.progress_pct)
       << ", \"epochs\": " << snapshot.epochs
       << ", \"epoch_rate_hz\": " << JsonNumber(snapshot.epoch_rate_hz)
       << ", \"sim_speedup\": " << JsonNumber(snapshot.sim_speedup)

@@ -37,12 +37,17 @@ namespace flare {
 /// every cell's latest part (or by the daemon each tick) and handed to
 /// the server whole.
 struct TelemetrySnapshot {
+  /// The slowest cell's clock: every cell has simulated at least this far.
   double sim_time_s = 0.0;
   double duration_s = 0.0;
+  /// Share of the run simulated so far, from the mean of the cells'
+  /// clocks: with fewer workers than cells the last cells start late, and
+  /// the slowest clock would read 0 until they do.
+  double progress_pct = 0.0;
   /// Progress ticks: publishes in simulator runs, BAIs in the daemon.
   std::uint64_t epochs = 0;
   /// Ticks and sim-seconds per wall second (simulator runs: averaged
-  /// over the run so far).
+  /// over the run so far; sim-seconds are the mean cell's).
   double epoch_rate_hz = 0.0;
   double sim_speedup = 0.0;
   int cells = 0;

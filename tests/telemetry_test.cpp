@@ -210,6 +210,7 @@ TEST(HealthJson, GoldenBodies) {
   snap.scenario = "flare x4";
   snap.sim_time_s = 5.0;
   snap.duration_s = 20.0;
+  snap.progress_pct = 25.0;
   snap.epochs = 50;
   snap.epoch_rate_hz = 10.0;
   snap.sim_speedup = 2.5;
@@ -524,8 +525,8 @@ TEST(TelemetryPublisherBridge, MaybePublishExportsShardsAndEvents) {
   ASSERT_TRUE(HttpGet(kHost, server.port(), "/metrics", &metrics));
   EXPECT_EQ(metrics.status, 200);
   // The shard registry and live QoE / health gauges land under the cell
-  // label; every cell reports its clock, 0 until it publishes, and the
-  // run's clock is the slowest cell's.
+  // label; every cell reports its clock, 0 until it publishes, the
+  // run's clock is the slowest cell's and its progress the mean cell's.
   for (const char* line :
        {"flare_player_segments_total{cell=\"0\"} 5\n",
         "flare_qoe_sessions{cell=\"0\"} 0\n",
@@ -533,6 +534,7 @@ TEST(TelemetryPublisherBridge, MaybePublishExportsShardsAndEvents) {
         "flare_telemetry_sim_time_s{cell=\"0\"} 5\n",
         "flare_telemetry_sim_time_s{cell=\"1\"} 0\n",
         "flare_telemetry_sim_time_s 0\n",
+        "flare_telemetry_progress_pct 25\n",
         "flare_run_info{scenario=\"unit x2\"} 1\n"}) {
     EXPECT_NE(metrics.body.find(line), std::string::npos) << line;
   }
@@ -599,6 +601,7 @@ TEST(TopCore, ParseBuildRenderRoundTrip) {
   health_snap.scenario = "flare x2";
   health_snap.sim_time_s = 10.0;
   health_snap.duration_s = 20.0;
+  health_snap.progress_pct = 50.0;
   health_snap.epochs = 100;
   health_snap.cells = 2;
   health_snap.workers = 2;
@@ -918,6 +921,76 @@ TEST(TelemetryLive, MultiCellSnapshotsCarryEveryCellsClock) {
     }
   }
   EXPECT_GT(mid_run, 0) << scrapes.size() << " scrapes";
+}
+
+TEST(TelemetryLive, ProgressMovesBeforeTheLastCellStarts) {
+  // One worker runs the four cells one after another, so the slowest
+  // cell's clock reads 0 until the last cell starts. Progress and speed
+  // follow the mean cell, and show the run moving before then.
+  MultiCellConfig multi = TelemetryHarnessConfig(/*workers=*/1);
+  multi.cell.duration_s = 120.0;
+  multi.telemetry_interval_ms = 1.0;
+  TelemetryServer server;
+  ASSERT_TRUE(server.Start());
+  multi.telemetry = &server;
+
+  struct Scrape {
+    double progress_pct = 0.0;
+    double sim_speedup = 0.0;
+    double run_s = 0.0;
+    std::map<std::string, double> cell_s;  // by cell label
+  };
+  std::vector<Scrape> scrapes;
+  std::atomic<bool> stop{false};
+  std::thread scraper([&] {
+    while (!stop.load()) {
+      HttpResponse r;
+      std::vector<PromSample> samples;
+      std::string error;
+      if (!HttpGet(kHost, server.port(), "/metrics", &r, 2000) ||
+          !ParsePrometheusText(r.body, &samples, &error)) {
+        continue;
+      }
+      Scrape scrape;
+      for (const PromSample& sample : samples) {
+        const auto cell = sample.labels.find("cell");
+        if (sample.name == "flare_telemetry_progress_pct") {
+          scrape.progress_pct = sample.value;
+        } else if (sample.name == "flare_telemetry_sim_speedup") {
+          scrape.sim_speedup = sample.value;
+        } else if (sample.name != "flare_telemetry_sim_time_s") {
+          continue;
+        } else if (cell == sample.labels.end()) {
+          scrape.run_s = sample.value;
+        } else {
+          scrape.cell_s[cell->second] = sample.value;
+        }
+      }
+      if (scrape.cell_s.size() == 4) scrapes.push_back(std::move(scrape));
+    }
+  });
+  RunMultiCellScenario(multi);
+  stop.store(true);
+  scraper.join();
+  server.Stop();
+
+  // Scrapes taken while cells 0-2 ran or had finished and cell 3 had not
+  // started.
+  int before_last = 0;
+  for (const Scrape& scrape : scrapes) {
+    const bool started = scrape.cell_s.at("0") > 0.0;
+    if (!started || scrape.cell_s.at("3") > 0.0) continue;
+    ++before_last;
+    EXPECT_EQ(scrape.run_s, 0.0);  // the slowest clock has not moved
+    double mean_s = 0.0;
+    for (const auto& [cell, t] : scrape.cell_s) mean_s += t / 4.0;
+    EXPECT_GT(scrape.progress_pct, 0.0);
+    // The exposition writes six significant digits.
+    const double want_pct = 100.0 * mean_s / multi.cell.duration_s;
+    EXPECT_NEAR(scrape.progress_pct, want_pct, 1e-5 * want_pct);
+    EXPECT_GT(scrape.sim_speedup, 0.0);
+  }
+  EXPECT_GT(before_last, 0) << scrapes.size() << " scrapes";
 }
 
 }  // namespace

@@ -185,8 +185,10 @@ struct OneApiService::Impl {
   /// one per hardware thread but the loop's. Written only by the slice
   /// that owns it during a batch, by the loop thread otherwise.
   std::vector<FanoutSlice> slices;
-  /// Runs the slices of a tick; null when at most one slice can run.
-  /// Spawned at Start(), joined at Stop().
+  /// Runs the slices of a tick. Spawned by the first tick that needs
+  /// more than one slice, joined at Stop(): a service that never fans out
+  /// to more than one slice's worth of sessions runs no extra thread, and
+  /// one that never ticks creates and ends none.
   std::unique_ptr<ThreadPool> fanout_pool;
   /// The decision being fanned out and its solve span, for the slices.
   const BaiDecision* fanout_decision = nullptr;
@@ -706,6 +708,10 @@ void OneApiService::Impl::FanOut(const BaiDecision& decision,
   if (count == 1) {
     RunSlice(slices[0]);
   } else {
+    if (fanout_pool == nullptr) {
+      fanout_pool =
+          std::make_unique<ThreadPool>(static_cast<int>(slices.size()));
+    }
     std::vector<std::function<void()>> jobs;
     jobs.reserve(count);
     for (std::size_t s = 0; s < count; ++s) {
@@ -901,10 +907,6 @@ bool OneApiService::Start() {
           ? static_cast<std::size_t>(impl_->options.fanout_slices)
           : std::max(1u, hardware > 0 ? hardware - 1 : 1u);
   impl_->slices.resize(max_slices);
-  if (max_slices > 1) {
-    impl_->fanout_pool =
-        std::make_unique<ThreadPool>(static_cast<int>(max_slices));
-  }
   impl_->thread = std::thread([impl = impl_.get()] {
     impl->loop.Run();
     impl->ShutdownOnLoop();

@@ -10,8 +10,8 @@
 // Every parallel simulator run is a batch on it: RunMany
 // (scenario/scenario.h) runs one config per job, RunMultiCellScenario
 // (scenario/multi_cell.h) one cell per job. The OneAPI daemon
-// (svc/oneapi_service.h) keeps one pool from Start() to Stop() and runs
-// each BAI tick's fan-out on it, one slice of the assignments per job.
+// (svc/oneapi_service.h) keeps one pool until Stop() and runs each BAI
+// tick's fan-out on it, one slice of the assignments per job.
 #pragma once
 
 #include <condition_variable>

@@ -55,7 +55,7 @@ auto WithCString(std::string_view text, Parse parse) {
   return parse(heap.c_str());
 }
 
-/// FormatNumber for JSON contexts: NaN/Inf have no JSON encoding (snprintf
+/// FormatNumber for JSON contexts: NaN/Inf have no JSON encoding ("%.6g"
 /// would emit `nan`, corrupting the document), so non-finite values render
 /// as `null`.
 std::string JsonNumber(double value);

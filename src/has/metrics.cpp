@@ -13,7 +13,7 @@ int CountBitrateChanges(const std::vector<double>& bitrates) {
 }
 
 double QoeScore(const std::vector<double>& bitrates_bps, double rebuffer_s,
-                double playtime_s, const QoeWeights& weights) {
+                double playtime_s, const QoeEngineWeights& weights) {
   if (bitrates_bps.empty()) return 0.0;
   double quality = 0.0;
   double switching = 0.0;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "has/video_session.h"
+#include "obs/qoe_analytics.h"
 
 namespace flare {
 
@@ -21,23 +22,15 @@ struct ClientMetrics {
   double qoe = 0.0;
 };
 
-/// Weights of the composite QoE objective
-///   (1/K) * sum_k [ q(R_k) - lambda |q(R_k) - q(R_{k-1})| ]
-///          - mu * rebuffer_s / playtime,
-/// with q = bitrate in Mbps — the linear QoE model of Yin et al.
-struct QoeWeights {
-  double lambda_switch = 1.0;
-  double mu_rebuffer = 8.0;
-};
-
 /// Switches in a per-segment bitrate sequence (adjacent unequal pairs).
 int CountBitrateChanges(const std::vector<double>& bitrates);
 
 /// Composite QoE from a per-segment bitrate sequence plus stall time over
-/// the playback horizon. Returns 0 for an empty sequence.
+/// the playback horizon, weighted as the online engine weighs it (see
+/// QoeEngineWeights). Returns 0 for an empty sequence.
 double QoeScore(const std::vector<double>& bitrates_bps,
                 double rebuffer_s, double playtime_s,
-                const QoeWeights& weights = QoeWeights{});
+                const QoeEngineWeights& weights = QoeEngineWeights{});
 
 ClientMetrics ComputeClientMetrics(const VideoSession& session);
 

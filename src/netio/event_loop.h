@@ -1,9 +1,11 @@
 // Minimal epoll event loop for background service threads.
 //
 // The telemetry plane (obs/telemetry_server) and the OneAPI daemon
-// (svc/oneapi_service) each run one of these on a dedicated thread: all
-// IO happens inside the loop, and the only cross-thread surface is
-// Post(), which enqueues a closure and wakes the loop through an eventfd.
+// (svc/oneapi_service) each run one of these on a dedicated thread; the
+// load generator (svc/loadgen) runs one on the thread that calls
+// LoadGenerator::Run(). All IO happens inside the loop, and the only
+// cross-thread surface is Post(), which enqueues a closure and wakes the
+// loop through an eventfd.
 //
 // Interest contract. Watch() registers an fd with its callback once;
 // afterwards SetInterest() changes only the mask. Both call epoll_ctl

@@ -17,9 +17,8 @@
 // The composite score mirrors has/metrics.h QoeScore (Yin et al.):
 //   QoE = (sum q(R_k) - lambda * sum |q(R_k) - q(R_{k-1})|) / K
 //         - mu * rebuffer_s / playtime_s,   q(R) = R in Mbps,
-// with playtime = played_s + stall_s. obs/ cannot depend on has/, so the
-// weights are duplicated here (same defaults) and the scenario layer is
-// responsible for keeping them in sync when it overrides either.
+// with playtime = played_s + stall_s. Both take their weights from
+// QoeEngineWeights below.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +32,8 @@
 
 namespace flare {
 
-/// Mirror of has/QoeWeights (obs/ cannot include has/).
+/// Weights of the composite QoE objective, shared by this engine and the
+/// offline has/metrics.h QoeScore — the linear QoE model of Yin et al.
 struct QoeEngineWeights {
   double lambda_switch = 1.0;
   double mu_rebuffer = 8.0;

@@ -1,21 +1,19 @@
 #include "svc/loadgen.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
+#include <sys/timerfd.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <limits>
-#include <map>
+#include <cmath>
+#include <memory>
 #include <sstream>
 
 #include "churn/session_churn.h"
 #include "net/messages.h"
+#include "netio/event_loop.h"
+#include "netio/http_client.h"
+#include "netio/tcp.h"
 #include "obs/span_trace.h"
 #include "sim/simulator.h"
 #include "svc/frame.h"
@@ -33,40 +31,23 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-int ConnectBlocking(const std::string& host, std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;  // assignment frames are tiny; don't batch them
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
+/// Arm `timer_fd` to fire once, `delay_s` from now.
+void ArmTimer(int timer_fd, double delay_s) {
+  const auto ns =
+      static_cast<std::int64_t>(std::clamp(delay_s, 0.0, 1e9) * 1e9);
+  itimerspec spec{};
+  spec.it_value.tv_sec = static_cast<time_t>(ns / 1000000000);
+  // At least 1 ns: a zero it_value would disarm the timer instead.
+  spec.it_value.tv_nsec = std::max<long>(ns % 1000000000, 1);
+  ::timerfd_settime(timer_fd, 0, &spec, nullptr);
 }
 
-bool SendFrame(int fd, FrameType type, std::string_view payload,
-               const TraceContext* trace = nullptr) {
-  const std::string frame = EncodeFrame(type, payload, trace);
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n =
-        ::send(fd, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
+/// One connected session.
 struct Client {
-  int fd = -1;
+  explicit Client(int fd) : conn(fd) {}
+  TcpConnection conn;
   int session = -1;
   bool welcomed = false;
-  std::string inbox;
   double efficiency = 0.0;
   /// When the sample the next assignment will consume became available.
   Clock::time_point sample_time;
@@ -140,12 +121,27 @@ std::vector<LoadGenerator::Event> LoadGenerator::BuildSchedule() const {
 LoadGenResult LoadGenerator::Run() {
   const std::vector<Event> schedule = BuildSchedule();
   LoadGenResult result;
-  std::map<int, Client> clients;  // by session index
   std::vector<double> turnarounds_us;
   const Clock::time_point start = Clock::now();
   std::size_t next_event = 0;
   const double scale = options_.time_scale > 0.0 ? options_.time_scale : 1.0;
   bool aborted = false;
+
+  // Sessions are numbered 0..N-1 in arrival order, so the session table
+  // is a vector indexed by session; a null slot is not connected (not
+  // yet, or any more).
+  std::vector<std::unique_ptr<Client>> clients(static_cast<std::size_t>(
+      std::count_if(schedule.begin(), schedule.end(),
+                    [](const Event& event) { return event.arrival; })));
+  std::size_t live = 0;
+
+  // All socket IO runs on one EpollLoop on this thread. Schedule events
+  // fire from a one-shot timerfd, armed at the earlier of the next due
+  // event and the max_wall_s deadline; the only wait outside the loop is
+  // an arrival's connect, and its deadline is the wall time left.
+  EpollLoop loop;
+  const int timer_fd =
+      ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
 
   // Client-side tracing: one span per echoed assignment, timestamps in
   // microseconds since `start` (this process's trace clock). flare_trace
@@ -153,13 +149,10 @@ LoadGenResult LoadGenerator::Run() {
   const bool tracing = options_.trace || !options_.trace_json.empty();
   SpanTracer tracer;
   tracer.set_default_pid(2);  // daemon records at pid 1
-  const auto trace_now_us = [&start] {
-    return std::chrono::duration<double, std::micro>(Clock::now() - start)
-        .count();
-  };
+  const auto trace_now_us = [&start] { return SecondsSince(start) * 1e6; };
   std::uint64_t trace_counter = 0;
 
-  const auto send_stats = [&](Client& client) {
+  const auto queue_stats = [&](Client& client) {
     FlowStatsReport report;
     report.flow = static_cast<FlowId>(client.session) + 1;
     report.type = FlowType::kVideo;
@@ -185,175 +178,172 @@ LoadGenResult LoadGenerator::Run() {
       ctx_ptr = &ctx;
     }
     client.sample_time = Clock::now();
-    return SendFrame(client.fd, FrameType::kStatsReport,
-                     EncodeStatsReport(report), ctx_ptr);
+    client.conn.Queue(
+        EncodeFrame(FrameType::kStatsReport, EncodeStatsReport(report),
+                    ctx_ptr));
   };
 
-  const auto close_client = [&](Client& client) {
-    if (client.fd >= 0) ::close(client.fd);
-    client.fd = -1;
+  // Writable interest only while queued bytes remain.
+  const auto interest = [](const Client& client) {
+    return EpollLoop::kReadable | EpollLoop::kError |
+           (client.conn.pending_bytes() > 0 ? EpollLoop::kWritable : 0u);
   };
 
-  for (;;) {
-    const double elapsed = SecondsSince(start);
-    if (elapsed > options_.max_wall_s) {
-      aborted = true;
-      break;
+  const auto finish_if_done = [&] {
+    if (next_event < schedule.size() || live > 0) return false;
+    result.completed = true;
+    loop.Stop();
+    return true;
+  };
+
+  const auto close_client = [&](int session) {
+    std::unique_ptr<Client>& slot = clients[static_cast<std::size_t>(session)];
+    loop.Unwatch(slot->conn.fd());
+    slot.reset();  // closes the fd
+    --live;
+    finish_if_done();
+  };
+
+  // Dispatch every complete frame in the inbox; false drops the session.
+  const auto dispatch_inbox = [&](Client& client) {
+    for (;;) {
+      Frame frame;
+      const FrameParseStatus status = ParseFrame(&client.conn.inbox(), &frame);
+      if (status == FrameParseStatus::kNeedMore) return true;
+      if (status == FrameParseStatus::kError) {
+        result.protocol_errors += 1;
+        return false;
+      }
+      if (frame.type == FrameType::kWelcome) {
+        client.welcomed = true;
+        result.admitted += 1;
+      } else if (frame.type == FrameType::kAssignment) {
+        result.assignments += 1;
+        turnarounds_us.push_back(SecondsSince(client.sample_time) * 1e6);
+        if (tracing && frame.trace) {
+          if (client.has_pending_trace &&
+              frame.trace->trace_id == client.pending_trace) {
+            const double t3_us = trace_now_us();
+            client.has_pending_trace = false;
+            result.traced += 1;
+            std::ostringstream args;
+            args << "{\"trace\":\"" << TraceIdHex(frame.trace->trace_id)
+                 << "\",\"flow\":" << (client.session + 1)
+                 << ",\"t0_us\":" << client.pending_t0_us
+                 << ",\"t3_us\":" << t3_us
+                 << ",\"srx_us\":" << frame.trace->server_recv_us
+                 << ",\"stx_us\":" << frame.trace->server_send_us
+                 << ",\"turnaround_us\":" << (t3_us - client.pending_t0_us)
+                 << "}";
+            tracer.CompleteSpan(
+                RequestLane(static_cast<FlowId>(client.session) + 1),
+                "client", "request", client.pending_t0_us,
+                t3_us - client.pending_t0_us, args.str());
+          } else {
+            result.trace_mismatches += 1;
+          }
+        }
+        // Ping-pong: answer every assignment with a fresh stats report,
+        // one e_u sample per BAI like the femtocell reporter.
+        queue_stats(client);
+      } else if (frame.type == FrameType::kOverload) {
+        if (!client.welcomed) result.blocked += 1;
+        return false;
+      } else {
+        result.protocol_errors += 1;
+        return false;
+      }
     }
+  };
 
-    // --- Fire due schedule events.
-    while (next_event < schedule.size() &&
+  const auto on_io = [&](int session, std::uint32_t events) {
+    Client& client = *clients[static_cast<std::size_t>(session)];
+    // Frames that arrived ahead of a close still count: a session that
+    // never got past admission is counted at its kOverload frame.
+    const IoStatus read = client.conn.ReadSome();
+    if (!dispatch_inbox(client) || read == IoStatus::kEof ||
+        read == IoStatus::kError || (events & EpollLoop::kError) != 0 ||
+        client.conn.Flush() == IoStatus::kError) {
+      close_client(session);
+      return;
+    }
+    loop.SetInterest(client.conn.fd(), interest(client));
+  };
+
+  const auto arrive = [&](int session, double wall_left_s) {
+    result.attempted += 1;
+    const int fd = BlockingConnect(
+        options_.host, options_.port,
+        static_cast<int>(std::ceil(std::min(wall_left_s * 1000.0, 1e9))));
+    if (fd < 0) {
+      result.connect_failures += 1;
+      return;
+    }
+    auto client = std::make_unique<Client>(fd);
+    client->session = session;
+    client->efficiency =
+        options_.efficiencies.empty()
+            ? 100.0
+            : options_.efficiencies[static_cast<std::size_t>(session) %
+                                    options_.efficiencies.size()];
+    ClientInfo info;
+    info.flow = static_cast<FlowId>(session) + 1;
+    info.ladder_bps = options_.ladder_bps;
+    client->conn.Queue(
+        EncodeFrame(FrameType::kClientInfo, EncodeClientInfo(info)));
+    queue_stats(*client);
+    if (client->conn.Flush() == IoStatus::kError) {
+      result.connect_failures += 1;
+      return;
+    }
+    loop.Watch(fd, interest(*client), [&on_io, session](std::uint32_t events) {
+      on_io(session, events);
+    });
+    clients[static_cast<std::size_t>(session)] = std::move(client);
+    ++live;
+  };
+
+  // Fire every due schedule event, then re-arm the timer; stops the loop
+  // at the wall deadline or once the replay is over.
+  const auto fire_due_events = [&] {
+    double elapsed = SecondsSince(start);
+    while (elapsed < options_.max_wall_s && next_event < schedule.size() &&
            schedule[next_event].t_s / scale <= elapsed) {
       const Event& event = schedule[next_event++];
+      Client* client = clients[static_cast<std::size_t>(event.session)].get();
       if (event.arrival) {
-        result.attempted += 1;
-        const int fd = ConnectBlocking(options_.host, options_.port);
-        if (fd < 0) {
-          result.connect_failures += 1;
-          continue;
-        }
-        Client client;
-        client.fd = fd;
-        client.session = event.session;
-        client.efficiency = options_.efficiencies.empty()
-                                ? 100.0
-                                : options_.efficiencies[static_cast<std::size_t>(
-                                      event.session) %
-                                                        options_.efficiencies
-                                                            .size()];
-        ClientInfo info;
-        info.flow = static_cast<FlowId>(event.session) + 1;
-        info.ladder_bps = options_.ladder_bps;
-        if (!SendFrame(fd, FrameType::kClientInfo, EncodeClientInfo(info)) ||
-            !send_stats(client)) {
-          result.connect_failures += 1;
-          close_client(client);
-          continue;
-        }
-        clients[event.session] = std::move(client);
-      } else {
-        const auto it = clients.find(event.session);
-        if (it != clients.end()) {
-          if (it->second.fd >= 0) {
-            SendFrame(it->second.fd, FrameType::kBye, "");
-            close_client(it->second);
-            result.departed += 1;
-          }
-          clients.erase(it);
-        }
+        arrive(event.session, options_.max_wall_s - elapsed);
+      } else if (client != nullptr) {
+        client->conn.Queue(EncodeFrame(FrameType::kBye, ""));
+        client->conn.Flush();  // best effort: a departure never waits
+        close_client(event.session);
+        result.departed += 1;
       }
+      elapsed = SecondsSince(start);
     }
+    if (elapsed >= options_.max_wall_s) {
+      aborted = true;
+      loop.Stop();
+    } else if (!finish_if_done()) {
+      const double due_s = next_event < schedule.size()
+                               ? schedule[next_event].t_s / scale
+                               : options_.max_wall_s;
+      ArmTimer(timer_fd, std::min(due_s, options_.max_wall_s) - elapsed);
+    }
+  };
 
-    if (next_event >= schedule.size() && clients.empty()) {
-      result.completed = true;
-      break;
-    }
-
-    // --- Wait for server frames or the next schedule deadline.
-    std::vector<pollfd> pfds;
-    std::vector<int> pfd_sessions;
-    pfds.reserve(clients.size());
-    for (const auto& [session, client] : clients) {
-      if (client.fd < 0) continue;
-      pfds.push_back(pollfd{client.fd, POLLIN, 0});
-      pfd_sessions.push_back(session);
-    }
-    int timeout_ms = 20;
-    if (next_event < schedule.size()) {
-      const double due_in_s =
-          schedule[next_event].t_s / scale - SecondsSince(start);
-      timeout_ms = static_cast<int>(
-          std::clamp(due_in_s * 1000.0, 0.0, 20.0));
-    }
-    if (!pfds.empty()) {
-      ::poll(pfds.data(), pfds.size(), timeout_ms);
-    } else if (timeout_ms > 0) {
-      ::poll(nullptr, 0, timeout_ms);
-    }
-
-    // --- Drain readable sockets and dispatch frames.
-    for (std::size_t i = 0; i < pfds.size(); ++i) {
-      if ((pfds[i].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-      const auto it = clients.find(pfd_sessions[i]);
-      if (it == clients.end()) continue;
-      Client& client = it->second;
-      char buf[4096];
-      const ssize_t n = ::recv(client.fd, buf, sizeof(buf), 0);
-      if (n <= 0) {
-        // Server closed (shutdown or post-reject): a session that never
-        // got past admission was counted at the kOverload frame already.
-        close_client(client);
-        clients.erase(it);
-        continue;
-      }
-      client.inbox.append(buf, static_cast<std::size_t>(n));
-      bool drop = false;
-      for (;;) {
-        Frame frame;
-        const FrameParseStatus status = ParseFrame(&client.inbox, &frame);
-        if (status == FrameParseStatus::kNeedMore) break;
-        if (status == FrameParseStatus::kError) {
-          result.protocol_errors += 1;
-          drop = true;
-          break;
-        }
-        if (frame.type == FrameType::kWelcome) {
-          client.welcomed = true;
-          result.admitted += 1;
-        } else if (frame.type == FrameType::kAssignment) {
-          result.assignments += 1;
-          turnarounds_us.push_back(
-              std::chrono::duration<double, std::micro>(Clock::now() -
-                                                        client.sample_time)
-                  .count());
-          if (tracing && frame.trace) {
-            if (client.has_pending_trace &&
-                frame.trace->trace_id == client.pending_trace) {
-              const double t3_us = trace_now_us();
-              client.has_pending_trace = false;
-              result.traced += 1;
-              std::ostringstream args;
-              args << "{\"trace\":\"" << TraceIdHex(frame.trace->trace_id)
-                   << "\",\"flow\":" << (client.session + 1)
-                   << ",\"t0_us\":" << client.pending_t0_us
-                   << ",\"t3_us\":" << t3_us
-                   << ",\"srx_us\":" << frame.trace->server_recv_us
-                   << ",\"stx_us\":" << frame.trace->server_send_us
-                   << ",\"turnaround_us\":" << (t3_us - client.pending_t0_us)
-                   << "}";
-              tracer.CompleteSpan(
-                  RequestLane(static_cast<FlowId>(client.session) + 1),
-                  "client", "request", client.pending_t0_us,
-                  t3_us - client.pending_t0_us, args.str());
-            } else {
-              result.trace_mismatches += 1;
-            }
-          }
-          // Ping-pong: answer every assignment with a fresh stats report,
-          // one e_u sample per BAI like the femtocell reporter.
-          if (!send_stats(client)) {
-            drop = true;
-            break;
-          }
-        } else if (frame.type == FrameType::kOverload) {
-          if (!client.welcomed) result.blocked += 1;
-          drop = true;
-          break;
-        } else {
-          result.protocol_errors += 1;
-          drop = true;
-          break;
-        }
-      }
-      if (drop) {
-        close_client(client);
-        clients.erase(it);
-      }
-    }
+  if (loop.ok() && timer_fd >= 0) {
+    loop.Watch(timer_fd, EpollLoop::kReadable, [&](std::uint32_t) {
+      std::uint64_t expirations = 0;
+      [[maybe_unused]] const ssize_t n =
+          ::read(timer_fd, &expirations, sizeof(expirations));
+      fire_due_events();
+    });
+    fire_due_events();
+    loop.Run();
   }
-
-  for (auto& [session, client] : clients) close_client(client);
   clients.clear();
+  if (timer_fd >= 0) ::close(timer_fd);
 
   result.wall_s = SecondsSince(start);
   if (aborted) result.completed = false;

@@ -110,8 +110,9 @@ class LoadGenerator {
   /// so tests can assert determinism without a server.
   std::vector<Event> BuildSchedule() const;
 
-  /// Replay the schedule against the live server. Blocking; returns the
-  /// measured result.
+  /// Replay the schedule against the live server on one EpollLoop on the
+  /// calling thread. Blocks until the replay ends or max_wall_s passes;
+  /// returns the measured result.
   LoadGenResult Run();
 
  private:

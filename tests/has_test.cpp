@@ -152,7 +152,7 @@ TEST(Metrics, QoeScoreComponents) {
   // Rebuffer penalty: 3 s of stall over 30 s at mu=8 costs 0.8.
   EXPECT_NEAR(QoeScore({2e6, 2e6}, 3.0, 30.0), 2.0 - 0.8, 1e-12);
   // Custom weights.
-  QoeWeights weights;
+  QoeEngineWeights weights;
   weights.lambda_switch = 0.0;
   weights.mu_rebuffer = 0.0;
   EXPECT_DOUBLE_EQ(QoeScore({1e6, 3e6}, 10.0, 30.0, weights), 2.0);

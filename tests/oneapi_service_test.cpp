@@ -4,7 +4,9 @@
 // on the wire are byte-identical to an in-process OneApiServer run over
 // the same schedule — typed overload rejects, bounded-outbox drops for
 // slow clients, and the deterministic load generator.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -1227,6 +1229,41 @@ TEST(LoadGen, TracedRunProducesMergeableClientSpans) {
   EXPECT_EQ(echoed, static_cast<int>(result.traced));
   std::remove(server_trace.c_str());
   std::remove(client_trace.c_str());
+}
+
+TEST(LoadGen, MaxWallBoundsAServerThatNeverAccepts) {
+  // A backlog-1 listener that never accepts queues two connections; the
+  // kernel drops the SYNs of every later one, so a connect without a
+  // deadline would wait out the SYN retries (minutes).
+  const int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  LoadGenOptions options;
+  options.port = ntohs(addr.sin_port);
+  options.sessions = 6;
+  options.arrival_rate_per_s = 1000.0;
+  options.mean_hold_s = 30.0;
+  options.lognormal_sigma = 0.05;
+  options.max_wall_s = 1.0;
+  const Clock::time_point start = Clock::now();
+  const LoadGenResult result = LoadGenerator(options).Run();
+  const double wall_s =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  ::close(listener);
+
+  EXPECT_LT(wall_s, options.max_wall_s + 1.0);
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.admitted, 0u);
+  EXPECT_GE(result.connect_failures, 1u);
+  EXPECT_LE(result.connect_failures, result.attempted);
 }
 
 }  // namespace

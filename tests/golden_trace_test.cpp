@@ -10,15 +10,19 @@
 // holds the check).
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "golden_util.h"
 #include "obs/bai_trace.h"
 #include "obs/flight_recorder.h"
 #include "obs/qoe_analytics.h"
 #include "obs/span_trace.h"
+#include "obs/watchdog.h"
 #include "scenario/scenario.h"
 #include "util/csv.h"
 #include "util/json.h"
@@ -200,6 +204,122 @@ TEST(GoldenTrace, TestbedChurnFlareDecisionSinks) {
     out << cause << ',' << FormatNumber(count.AsNumber()) << '\n';
   }
   CheckAgainstGolden("testbed_churn_flare_decision_sinks.txt", out.str());
+}
+
+/// Shortest round-trip text of `v`: two doubles print alike only when
+/// they are the same bits.
+std::string Exact(double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, res.ptr);
+}
+
+void WriteClients(std::ostream& out, const char* name,
+                  const std::vector<ClientMetrics>& clients) {
+  out << "# " << name
+      << ": avg_bitrate_bps,changes,rebuffer_s,rebuffers,segments,"
+         "avg_throughput_bps,qoe\n";
+  for (const ClientMetrics& m : clients) {
+    out << Exact(m.avg_bitrate_bps) << ',' << m.bitrate_changes << ','
+        << Exact(m.rebuffer_time_s) << ',' << m.rebuffer_events << ','
+        << m.segments << ',' << Exact(m.avg_throughput_bps) << ','
+        << Exact(m.qoe) << '\n';
+  }
+}
+
+// Every client of a churned cell with all three static kinds (video,
+// conventional, data) and both churned kinds (data_fraction > 0), through
+// each place a client's life is reported: the PlayerSummary rows in
+// emission order, the QoE sessions by id, the result vectors, the churn
+// counters, the 1 Hz series and the run-health warnings. Pins how
+// sessions are spawned, torn down and harvested, which the BAI trace
+// alone does not see.
+TEST(GoldenTrace, TestbedChurnSessionLedger) {
+  ScenarioConfig config = ChurnFlareConfig();
+  config.n_data = 1;
+  config.n_conventional = 1;
+  config.churn.data_fraction = 0.3;
+  // Mixed verdicts with the larger static population.
+  config.churn.admission.objective_floor = -0.7;
+  config.sample_series = true;
+  config.oneapi.deterministic_timing = true;
+  BaiTraceSink trace;
+  QoeAnalytics qoe;
+  RunHealthMonitor health;
+  config.bai_trace = &trace;
+  config.qoe = &qoe;
+  config.health = &health;
+  const ScenarioResult result = RunScenario(config);
+  ASSERT_GT(result.sessions_blocked, 0u);
+  ASSERT_GT(result.sessions_arrived, result.sessions_blocked);
+  ASSERT_FALSE(result.churned.empty());
+
+  std::ostringstream out;
+  out << "# players: cell,client,flow,avg_bitrate_bps,switches,stalls,"
+         "stall_s,qoe,segments\n";
+  for (const PlayerSummary& p : trace.players()) {
+    out << p.cell << ',' << p.client << ',' << p.flow << ','
+        << Exact(p.avg_bitrate_bps) << ',' << p.switches << ',' << p.stalls
+        << ',' << Exact(p.stall_s) << ',' << Exact(p.qoe) << ','
+        << p.segments << '\n';
+  }
+  out << "# qoe sessions: id,flow,origin,start_s,ended,end_s,played_s,"
+         "segments\n";
+  const int n_static =
+      config.n_video + config.n_data + config.n_conventional;
+  const int n_ids = n_static + static_cast<int>(result.sessions_arrived);
+  for (int id = 0; id < n_ids; ++id) {
+    const QoeSessionStats* s = qoe.FindSession(0, id);
+    if (s == nullptr) continue;
+    out << id << ',' << s->flow << ',' << QoeSessionOriginName(s->origin)
+        << ',' << Exact(s->start_s) << ',' << s->ended << ','
+        << Exact(s->end_s) << ',' << Exact(s->played_s) << ','
+        << s->segments << '\n';
+  }
+  out << "# qoe: admitted,blocked\n"
+      << qoe.admitted() << ',' << qoe.blocked() << '\n';
+  WriteClients(out, "video", result.video);
+  WriteClients(out, "conventional", result.conventional);
+  WriteClients(out, "churned", result.churned);
+  out << "# data_throughput_bps\n";
+  for (const double bps : result.data_throughput_bps) {
+    out << Exact(bps) << '\n';
+  }
+  out << "# averages: video_bitrate_bps,changes,rebuffer_s,jain,"
+         "data_throughput_bps,admitted_qoe\n"
+      << Exact(result.avg_video_bitrate_bps) << ','
+      << Exact(result.avg_bitrate_changes) << ','
+      << Exact(result.avg_rebuffer_s) << ','
+      << Exact(result.jain_avg_bitrate) << ','
+      << Exact(result.avg_data_throughput_bps) << ','
+      << Exact(result.avg_admitted_qoe) << '\n';
+  out << "# sessions: arrived,departed,blocked,blocking_probability\n"
+      << result.sessions_arrived << ',' << result.sessions_departed << ','
+      << result.sessions_blocked << ','
+      << Exact(result.blocking_probability) << '\n';
+  out << "# series: t_s;video_bitrate_bps;video_buffer_s;"
+         "data_throughput_bps\n";
+  const auto join = [&out](const std::vector<double>& values) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      out << (i == 0 ? "" : " ") << Exact(values[i]);
+    }
+  };
+  for (const SeriesSample& s : result.series) {
+    out << Exact(s.t_s) << ';';
+    join(s.video_bitrate_bps);
+    out << ';';
+    join(s.video_buffer_s);
+    out << ';';
+    join(s.data_throughput_bps);
+    out << '\n';
+  }
+  out << "# health warnings: t_s,cell,kind,flow,client,value,detail\n";
+  for (const HealthWarning& w : health.warnings()) {
+    out << Exact(w.t_s) << ',' << w.cell << ',' << w.kind << ',' << w.flow
+        << ',' << w.client << ',' << Exact(w.value) << ',' << w.detail
+        << '\n';
+  }
+  CheckAgainstGolden("testbed_churn_sessions.txt", out.str());
 }
 
 }  // namespace

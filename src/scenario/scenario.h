@@ -118,9 +118,9 @@ struct ScenarioConfig {
   /// The n_video/n_data/n_conventional populations above stay as a static
   /// base load; churned sessions come and go on top of it. For kFlare
   /// under churn, the greedy solver is swapped for the concave-envelope
-  /// sweep (BatchSolver). AVIS gateway registration is static only (the
-  /// gateway has no removal path), so churned sessions under kAvis run
-  /// without gateway MBR caps.
+  /// sweep (BatchSolver). Churned sessions register with the PCRF, the
+  /// OneAPI server or the AVIS gateway as static ones do, and deregister
+  /// on departure.
   ChurnConfig churn;
 
   /// Optional override of the FLARE solver chosen by the scheme/churn

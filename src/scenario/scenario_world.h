@@ -11,7 +11,7 @@
 // bytes.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -21,6 +21,7 @@
 #include "net/oneapi_server.h"
 #include "net/pcef.h"
 #include "net/pcrf.h"
+#include "obs/qoe_analytics.h"
 #include "scenario/scenario.h"
 #include "sim/simulator.h"
 #include "transport/transport_host.h"
@@ -62,24 +63,32 @@ class ScenarioWorld {
   OneApiServer& oneapi() { return oneapi_; }
 
  private:
-  /// A session created (and torn down) mid-run by the churn engine. Unlike
-  /// the static population, every resource here — UE slot, transport flow,
-  /// HTTP client, player, plugin — is reclaimed on departure.
-  struct DynamicSession {
-    SessionKind kind = SessionKind::kVideoSession;
-    FlowId flow = kInvalidFlow;
+  /// What a client runs. Churned arrivals are kVideo or kData.
+  enum class ClientKind { kVideo, kConventional, kData };
+
+  /// One client of the cell, static or churned, stored at its client id.
+  /// Every resource it holds is released by Teardown() when a churned
+  /// session departs or is refused; static clients live as long as the
+  /// world. Members are declared so that destruction, like Teardown(),
+  /// releases the session before the HTTP client before the plugin.
+  struct Client {
+    ClientKind kind = ClientKind::kVideo;
     UeId ue = 0;
-    std::unique_ptr<HttpClient> http;
-    std::unique_ptr<VideoSession> session;
+    /// kInvalidFlow once torn down.
+    FlowId flow = kInvalidFlow;
     /// Network-only ablation: the plugin the server talks to while the
     /// player runs its own ABR. Null when the plugin is the session's ABR.
     std::unique_ptr<FlarePlugin> orphan_plugin;
-    /// The server-visible plugin (owned either by `session`'s ABR slot or
-    /// by `orphan_plugin`); null for non-FLARE schemes and data sessions.
-    FlarePlugin* plugin = nullptr;
-    /// FLARE video sessions start only once the (delayed, admission-gated)
-    /// OneAPI registration lands; everyone else starts at spawn.
+    std::unique_ptr<HttpClient> http;
+    std::unique_ptr<VideoSession> session;  // null for data clients
+    /// Has metrics to harvest: static clients from spawn, churned video
+    /// once its player starts (FLARE video only after admission), and
+    /// churned data never.
     bool started = false;
+    /// Cursors of the 1 Hz sampler and the health scan.
+    std::uint64_t series_tx_bytes = 0;
+    double health_stall_s = 0.0;
+    std::uint64_t health_tx_bytes = 0;
   };
 
   /// Per-BAI watchdog feed: player stall deltas, unspent GBR credit,
@@ -87,23 +96,29 @@ class ScenarioWorld {
   /// experiment (the BAI trace stays byte-identical).
   void HealthScan();
 
-  /// Builds the per-scheme client ABR for one video session. `salt_index`
-  /// feeds the FESTIVE rng fork (static clients pass their index; dynamic
-  /// sessions pass a value beyond the static population). Exactly one of
-  /// *plugin_out / *orphan_out is set for FLARE schemes.
-  std::unique_ptr<AbrAlgorithm> MakeVideoAbr(
-      FlowId flow, int salt_index, FlarePlugin** plugin_out,
-      std::unique_ptr<FlarePlugin>* orphan_out);
-
-  /// Churn-engine host hooks.
-  int SpawnDynamicSession(SessionKind kind);
-  void TeardownDynamicSession(int id, bool harvest);
+  /// Builds client `id` of `kind`: its UE, flow, player and registration
+  /// with the PCRF, the OneAPI server or the AVIS gateway. Static clients
+  /// start on a staggered clock; churned ones start now, or on admission
+  /// for FLARE video.
+  void Spawn(ClientKind kind, int id);
+  /// Builds the per-scheme client ABR for video client `id` (also the
+  /// FESTIVE rng salt). Returns the server-visible plugin through
+  /// `plugin_out` for FLARE schemes (null otherwise), keeping it in
+  /// `client.orphan_plugin` when the player does not run it.
+  std::unique_ptr<AbrAlgorithm> MakeVideoAbr(Client& client, int id,
+                                             FlarePlugin** plugin_out);
+  /// Registers `id` with the QoE engine and starts its player at `at`.
+  void StartClient(int id, SimTime at, QoeSessionOrigin origin);
+  /// Harvests client `id` if it started, deregisters it and releases its
+  /// session, HTTP client, plugin, flow and UE, in that order.
+  void Teardown(int id);
+  /// Stops client `id`'s player and reports it: its ClientMetrics, QoE
+  /// session end and PlayerSummary (video), or its run-average
+  /// throughput (static data).
+  void Harvest(int id);
   /// OneAPI admission outcome for `flow` (fires for every registration
   /// attempt; static flows are ignored — they start on their own clock).
   void OnAdmission(FlowId flow, bool admitted);
-  /// Advances the player and appends this session's ClientMetrics to the
-  /// churned-session results.
-  void HarvestDynamicSession(int id, DynamicSession& session);
 
   ScenarioConfig config_;
   Simulator& sim_;
@@ -117,30 +132,17 @@ class ScenarioWorld {
   AvisGateway avis_gateway_;
   Mpd mpd_;
 
-  std::vector<std::unique_ptr<HttpClient>> https_;
-  std::vector<std::unique_ptr<VideoSession>> sessions_;
-  std::vector<FlowId> video_flows_;
-  // Plugins for the network-only ablation: registered with the OneAPI
-  // server (so the optimizer runs and GBRs are enforced) but never
-  // consulted by the player.
-  std::vector<std::unique_ptr<FlarePlugin>> orphan_plugins_;
+  /// Indexed by client id, the index the channel salt, the QoE session id
+  /// and PlayerSummary::client share: video [0, n_video), data up to
+  /// n_video + n_data, conventional up to n_static_, then churned
+  /// arrivals in spawn order (engine session k is client n_static_ + k).
+  std::vector<Client> clients_;
+  const int n_static_;
+  ScenarioResult result_;  // filled during the run and by Harvest()
 
-  std::vector<std::unique_ptr<HttpClient>> conventional_https_;
-  std::vector<std::unique_ptr<VideoSession>> conventional_sessions_;
-  std::vector<FlowId> data_flows_;
-
-  std::vector<std::uint64_t> last_data_bytes_;
-  std::vector<double> last_health_stall_s_;
-  std::vector<std::uint64_t> last_health_data_bytes_;
-  ScenarioResult result_;  // series accumulate here during the run
-
-  // --- Session churn (null / empty unless config.churn.enabled).
+  // --- Session churn (null unless config.churn.enabled).
   std::unique_ptr<AdmissionController> admission_;  // FLARE schemes only
   std::unique_ptr<SessionChurnEngine> churn_;
-  std::map<int, DynamicSession> dynamic_;    // live, by engine session id
-  std::map<FlowId, int> dynamic_by_flow_;
-  int next_dynamic_id_ = 0;
-  std::vector<ClientMetrics> churned_metrics_;  // harvested on departure
 };
 
 }  // namespace flare

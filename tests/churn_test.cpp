@@ -23,7 +23,9 @@
 #include "net/oneapi_server.h"
 #include "net/pcef.h"
 #include "obs/metrics.h"
+#include "net/pcrf.h"
 #include "scenario/scenario.h"
+#include "scenario/scenario_world.h"
 #include "sim/simulator.h"
 #include "transport/http.h"
 #include "transport/transport_host.h"
@@ -376,6 +378,46 @@ TEST(ChurnScenario, ClientSideSchemeChurnsWithoutAdmission) {
   EXPECT_FALSE(result.churned.empty());
   // The static population's results are still reported in full.
   EXPECT_EQ(result.video.size(), 2u);
+}
+
+// Churned AVIS sessions register with the gateway at spawn, as the static
+// population does: after one gateway epoch every churned video flow still
+// in the cell carries the GBR the gateway assigned it.
+TEST(ChurnScenario, AvisGatewayRatesChurnedVideoFlows) {
+  ScenarioConfig config = TestbedPreset(Scheme::kAvis);
+  config.n_video = 2;
+  config.n_data = 1;
+  config.churn.enabled = true;
+  config.churn.arrival_rate_per_s = 1.0;
+  config.churn.mean_hold_s = 20.0;
+  config.churn.data_fraction = 0.25;
+  Simulator sim;
+  Pcrf pcrf;
+  ScenarioWorld world(config, sim, pcrf, Rng(config.seed));
+  world.Start();
+  const Cell& cell = world.cell();
+  // Flow ids count up from 1 in spawn order: churned flows follow the
+  // static ones.
+  const auto first_churned =
+      static_cast<FlowId>(config.n_video + config.n_data + 1);
+  int checked = 0;
+  for (const double t_s : {10.0, 20.0, 30.0}) {
+    sim.RunUntil(FromSeconds(t_s));
+    std::vector<FlowId> churned_video;
+    for (FlowId id = first_churned; id < first_churned + 200; ++id) {
+      if (cell.HasFlow(id) && cell.flow(id).type == FlowType::kVideo) {
+        churned_video.push_back(id);
+      }
+    }
+    // Two epochs' worth, so at least one epoch boundary lies in between.
+    sim.RunUntil(FromSeconds(t_s + 2.0 * config.avis.epoch_s));
+    for (const FlowId id : churned_video) {
+      if (!cell.HasFlow(id)) continue;  // departed meanwhile
+      EXPECT_TRUE(cell.flow(id).has_gbr()) << "flow " << id << " at " << t_s;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 TEST(ChurnScenario, SweepSolverMatchesGreedyRungsWithoutChurn) {
